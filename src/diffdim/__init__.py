@@ -9,7 +9,6 @@ polynomial of a linear constant-coefficient differential system.
 from .errors import (
     AmbientMismatch,
     DiffdimError,
-    EmptySupport,
     InputNotNumericalPolynomial,
     ParseError,
     ResourceLimit,
@@ -31,6 +30,7 @@ from .expsets import (
     dimension_polynomial,
     minimal_elements,
     parse_exponent_set,
+    stabilisation_level,
     stability_bound,
     volume,
     volume_ie,
@@ -47,7 +47,6 @@ from .diffrank import (
     LeaderProfile,
     compare_rank,
     kolchin_from_leaders,
-    leader,
     parse_leader_profile,
     parse_monomial,
     profile_order,
@@ -73,7 +72,6 @@ __all__ = [
     "BoundReport",
     "DiffdimError",
     "DifferentialMonomial",
-    "EmptySupport",
     "EQUAL",
     "ExponentSet",
     "GREATER",
@@ -97,7 +95,6 @@ __all__ = [
     "kolchin_from_leaders",
     "kolchin_polynomial",
     "kolchin_via_prolongation",
-    "leader",
     "leader_profile",
     "minimal_elements",
     "module_groebner",
@@ -112,6 +109,7 @@ __all__ = [
     "prolongation_dimension",
     "regularity_bound",
     "render",
+    "stabilisation_level",
     "stability_bound",
     "to_json_dict",
     "volume",

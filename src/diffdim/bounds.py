@@ -152,8 +152,7 @@ def regularity_bound(
 class BoundReport:
     """All bounds for one (r, m, n) input, plus the inputs themselves.
 
-    ``d`` is carried through for reporting only.  Fields:
-    char_order is C, order_sum is D, regularity is the stabilisation level,
+    Fields: char_order is C, order_sum is D, regularity is the stabilisation level,
     comparison_level is the level where eventual comparison of two
     polynomials with coefficients bounded by coeff_bound is decided.
     """
@@ -161,7 +160,6 @@ class BoundReport:
     r: int
     m: int
     n: int
-    d: int
     char_order: int
     order_sum: int
     regularity: int
@@ -173,7 +171,7 @@ def bound_report(
     r: int,
     m: int,
     n: int,
-    d: int = 0,
+    *,
     digit_cap: int = DEFAULT_DIGIT_CAP,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> BoundReport:
@@ -197,7 +195,6 @@ def bound_report(
         r=r,
         m=m,
         n=n,
-        d=d,
         char_order=c,
         order_sum=big_d,
         regularity=max(0, m * big_d - m),

@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="maximal equation order")
     p.add_argument("--m", type=int, required=True, help="number of derivations")
     p.add_argument("--n", type=int, required=True, help="number of unknowns")
-    p.add_argument("--d", type=int, default=0, help="degree, reported back unchanged")
 
     p = sub.add_parser("rank-compare", parents=[common],
                        help="compare two derivative symbols under the orderly ranking")
@@ -176,7 +175,7 @@ def _cmd_volume(args, cfg):
 
 def _cmd_bounds(args, cfg):
     report = bounds_mod.bound_report(
-        args.r, args.m, args.n, d=args.d, digit_cap=cfg.bound_digit_cap
+        args.r, args.m, args.n, digit_cap=cfg.bound_digit_cap
     )
     fields = (
         ("char_order", report.char_order),
@@ -186,7 +185,7 @@ def _cmd_bounds(args, cfg):
         ("coeff_bound", report.coeff_bound),
     )
     if cfg.fmt == "json":
-        doc = {"r": args.r, "m": args.m, "n": args.n, "d": args.d}
+        doc = {"r": args.r, "m": args.m, "n": args.n}
         doc.update((k, str(v)) for k, v in fields)
         print(json.dumps(doc))
     else:
@@ -232,22 +231,21 @@ def _cmd_kolchin(args, cfg):
                   f"{list(via_ranks.standard_coeffs)}")
             print("AGREE" if agree else "DISAGREE")
         return EXIT_OK if agree else EXIT_DOMAIN
+    coeffs = args.at_least if args.at_least is not None else args.equals
+    if coeffs is not None:
+        test = lindiff.omega_equals if args.at_least is None else lindiff.omega_at_least
+        answer = test(system, numpoly.NumericalPolynomial.from_coeffs(coeffs))
+        if cfg.fmt == "json":
+            print(json.dumps({"result": answer}))
+        else:
+            print("true" if answer else "false")
+        return EXIT_OK
     p = lindiff.kolchin_polynomial(system)
     if args.diff_type:
         if cfg.fmt == "json":
             print(json.dumps({"differential_type": p.differential_type()}))
         else:
             print(p.differential_type())
-        return EXIT_OK
-    if args.at_least is not None or args.equals is not None:
-        coeffs = args.at_least if args.at_least is not None else args.equals
-        other = numpoly.NumericalPolynomial.from_coeffs(coeffs)
-        cmp = numpoly.compare_eventual(p, other)
-        answer = cmp >= 0 if args.at_least is not None else cmp == 0
-        if cfg.fmt == "json":
-            print(json.dumps({"result": answer}))
-        else:
-            print("true" if answer else "false")
         return EXIT_OK
     _emit_poly(p, cfg)
     return EXIT_OK

@@ -10,11 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, EmptySupport, ParseError
-from .expsets import ExponentSet, minimal_elements, dimension_polynomial, stability_bound
+from .errors import AmbientMismatch, ParseError
+from .expsets import (
+    ExponentSet, ExponentVector, dimension_polynomial, minimal_elements, stability_bound,
+)
 from .numpoly import NumericalPolynomial
 
-ExponentVector = tuple[int, ...]
+TermKey = tuple[ExponentVector, int]
+
+
+def rank_key(key: TermKey) -> tuple[int, ...]:
+    """Orderly ranking key of (exponents, unknown index): order, unknown,
+    then the exponents left to right."""
+    xi, comp = key
+    return (sum(xi), comp) + xi
 
 
 @dataclass(frozen=True)
@@ -43,9 +52,6 @@ class DifferentialMonomial:
     def order(self) -> int:
         return sum(self.exponents)
 
-    def rank_key(self) -> tuple[int, ...]:
-        return (self.order, self.var_index) + self.exponents
-
     def derive(self, theta: ExponentVector) -> "DifferentialMonomial":
         """Apply further derivations given by the multi-index theta."""
         if len(theta) != self.m:
@@ -63,23 +69,13 @@ def compare_rank(a: DifferentialMonomial, b: DifferentialMonomial) -> int:
         raise AmbientMismatch(
             f"monomials over {a.m} and {b.m} derivations are not comparable"
         )
-    ka, kb = a.rank_key(), b.rank_key()
+    ka = rank_key((a.exponents, a.var_index))
+    kb = rank_key((b.exponents, b.var_index))
     if ka < kb:
         return -1
     if ka > kb:
         return 1
     return 0
-
-
-def leader(monomials) -> DifferentialMonomial:
-    """The highest-ranked monomial of a non-empty collection."""
-    best = None
-    for mono in monomials:
-        if best is None or compare_rank(mono, best) > 0:
-            best = mono
-    if best is None:
-        raise EmptySupport("no monomials to take a leader from")
-    return best
 
 
 @dataclass(frozen=True)

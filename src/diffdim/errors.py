@@ -27,10 +27,6 @@ class AmbientMismatch(DiffdimError):
     """Two objects live over different numbers of derivation operators."""
 
 
-class EmptySupport(DiffdimError):
-    """An operation that needs at least one term got none."""
-
-
 class ParseError(DiffdimError):
     """Malformed textual input.
 

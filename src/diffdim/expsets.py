@@ -2,8 +2,11 @@
 
 An exponent set stands for the upward closure of its generators under the
 componentwise order.  The points *outside* the closure of order at most s
-are counted by the volume function, and for large s that count agrees with
-a numerical polynomial, computed here by an exact recursion.
+are counted by the volume function.  One recursion computes the Hilbert
+numerator N(z), with sum_{xi outside the closure} z^|xi| = N(z) / (1 - z)^m.
+The count at s is sum_{k <= s} N_k * binom(s - k + m, m); the Kolchin
+polynomial is that sum over every k, each binomial read as a polynomial in
+s; the two agree from stabilisation_level on.
 """
 
 from __future__ import annotations
@@ -19,11 +22,6 @@ from .numpoly import NumericalPolynomial
 DEFAULT_ENUMERATION_CAP = 10**7
 
 ExponentVector = tuple[int, ...]
-
-
-def order_of(xi: ExponentVector) -> int:
-    """Total order of an exponent vector: the sum of its entries."""
-    return sum(xi)
 
 
 def dominates(a: ExponentVector, b: ExponentVector) -> bool:
@@ -150,33 +148,45 @@ def volume_ie(exp_set: ExponentSet, s: int) -> int:
     return total
 
 
-_DIMENSION_CACHE: dict[tuple[int, tuple[ExponentVector, ...]], NumericalPolynomial] = {}
+# numerators by (m, antichain): N_k at index k, trailing zeros dropped
+_DIMENSION_CACHE: dict[tuple[int, tuple[ExponentVector, ...]], tuple[int, ...]] = {}
 
 
 def dimension_polynomial(exp_set: ExponentSet) -> NumericalPolynomial:
     """The Kolchin polynomial of the complement of the closure.
 
-    For every s at or beyond stability_bound(exp_set), evaluating the result
-    at s gives volume(exp_set, s).  Computed by recursion on a pivot
-    coordinate: splitting on whether that coordinate is zero reduces to one
-    set in fewer variables and one with a smaller generator, and the second
-    branch enters shifted by one.
+    Read off the Hilbert numerator N(z) (see the module docstring): the
+    standard coefficient of binom(t + m - j, m - j) is
+    (-1)^j * sum_k N_k * binom(k, j).  Evaluating the result at any
+    s >= stabilisation_level(exp_set) gives volume(exp_set, s).
     """
-    return _dimension_rec(exp_set.m, exp_set._antichain)
+    m = exp_set.m
+    num = _numerator(m, exp_set._antichain)
+    coeffs = (
+        (-1) ** j * sum(c * comb(k, j) for k, c in enumerate(num)) for j in range(m + 1)
+    )
+    return NumericalPolynomial(m, tuple(coeffs))
 
 
-def _dimension_rec(m: int, gens: tuple[ExponentVector, ...]) -> NumericalPolynomial:
+def _numerator(m: int, gens: tuple[ExponentVector, ...]) -> tuple[int, ...]:
+    """Hilbert numerator of the complement of the antichain's closure.
+
+    Splits on a pivot coordinate j: the points with xi_j = 0 form the
+    complement of the section in N^(m-1), and the points with xi_j >= 1
+    are e_j plus the complement of the decremented set, hence
+    N = (1 - z) * N_section + z * N_decremented.
+    """
     key = (m, gens)
     cached = _DIMENSION_CACHE.get(key)
     if cached is not None:
         return cached
     if not gens:
-        result = NumericalPolynomial.full(m)
+        result = (1,)
     elif (0,) * m in gens:
-        result = NumericalPolynomial.zero(m)
+        result = ()
     elif m == 1:
-        # antichain in N^1 is a single positive generator (v,)
-        result = NumericalPolynomial(1, (0, gens[0][0]))
+        # antichain in N^1 is a single positive generator (v,): 1 - z^v
+        result = (1,) + (0,) * (gens[0][0] - 1) + (-1,)
     else:
         pivot_gen = gens[0]  # lexicographically least minimal element
         j = max(i for i, e in enumerate(pivot_gen) if e != 0)
@@ -186,20 +196,46 @@ def _dimension_rec(m: int, gens: tuple[ExponentVector, ...]) -> NumericalPolynom
         decremented = _minimalize(
             tuple(g[:j] + (max(g[j] - 1, 0),) + g[j + 1:] for g in gens)
         )
-        p_section = _dimension_rec(m - 1, section).padded(m)
-        p_decremented = _dimension_rec(m, decremented)
-        result = p_section + p_decremented.shift(1)
+        a = _numerator(m - 1, section)
+        b = _numerator(m, decremented)
+        coeffs = [0] * (max(len(a), len(b)) + 1)
+        for k, c in enumerate(a):
+            coeffs[k] += c
+            coeffs[k + 1] -= c
+        for k, c in enumerate(b):
+            coeffs[k + 1] += c
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        result = tuple(coeffs)
     _DIMENSION_CACHE[key] = result
     return result
+
+
+def stabilisation_level(exp_set: ExponentSet) -> int:
+    """The least L >= 0 with volume(exp_set, s) equal to the Kolchin
+    polynomial at s for every s >= L.
+
+    The polynomial minus the count at s is
+    (-1)^m * sum_{k > s} N_k * binom(k - s - 1, m), whose terms vanish once
+    k <= s + m, so every s >= deg N - m agrees; below that the level walks
+    down while the difference stays zero.
+    """
+    m = exp_set.m
+    num = _numerator(m, exp_set._antichain)
+    level = max(0, len(num) - 1 - m)
+    while level > 0 and not sum(c * comb(i, m) for i, c in enumerate(num[level:])):
+        level -= 1
+    return level
 
 
 def stability_bound(exp_set: ExponentSet) -> int:
     """A cutoff beyond which the volume agrees with the Kolchin polynomial.
 
     Returns max(0, m*(D - 1)) where D sums the orders of the minimal
-    generators.  Not tight, but cheap and valid.
+    generators.  An a-priori bound, cheap and valid but not tight;
+    stabilisation_level gives the exact level.
     """
-    d = sum(order_of(g) for g in exp_set._antichain)
+    d = sum(sum(g) for g in exp_set._antichain)
     return max(0, exp_set.m * (d - 1))
 
 

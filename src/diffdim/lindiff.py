@@ -17,22 +17,16 @@ from math import comb, gcd, lcm
 from .diffrank import (
     DifferentialMonomial,
     LeaderProfile,
+    TermKey,
     kolchin_from_leaders,
+    rank_key,
 )
 from .errors import AmbientMismatch, ParseError, ResourceLimit
-from .expsets import ExponentSet, dimension_polynomial, stability_bound, volume_ie
+from .expsets import ExponentSet, ExponentVector, stabilisation_level
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
 DEFAULT_MATRIX_CELL_CAP = 10**8
 DEFAULT_SEARCH_SPAN = 100
-
-ExponentVector = tuple[int, ...]
-TermKey = tuple[ExponentVector, int]
-
-
-def _rank_of(key: TermKey) -> tuple[int, ...]:
-    xi, comp = key
-    return (sum(xi), comp) + xi
 
 
 @dataclass(frozen=True)
@@ -60,7 +54,7 @@ class LinearEquation:
                 raise ValueError(f"duplicate monomial {key} in equation")
             seen.add(key)
             fixed.append((coeff, mono))
-        fixed.sort(key=lambda t: _rank_of((t[1].exponents, t[1].var_index)), reverse=True)
+        fixed.sort(key=lambda t: rank_key((t[1].exponents, t[1].var_index)), reverse=True)
         object.__setattr__(self, "terms", tuple(fixed))
 
     @classmethod
@@ -292,7 +286,7 @@ def _normal_form(elem, rep, basis):
     out = {}
     level = rep
     while work:
-        key = max(work, key=_rank_of)
+        key = max(work, key=rank_key)
         coeff = work.pop(key)
         if coeff == 0:
             continue
@@ -322,7 +316,7 @@ def _normal_form(elem, rep, basis):
 
 
 def _monic(elem):
-    lead = max(elem, key=_rank_of)
+    lead = max(elem, key=rank_key)
     lc = elem[lead]
     if lc == 1:
         return elem, lead
@@ -391,7 +385,7 @@ def _groebner_with_margin(system: LinearDiffSystem):
             push(nf, rep)
 
     # minimalise: drop any element whose lead another element's lead divides
-    ordered = sorted(range(len(basis)), key=lambda k: _rank_of(basis[k][1]))
+    ordered = sorted(range(len(basis)), key=lambda k: rank_key(basis[k][1]))
     kept: list[int] = []
     for k in ordered:
         xi, comp = basis[k][1]
@@ -409,10 +403,10 @@ def _groebner_with_margin(system: LinearDiffSystem):
         others = [basis[j] for j in kept if j != k]
         nf, rep = _normal_form(basis[k][0], basis[k][2], others)
         elem = _monic(nf)[0]
-        order = _rank_of(max(elem, key=_rank_of))[0]
+        order = rank_key(max(elem, key=rank_key))[0]
         margin = max(margin, order, rep - order)
         reduced.append(elem)
-    reduced.sort(key=lambda e: _rank_of(max(e, key=_rank_of)), reverse=True)
+    reduced.sort(key=lambda e: rank_key(max(e, key=rank_key)), reverse=True)
     gb = LinearDiffSystem(
         system.m,
         system.n,
@@ -530,7 +524,7 @@ def prolongation_dimension(
         for xi in _exponents_upto(m, level)
         for comp in range(1, n + 1)
     ]
-    columns.sort(key=_rank_of, reverse=True)
+    columns.sort(key=rank_key, reverse=True)
     col_index = {key: idx for idx, key in enumerate(columns)}
     low_count = n * comb(m + s, m)
     high_count = len(columns) - low_count
@@ -544,25 +538,6 @@ def prolongation_dimension(
     pivots = _pivot_columns(rows)
     pivots_low = sum(1 for p in pivots if p >= high_count)
     return low_count - pivots_low
-
-
-def _counting_floor(profile: LeaderProfile) -> int:
-    """The least level where every component count is already polynomial.
-
-    The generic bound m*(D - 1) is sound but wildly conservative, so each
-    component is walked downward from it while the inclusion-exclusion
-    count still matches the component's polynomial.  Everything at or past
-    the returned level counts polynomially.
-    """
-    floor = 0
-    for exp_set in profile.variable_sets:
-        bound = stability_bound(exp_set)
-        omega = dimension_polynomial(exp_set)
-        level = bound
-        while level > 0 and volume_ie(exp_set, level - 1) == omega.evaluate(level - 1):
-            level -= 1
-        floor = max(floor, level)
-    return floor
 
 
 def kolchin_via_prolongation(
@@ -582,7 +557,7 @@ def kolchin_via_prolongation(
     """
     gb, margin = _groebner_with_margin(system)
     profile = leader_profile(gb)
-    floor = _counting_floor(profile)
+    floor = max(stabilisation_level(es) for es in profile.variable_sets)
     m = system.m
     cache: dict[tuple[int, int], int] = {}
 

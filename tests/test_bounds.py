@@ -142,8 +142,7 @@ def test_bound_report_all_nonnegative_and_consistent():
             for n in range(1, 4):
                 if m == 3 and n == 3 and r >= 3:
                     continue  # genuinely beyond the default step budget
-                report = bound_report(r, m, n, d=2)
-                assert report.d == 2
+                report = bound_report(r, m, n)
                 assert 0 <= report.regularity
                 assert report.comparison_level >= 1
                 assert report.coeff_bound >= 0

@@ -102,7 +102,7 @@ def test_bounds_json_decimal_strings(capsys):
     doc = json.loads(out)
     assert doc["comparison_level"] == "12801"
     assert doc["coeff_bound"] == "800"
-    assert doc["r"] == 1 and doc["d"] == 0
+    assert doc["r"] == 1
 
 
 def test_bounds_digit_cap(capsys):

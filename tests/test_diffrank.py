@@ -7,13 +7,12 @@ from diffdim.diffrank import (
     LeaderProfile,
     compare_rank,
     kolchin_from_leaders,
-    leader,
     parse_leader_profile,
     parse_monomial,
     profile_order,
     profile_stability_bound,
 )
-from diffdim.errors import AmbientMismatch, EmptySupport, ParseError
+from diffdim.errors import AmbientMismatch, ParseError
 from diffdim.expsets import ExponentSet
 
 
@@ -78,20 +77,6 @@ def test_rank_requires_same_ambient():
 def test_derive_width_checked():
     with pytest.raises(AmbientMismatch):
         DifferentialMonomial((1, 0), 1).derive((1,))
-
-
-def test_leader_picks_highest():
-    monos = [
-        DifferentialMonomial((1, 0), 1),
-        DifferentialMonomial((0, 2), 1),
-        DifferentialMonomial((1, 1), 2),
-    ]
-    assert leader(monos) == DifferentialMonomial((1, 1), 2)
-
-
-def test_leader_of_nothing():
-    with pytest.raises(EmptySupport):
-        leader([])
 
 
 def test_monomial_validation():

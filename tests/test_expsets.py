@@ -9,6 +9,7 @@ from diffdim.expsets import (
     dimension_polynomial,
     minimal_elements,
     parse_exponent_set,
+    stabilisation_level,
     stability_bound,
     volume,
     volume_ie,
@@ -143,6 +144,23 @@ def test_dimension_polynomial_matches_volume_past_bound():
         bound = stability_bound(exp_set)
         for s in range(bound, bound + 4):
             assert omega.evaluate(s) == brute_volume(exp_set.generators, m, s)
+        level = stabilisation_level(exp_set)
+        assert level <= bound
+        for s in range(level, level + 4):
+            assert omega.evaluate(s) == volume(exp_set, s) == volume_ie(exp_set, s)
+        if level > 0:
+            assert volume(exp_set, level - 1) != omega.evaluate(level - 1)
+
+
+def test_stabilisation_level_staircase():
+    # generators (i, 11 - i): the generic bound is far above the exact level
+    staircase = ExponentSet(2, tuple((i, 11 - i) for i in range(12)))
+    assert stability_bound(staircase) == 262
+    assert stabilisation_level(staircase) == 10
+    omega = dimension_polynomial(staircase)
+    assert volume(staircase, 9) != omega.evaluate(9)
+    for s in range(10, 14):
+        assert omega.evaluate(s) == volume(staircase, s) == volume_ie(staircase, s)
 
 
 def test_dimension_polynomial_degree_at_most_m():
