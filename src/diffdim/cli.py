@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (bad input data, failed --check),
 2 usage error, 3 resource limit.  Caps can be set per invocation with
 flags or through the environment (KOLCHIN_ENUM_CAP, KOLCHIN_MATRIX_CELL_CAP,
-KOLCHIN_BOUND_MAGNITUDE_CAP).
+KOLCHIN_BOUND_MAGNITUDE_CAP); a cap that is not a positive integer is a
+usage error.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ class CliConfig:
     fmt: str = "human"
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
+def _positive_int(text: str) -> int:
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        raise DiffdimError(f"environment variable {name} is not an integer: {raw!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _coeff_list(text: str) -> tuple[int, ...]:
@@ -61,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("human", "json"), default="human", dest="fmt",
         help="output format (default human)",
     )
-    common.add_argument("--enum-cap", type=int, default=None,
+    common.add_argument("--enum-cap", type=_positive_int, default=None,
                         help="candidate cap for volume enumeration")
-    common.add_argument("--matrix-cell-cap", type=int, default=None,
+    common.add_argument("--matrix-cell-cap", type=_positive_int, default=None,
                         help="cell cap for prolongation matrices")
-    common.add_argument("--bound-digit-cap", type=int, default=None,
+    common.add_argument("--bound-digit-cap", type=_positive_int, default=None,
                         help="decimal digit cap for bound evaluation")
 
     parser = argparse.ArgumentParser(
@@ -124,14 +125,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> CliConfig:
+def _config(parser, args) -> CliConfig:
+    def cap(flag_value, env, default):
+        if flag_value is not None:
+            return flag_value
+        raw = os.environ.get(env)
+        if raw is None:
+            return default
+        try:
+            return _positive_int(raw)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"environment variable {env}: {exc}")
+
     return CliConfig(
-        enumeration_cap=args.enum_cap if args.enum_cap is not None
-        else _env_int(ENV_ENUM_CAP, expsets.DEFAULT_ENUMERATION_CAP),
-        matrix_cell_cap=args.matrix_cell_cap if args.matrix_cell_cap is not None
-        else _env_int(ENV_CELL_CAP, lindiff.DEFAULT_MATRIX_CELL_CAP),
-        bound_digit_cap=args.bound_digit_cap if args.bound_digit_cap is not None
-        else _env_int(ENV_DIGIT_CAP, bounds_mod.DEFAULT_DIGIT_CAP),
+        enumeration_cap=cap(args.enum_cap, ENV_ENUM_CAP, expsets.DEFAULT_ENUMERATION_CAP),
+        matrix_cell_cap=cap(
+            args.matrix_cell_cap, ENV_CELL_CAP, lindiff.DEFAULT_MATRIX_CELL_CAP
+        ),
+        bound_digit_cap=cap(
+            args.bound_digit_cap, ENV_DIGIT_CAP, bounds_mod.DEFAULT_DIGIT_CAP
+        ),
         fmt=args.fmt,
     )
 
@@ -273,7 +286,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
+        cfg = _config(parser, args)
         return _HANDLERS[args.command](args, cfg)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import comb, gcd, lcm
 
 from .diffrank import (
@@ -440,64 +441,74 @@ def kolchin_polynomial(system: LinearDiffSystem) -> NumericalPolynomial:
 # prolongation matrices
 
 
-def _exponents_upto(m: int, bound: int) -> list[ExponentVector]:
-    if bound < 0:
-        return []
+def _exponents_of_order(m: int, k: int) -> list[ExponentVector]:
     if m == 1:
-        return [(k,) for k in range(bound + 1)]
-    out = []
-    for k in range(bound + 1):
-        for rest in _exponents_upto(m - 1, bound - k):
-            out.append((k,) + rest)
-    return out
+        return [(k,)]
+    return [
+        (j,) + rest for j in range(k + 1) for rest in _exponents_of_order(m - 1, k - j)
+    ]
 
 
-def _integer_rows(system: LinearDiffSystem, level: int, col_index) -> list[dict[int, int]]:
-    rows = []
-    for eq in system.equations:
-        denominators = [c.denominator for c, _ in eq.terms]
-        scale = lcm(*denominators) if denominators else 1
-        int_terms = [
-            (int(c * scale), mono.exponents, mono.var_index) for c, mono in eq.terms
-        ]
-        for theta in _exponents_upto(system.m, level - eq.order):
-            row = {}
-            for c, xi, comp in int_terms:
-                shifted = tuple(a + b for a, b in zip(xi, theta))
-                row[col_index[(shifted, comp)]] = c
-            rows.append(row)
-    return rows
+def _pivot_orders(system: LinearDiffSystem, matrix_cell_cap: int):
+    """Grow one echelon form of the prolongation rows, level by level.
 
+    Level L adds the rows theta * equation with ord(theta) + ord(equation)
+    == L.  Rows are sparse integer dicts keyed by ``rank_key``, so a row's
+    pivot is its highest-ranked derivative; each new row is reduced once,
+    fraction-free with gcd content removal, against the pivot rows so far.
+    The pivot set is the set of leading derivatives of the row span: it does
+    not depend on row order and only grows with L.  After level L this
+    yields ``low`` with ``low[s]`` the number of pivots of order <= s.
 
-def _pivot_columns(rows: list[dict[int, int]]) -> set[int]:
-    """Column indices holding pivots; canonical whatever the row order.
-
-    Fraction-free elimination on sparse integer rows: each incoming row is
-    reduced by existing pivot rows via cross-multiplication, with a gcd
-    division to keep entries small.
+    Raises ResourceLimit before building a level whose cumulative rows times
+    its n * C(m + L, m) columns exceed ``matrix_cell_cap``.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                content = 0
-                for v in row.values():
-                    content = gcd(content, v)
-                if content > 1:
-                    row = {k: v // content for k, v in row.items()}
-                pivots[c] = row
-                break
-            a, b = row[c], piv[c]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            merged = {k: ma * v for k, v in row.items()}
-            for k, v in piv.items():
-                merged[k] = merged.get(k, 0) - mb * v
-            row = {k: v for k, v in merged.items() if v}
-    return set(pivots)
+    m, n = system.m, system.n
+    equations = []
+    for eq in system.equations:
+        scale = lcm(*(c.denominator for c, _ in eq.terms))
+        terms = [(int(c * scale), mono.exponents, mono.var_index) for c, mono in eq.terms]
+        equations.append((eq.order, terms))
+    pivots: dict[tuple[int, ...], dict] = {}
+    by_order: list[int] = []
+    rows = 0
+    level = 0
+    while True:
+        rows += sum(comb(level - d + m - 1, m - 1) for d, _ in equations if d <= level)
+        cells = rows * n * comb(m + level, m)
+        if cells > matrix_cell_cap:
+            raise ResourceLimit(
+                f"prolongation matrix would hold {cells} cells "
+                f"(cap {matrix_cell_cap})"
+            )
+        by_order.append(0)
+        new_rows = (
+            {rank_key((tuple(a + b for a, b in zip(xi, th)), comp)): c for c, xi, comp in terms}
+            for d, terms in equations
+            if d <= level
+            for th in _exponents_of_order(m, level - d)
+        )
+        for row in new_rows:
+            while row:
+                lead = max(row)
+                piv = pivots.get(lead)
+                if piv is None:
+                    content = gcd(*row.values())
+                    pivots[lead] = {k: v // content for k, v in row.items()}
+                    by_order[lead[0]] += 1
+                    break
+                g = gcd(row[lead], piv[lead])
+                ma, mb = piv[lead] // g, row[lead] // g
+                for k in row:
+                    row[k] *= ma
+                for k, v in piv.items():
+                    v = row.get(k, 0) - mb * v
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        yield tuple(accumulate(by_order))
+        level += 1
 
 
 def prolongation_dimension(
@@ -509,41 +520,19 @@ def prolongation_dimension(
     """Dimension of the order <= s projection of the solution space cut to
     order s + margin.
 
-    Columns are derivative symbols of order <= s + margin sorted by rank,
-    highest first, so the columns of order exceeding s form a prefix and
-    every pivot landing outside that prefix kills one low-order degree of
-    freedom.  Rows are all prolongations theta of each equation with
-    ord(theta) + ord(equation) <= s + margin.
+    Rows are all prolongations theta of each equation with
+    ord(theta) + ord(equation) <= s + margin; every pivot of order <= s
+    kills one of the n * C(m + s, m) low-order degrees of freedom.
     """
     if s < 0 or margin < 0:
         raise ValueError("level and margin must be non-negative")
-    level = s + margin
-    m, n = system.m, system.n
-    columns = [
-        (xi, comp)
-        for xi in _exponents_upto(m, level)
-        for comp in range(1, n + 1)
-    ]
-    columns.sort(key=rank_key, reverse=True)
-    col_index = {key: idx for idx, key in enumerate(columns)}
-    low_count = n * comb(m + s, m)
-    high_count = len(columns) - low_count
-    rows = _integer_rows(system, level, col_index)
-    cells = len(rows) * len(columns)
-    if cells > matrix_cell_cap:
-        raise ResourceLimit(
-            f"prolongation matrix would hold {cells} cells "
-            f"(cap {matrix_cell_cap})"
-        )
-    pivots = _pivot_columns(rows)
-    pivots_low = sum(1 for p in pivots if p >= high_count)
-    return low_count - pivots_low
+    low = next(islice(_pivot_orders(system, matrix_cell_cap), s + margin, None))
+    return system.n * comb(system.m + s, system.m) - low[s]
 
 
 def kolchin_via_prolongation(
     system: LinearDiffSystem,
     matrix_cell_cap: int = DEFAULT_MATRIX_CELL_CAP,
-    search_span: int = DEFAULT_SEARCH_SPAN,
 ) -> NumericalPolynomial:
     """Kolchin polynomial from exact prolongation ranks plus interpolation.
 
@@ -552,37 +541,35 @@ def kolchin_via_prolongation(
     original equations.  Starting at the level where every leader
     complement already counts polynomially, the first window [s*, s* + m]
     on which the margin and margin + 1 dimensions agree pointwise is
-    declared stable and its values are interpolated.  Raises ResourceLimit
-    when no window stabilises within ``search_span`` levels.
+    declared stable and its values are interpolated.  One echelon form,
+    grown only as far as the current window needs, serves every level.
+    Raises ResourceLimit when no window stabilises within
+    ``DEFAULT_SEARCH_SPAN`` levels.
     """
     gb, margin = _groebner_with_margin(system)
     profile = leader_profile(gb)
     floor = max(stabilisation_level(es) for es in profile.variable_sets)
-    m = system.m
-    cache: dict[tuple[int, int], int] = {}
+    m, n = system.m, system.n
+    levels = _pivot_orders(system, matrix_cell_cap)
+    low: list[tuple[int, ...]] = []  # low[L][s]: pivots of order <= s after level L
 
-    def dim(level, mg):
-        key = (level, mg)
-        if key not in cache:
-            cache[key] = prolongation_dimension(
-                system, level, mg, matrix_cell_cap=matrix_cell_cap
-            )
-        return cache[key]
-
-    limit = floor + search_span
+    limit = floor + DEFAULT_SEARCH_SPAN
     start = floor
     while start + m <= limit:
+        low.extend(islice(levels, start + m + margin + 2 - len(low)))
         moved = False
         for t in range(start, start + m + 1):
-            if dim(t, margin) != dim(t, margin + 1):
+            if low[t + margin][t] != low[t + margin + 1][t]:
                 start = t + 1
                 moved = True
                 break
         if not moved:
-            values = [dim(t, margin) for t in range(start, start + m + 1)]
+            values = [
+                n * comb(m + t, m) - low[t + margin][t] for t in range(start, start + m + 1)
+            ]
             return interpolate(values, start, m)
     raise ResourceLimit(
-        f"prolongation dimensions did not stabilise within {search_span} "
+        f"prolongation dimensions did not stabilise within {DEFAULT_SEARCH_SPAN} "
         f"levels past {floor}"
     )
 

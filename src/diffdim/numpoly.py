@@ -131,20 +131,6 @@ class NumericalPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "NumericalPolynomial":
-        """The polynomial t -> p(t - k) for k >= 0.
-
-        Uses binom(t - 1 + i, i) = binom(t + i, i) - binom(t + i - 1, i - 1),
-        so one shift step replaces a_i by a_i - a_{i+1}.
-        """
-        if k < 0:
-            raise ValueError("shift distance must be non-negative")
-        coeffs = list(self.standard_coeffs)
-        for _ in range(k):
-            for j in range(len(coeffs) - 1, 0, -1):
-                coeffs[j] -= coeffs[j - 1]
-        return NumericalPolynomial(self.degree_bound, tuple(coeffs))
-
     def differential_type(self) -> int:
         """Degree of the polynomial; zero for the zero polynomial."""
         trimmed = self._trimmed()

@@ -167,6 +167,38 @@ def test_kolchin_check_json(capsys):
     assert from_json_dict(doc["prolongation"]) == from_json_dict(doc["groebner"])
 
 
+def test_kolchin_check_cell_cap(capsys):
+    laplace = str(DATA / "laplace.sys")
+    code, _, err = run(capsys, "kolchin", "--system", laplace, "--check",
+                       "--matrix-cell-cap", "10")
+    assert code == 3
+    assert "resource limit" in err
+    code, out, _ = run(capsys, "kolchin", "--system", laplace, "--check")
+    assert code == 0
+    assert out.splitlines()[-1] == "AGREE"
+
+
+@pytest.mark.parametrize("flag", ["--enum-cap", "--matrix-cell-cap", "--bound-digit-cap"])
+@pytest.mark.parametrize("value", ["0", "-5", "ten"])
+def test_cap_flag_must_be_positive(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["kolchin", "--system", str(DATA / "heat.sys"), flag, value])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "env", ["KOLCHIN_ENUM_CAP", "KOLCHIN_MATRIX_CELL_CAP", "KOLCHIN_BOUND_MAGNITUDE_CAP"]
+)
+@pytest.mark.parametrize("value", ["0", "-1", "ten"])
+def test_cap_env_must_be_positive(capsys, monkeypatch, env, value):
+    monkeypatch.setenv(env, value)
+    with pytest.raises(SystemExit) as info:
+        main(["kolchin", "--system", str(DATA / "heat.sys")])
+    assert info.value.code == 2
+    assert env in capsys.readouterr().err
+
+
 def test_kolchin_type(capsys):
     code, out, _ = run(capsys, "kolchin", "--system", str(DATA / "heat.sys"), "--type")
     assert code == 0

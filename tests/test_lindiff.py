@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -221,6 +222,75 @@ def test_prolongation_respects_cell_cap():
     system = load("heat.sys")
     with pytest.raises(ResourceLimit):
         prolongation_dimension(system, 30, 0, matrix_cell_cap=100)
+
+
+def _dense_prolongation(system, level):
+    """Columns and Fraction rows of the prolongation matrix up to ``level``."""
+    vectors = [xi for xi in product(range(level + 1), repeat=system.m) if sum(xi) <= level]
+    columns = [(xi, i) for xi in vectors for i in range(1, system.n + 1)]
+    index = {col: k for k, col in enumerate(columns)}
+    matrix = []
+    for eq in system.equations:
+        for theta in vectors:
+            if sum(theta) + eq.order > level:
+                continue
+            row = [Fraction(0)] * len(columns)
+            for c, mono in eq.terms:
+                shifted = tuple(a + b for a, b in zip(mono.exponents, theta))
+                row[index[(shifted, mono.var_index)]] = c
+            matrix.append(row)
+    return columns, matrix
+
+
+def _rank(matrix):
+    rows = [list(r) for r in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_systems():
+    for path in sorted(DATA.glob("*.sys")):
+        yield path.name, parse_system(path.read_text())
+    rng = random.Random(2718)
+    for k in range(8):
+        m, n = rng.randint(1, 3), rng.randint(1, 2)
+        eqs = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                xi = tuple(rng.randint(0, 2) for _ in range(m))
+                if sum(xi) <= 2:
+                    coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                    terms[(xi, rng.randint(1, n))] = coeff
+            if terms:
+                eqs.append(LinearEquation.from_terms(terms))
+        yield f"random-{k}", LinearDiffSystem(m, n, tuple(eqs))
+
+
+@pytest.mark.parametrize(
+    "system", [pytest.param(system, id=name) for name, system in _oracle_systems()]
+)
+def test_prolongation_dimension_matches_dense_rank(system):
+    # dim(s, margin) = n*C(m+s, m) - rank(M) + rank(M restricted to order > s)
+    m, n = system.m, system.n
+    for level in range(5):
+        columns, matrix = _dense_prolongation(system, level)
+        full = _rank(matrix)
+        for s in range(level + 1):
+            high = [k for k, (xi, _) in enumerate(columns) if sum(xi) > s]
+            high_rank = _rank([[row[k] for k in high] for row in matrix])
+            expected = n * comb(m + s, m) - full + high_rank
+            assert prolongation_dimension(system, s, level - s) == expected, (s, level)
 
 
 def test_adding_equations_cannot_raise_dimension():

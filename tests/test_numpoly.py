@@ -54,24 +54,6 @@ def test_addition_pads_to_common_bound():
         assert total.evaluate(s) == p.evaluate(s) + q.evaluate(s)
 
 
-def test_shift_by_one_is_previous_point():
-    p = NumericalPolynomial.from_coeffs((1, 2, 3))
-    shifted = p.shift(1)
-    for s in range(1, 8):
-        assert shifted.evaluate(s) == p.evaluate(s - 1)
-
-
-def test_shift_composes():
-    p = NumericalPolynomial.from_coeffs((2, -1, 4))
-    assert p.shift(3) == p.shift(1).shift(2)
-    assert p.shift(0) == p
-
-
-def test_shift_rejects_negative():
-    with pytest.raises(ValueError):
-        NumericalPolynomial.from_coeffs((1, 0)).shift(-2)
-
-
 def test_compare_eventual_basic():
     two_t = NumericalPolynomial.from_coeffs((2, -2))
     const = NumericalPolynomial.from_coeffs((0, 7))
