@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the check a size cap passes."""
 
 from __future__ import annotations
 
@@ -42,3 +42,9 @@ class ParseError(DiffdimError):
         self.message = message
         self.line = line
         self.column = column
+
+
+def check_cap(name: str, value) -> None:
+    """Raise ValueError unless a size cap is a positive int."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")

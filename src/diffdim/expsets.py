@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimit
+from .errors import ParseError, ResourceLimit, check_cap
 from .numpoly import NumericalPolynomial
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -105,6 +105,7 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
     """
     if s < 0:
         raise ValueError("order cutoff must be non-negative")
+    check_cap("enumeration_cap", enumeration_cap)
     m = exp_set.m
     candidates = comb(s + m, m)
     if candidates > enumeration_cap:

@@ -12,8 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice
 from math import comb, gcd, lcm
+from operator import add, le, neg, sub
 
 from .diffrank import (
     DifferentialMonomial,
@@ -22,7 +24,7 @@ from .diffrank import (
     kolchin_from_leaders,
     rank_key,
 )
-from .errors import AmbientMismatch, ParseError, ResourceLimit
+from .errors import AmbientMismatch, ParseError, ResourceLimit, check_cap
 from .expsets import ExponentSet, ExponentVector, stabilisation_level
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
@@ -73,9 +75,6 @@ class LinearEquation:
     @property
     def order(self) -> int:
         return self.leader.order
-
-    def as_dict(self) -> dict[TermKey, Fraction]:
-        return {(m.exponents, m.var_index): c for c, m in self.terms}
 
 
 @dataclass(frozen=True)
@@ -268,152 +267,152 @@ def _parse_equation(body: str, lineno: int, offset: int, m: int, n: int) -> Line
 # Groebner bases for submodules of the free module over the operator ring
 
 
-def _shifted(elem: dict[TermKey, Fraction], theta: ExponentVector) -> dict[TermKey, Fraction]:
-    return {
-        (tuple(a + b for a, b in zip(xi, theta)), comp): c
-        for (xi, comp), c in elem.items()
-    }
+def _integer_row(eq: LinearEquation) -> dict[tuple[int, ...], int]:
+    """The equation times the lcm of its denominators, as a sparse integer
+    row keyed by ``rank_key``, so the row's leader is ``max(row)``."""
+    scale = lcm(*(c.denominator for c, _ in eq.terms))
+    return {rank_key((mono.exponents, mono.var_index)): int(c * scale) for c, mono in eq.terms}
 
 
-def _normal_form(elem, rep, basis):
-    """Fully reduce against (element, lead, rep) triples; exact arithmetic.
+def _shift(key: tuple[int, ...], order: int, theta: ExponentVector) -> tuple[int, ...]:
+    """The rank key of theta applied to a key, for theta of the given order."""
+    return (key[0] + order, key[1]) + tuple(map(add, key[2:], theta))
+
+
+def _normal_form(row, rep, index):
+    """Fully reduce an integer row, fraction-free; its content is removed
+    once, at the end.  Terms are visited in descending rank from a heap;
+    ``index`` maps an unknown to its basis entries (row, leader, rep), and
+    the first one whose leader divides a term reduces it.
 
     ``rep`` bounds the prolongation level at which the element is available
     as a combination of the original equations; every reduction step lifts
     it by the reducer's availability, so the returned pair keeps the bound
     honest.
     """
-    work = dict(elem)
-    out = {}
+    row = dict(row)
+    heap = [(tuple(map(neg, key)), key) for key in row]
+    heapify(heap)
     level = rep
-    while work:
-        key = max(work, key=rank_key)
-        coeff = work.pop(key)
-        if coeff == 0:
+    while heap:
+        key = heappop(heap)[1]
+        coeff = row.get(key)
+        if coeff is None:
             continue
-        xi, comp = key
-        hit = None
-        for g, (gxi, gcomp), grep in basis:
-            if gcomp == comp and all(a <= b for a, b in zip(gxi, xi)):
-                hit = (g, (gxi, gcomp), grep)
+        xi = key[2:]
+        for g, glead, grep in index.get(key[1], ()):
+            if glead[0] <= key[0] and all(map(le, glead[2:], xi)):
                 break
-        if hit is None:
-            out[key] = coeff
+        else:
             continue
-        g, glead, grep = hit
-        shift = tuple(a - b for a, b in zip(xi, glead[0]))
-        level = max(level, sum(shift) + grep)
-        factor = coeff / g[glead]
+        order = key[0] - glead[0]
+        theta = tuple(map(sub, xi, glead[2:]))
+        level = max(level, order + grep)
+        common = gcd(g[glead], coeff)
+        scale, factor = g[glead] // common, coeff // common
+        if scale != 1:
+            for k in row:
+                row[k] *= scale
+        del row[key]
         for gkey, gc in g.items():
             if gkey == glead:
                 continue
-            tkey = (tuple(a + b for a, b in zip(gkey[0], shift)), gkey[1])
-            val = work.get(tkey, Fraction(0)) - factor * gc
-            if val == 0:
-                work.pop(tkey, None)
+            tkey = _shift(gkey, order, theta) if order else gkey
+            val = row.get(tkey)
+            if val is None:
+                row[tkey] = -factor * gc
+                heappush(heap, (tuple(map(neg, tkey)), tkey))
+            elif val == factor * gc:
+                del row[tkey]
             else:
-                work[tkey] = val
-    return out, level
-
-
-def _monic(elem):
-    lead = max(elem, key=rank_key)
-    lc = elem[lead]
-    if lc == 1:
-        return elem, lead
-    return {k: v / lc for k, v in elem.items()}, lead
-
-
-def _confined(elem, comp) -> bool:
-    return all(k[1] == comp for k in elem)
+                row[tkey] = val - factor * gc
+    if row:
+        content = gcd(*row.values())
+        row = {k: v // content for k, v in row.items()}
+    return row, level
 
 
 def _groebner_with_margin(system: LinearDiffSystem):
     """Reduced Groebner basis plus a certified prolongation margin.
 
-    Buchberger completion under the orderly ranking.  S-pairs exist only
-    between elements whose leaders involve the same unknown; a pair is
-    skipped by the product criterion only when the leader exponents are
-    disjoint and both elements involve no other unknown, which is the case
-    that genuinely reduces to the one-unknown polynomial ring.
+    Buchberger completion under the orderly ranking, on integer rows keyed by
+    ``rank_key``.  S-pairs exist only between elements whose leaders involve
+    the same unknown; a pair is skipped by the product criterion only when
+    the leader exponents are disjoint and both elements involve no other
+    unknown, which is the case that genuinely reduces to the one-unknown
+    polynomial ring.
 
     Every element carries the prolongation level at which it is reachable
     from the original equations, so the returned margin makes the level
     s + margin prolongation span contain every basis prolongation of order
     up to s.
     """
-    basis: list[tuple[dict, TermKey, int]] = []
-    confined_flags: list[bool] = []
-
-    def push(elem, rep):
-        elem, lead = _monic(elem)
-        basis.append((elem, lead, rep))
-        confined_flags.append(_confined(elem, lead[1]))
-        k = len(basis) - 1
-        for j in range(k):
-            if basis[j][1][1] == lead[1]:
-                pairs.append((j, k))
-
+    basis: list[tuple[dict, tuple[int, ...], int]] = []  # (row, leader, rep)
+    index: dict[int, list] = {}  # unknown -> basis entries, insertion order
+    confined: list[bool] = []
     pairs: deque[tuple[int, int]] = deque()
+
+    def push(row, rep):
+        lead = max(row)
+        entry = (row, lead, rep)
+        k = len(basis)
+        pairs.extend((j, k) for j, other in enumerate(basis) if other[1][1] == lead[1])
+        basis.append(entry)
+        index.setdefault(lead[1], []).append(entry)
+        confined.append(all(key[1] == lead[1] for key in row))
+
     for eq in system.equations:
-        nf, rep = _normal_form(eq.as_dict(), eq.order, basis)
+        nf, rep = _normal_form(_integer_row(eq), eq.order, index)
         if nf:
             push(nf, rep)
     while pairs:
         a, b = pairs.popleft()
         (f, flead, frep), (g, glead, grep) = basis[a], basis[b]
-        fxi, comp = flead
-        gxi = glead[0]
-        if (
-            confined_flags[a]
-            and confined_flags[b]
-            and all(min(p, q) == 0 for p, q in zip(fxi, gxi))
-        ):
+        fxi, gxi = flead[2:], glead[2:]
+        if confined[a] and confined[b] and not any(map(min, fxi, gxi)):
             continue
-        join = tuple(max(p, q) for p, q in zip(fxi, gxi))
-        fshift = tuple(a2 - b2 for a2, b2 in zip(join, fxi))
-        gshift = tuple(a2 - b2 for a2, b2 in zip(join, gxi))
-        s_elem = _shifted(f, fshift)
-        for key, val in _shifted(g, gshift).items():
-            cur = s_elem.get(key, Fraction(0)) - val
-            if cur == 0:
-                s_elem.pop(key, None)
+        join = tuple(map(max, fxi, gxi))
+        fshift, gshift = tuple(map(sub, join, fxi)), tuple(map(sub, join, gxi))
+        forder, gorder = sum(fshift), sum(gshift)
+        common = gcd(f[flead], g[glead])
+        fscale, gscale = g[glead] // common, f[flead] // common
+        s_row = {_shift(k, forder, fshift): fscale * v for k, v in f.items()}
+        for k, v in g.items():
+            k = _shift(k, gorder, gshift)
+            val = s_row.get(k, 0) - gscale * v
+            if val:
+                s_row[k] = val
             else:
-                s_elem[key] = cur
-        s_rep = max(sum(fshift) + frep, sum(gshift) + grep)
-        nf, rep = _normal_form(s_elem, s_rep, basis)
+                s_row.pop(k, None)
+        nf, rep = _normal_form(s_row, max(forder + frep, gorder + grep), index)
         if nf:
             push(nf, rep)
 
     # minimalise: drop any element whose lead another element's lead divides
-    ordered = sorted(range(len(basis)), key=lambda k: rank_key(basis[k][1]))
-    kept: list[int] = []
-    for k in ordered:
-        xi, comp = basis[k][1]
-        covered = any(
-            basis[j][1][1] == comp
-            and all(a <= b for a, b in zip(basis[j][1][0], xi))
-            for j in kept
-        )
-        if not covered:
-            kept.append(k)
+    kept: list[tuple[dict, tuple[int, ...], int]] = []  # ascending leaders
+    for entry in sorted(basis, key=lambda e: e[1]):
+        lead = entry[1]
+        if not any(
+            other[1][1] == lead[1] and all(map(le, other[1][2:], lead[2:]))
+            for other in kept
+        ):
+            kept.append(entry)
     # tail-reduce each survivor against the others
-    reduced = []
-    margin = 0
-    for k in kept:
-        others = [basis[j] for j in kept if j != k]
-        nf, rep = _normal_form(basis[k][0], basis[k][2], others)
-        elem = _monic(nf)[0]
-        order = rank_key(max(elem, key=rank_key))[0]
-        margin = max(margin, order, rep - order)
-        reduced.append(elem)
-    reduced.sort(key=lambda e: rank_key(max(e, key=rank_key)), reverse=True)
-    gb = LinearDiffSystem(
-        system.m,
-        system.n,
-        tuple(LinearEquation.from_terms(e) for e in reduced),
+    reduced, margin = [], 0
+    for entry in kept:
+        others: dict[int, list] = {}
+        for other in kept:
+            if other is not entry:
+                others.setdefault(other[1][1], []).append(other)
+        nf, rep = _normal_form(entry[0], entry[2], others)
+        lead = max(nf)
+        margin = max(margin, lead[0], rep - lead[0])
+        reduced.append((lead, nf))
+    equations = tuple(
+        LinearEquation.from_terms({(k[2:], k[1]): Fraction(v, nf[lead]) for k, v in nf.items()})
+        for lead, nf in sorted(reduced, reverse=True)
     )
-    return gb, margin
+    return LinearDiffSystem(system.m, system.n, equations), margin
 
 
 def module_groebner(system: LinearDiffSystem) -> LinearDiffSystem:
@@ -464,11 +463,7 @@ def _pivot_orders(system: LinearDiffSystem, matrix_cell_cap: int):
     its n * C(m + L, m) columns exceed ``matrix_cell_cap``.
     """
     m, n = system.m, system.n
-    equations = []
-    for eq in system.equations:
-        scale = lcm(*(c.denominator for c, _ in eq.terms))
-        terms = [(int(c * scale), mono.exponents, mono.var_index) for c, mono in eq.terms]
-        equations.append((eq.order, terms))
+    equations = [(eq.order, _integer_row(eq)) for eq in system.equations]
     pivots: dict[tuple[int, ...], dict] = {}
     by_order: list[int] = []
     rows = 0
@@ -483,8 +478,8 @@ def _pivot_orders(system: LinearDiffSystem, matrix_cell_cap: int):
             )
         by_order.append(0)
         new_rows = (
-            {rank_key((tuple(a + b for a, b in zip(xi, th)), comp)): c for c, xi, comp in terms}
-            for d, terms in equations
+            {_shift(key, level - d, th): c for key, c in eq_row.items()}
+            for d, eq_row in equations
             if d <= level
             for th in _exponents_of_order(m, level - d)
         )
@@ -526,6 +521,7 @@ def prolongation_dimension(
     """
     if s < 0 or margin < 0:
         raise ValueError("level and margin must be non-negative")
+    check_cap("matrix_cell_cap", matrix_cell_cap)
     low = next(islice(_pivot_orders(system, matrix_cell_cap), s + margin, None))
     return system.n * comb(system.m + s, system.m) - low[s]
 
@@ -546,6 +542,7 @@ def kolchin_via_prolongation(
     Raises ResourceLimit when no window stabilises within
     ``DEFAULT_SEARCH_SPAN`` levels.
     """
+    check_cap("matrix_cell_cap", matrix_cell_cap)
     gb, margin = _groebner_with_margin(system)
     profile = leader_profile(gb)
     floor = max(stabilisation_level(es) for es in profile.variable_sets)

@@ -91,6 +91,12 @@ def test_volume_respects_cap():
         volume(exp_set, 100, enumeration_cap=10)
 
 
+@pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])
+def test_volume_rejects_cap_that_is_not_positive_int(cap):
+    with pytest.raises(ValueError, match="enumeration_cap"):
+        volume(ExponentSet(2, ((1, 1),)), 3, enumeration_cap=cap)
+
+
 def test_volume_routes_agree_randomly():
     rng = random.Random(99)
     for _ in range(60):

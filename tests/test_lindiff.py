@@ -11,6 +11,7 @@ from diffdim.errors import ParseError, ResourceLimit
 from diffdim.lindiff import (
     LinearDiffSystem,
     LinearEquation,
+    _groebner_with_margin,
     kolchin_polynomial,
     kolchin_via_prolongation,
     leader_profile,
@@ -164,6 +165,38 @@ def test_groebner_deterministic_under_input_order():
     assert module_groebner(parse_system(text_a)) == module_groebner(parse_system(text_b))
 
 
+PINNED_BASES = {
+    # system: (margin, basis as "coefficient*exponents x unknown" lines)
+    "cauchy_riemann.sys": (2, ["1*(2, 0)x1 1*(0, 2)x1", "1*(1, 0)x2 1*(0, 1)x1",
+                               "1*(0, 1)x2 -1*(1, 0)x1"]),
+    "free2.sys": (0, []),
+    "heat.sys": (2, ["1*(0, 2)x1 -1*(1, 0)x1"]),
+    "laplace.sys": (2, ["1*(2, 0)x1 1*(0, 2)x1"]),
+    "ode2.sys": (2, ["1*(2,)x1"]),
+    "wave.sys": (2, ["1*(2, 0)x1 -1*(0, 2)x1"]),
+    "unit-ideal": (4, ["1*(0, 0)x1"]),
+}
+# the unit ideal, reached only two levels past the equations' order
+UNIT_IDEAL = (
+    "m = 2\nn = 1\n"
+    "eq: -3*d[2,0]x1 - 6*d[1,0]x1 + 9*d[0,0]x1 - 2*d[0,1]x1\n"
+    "eq: -6*d[0,2]x1 - 3*d[1,1]x1 + 7*d[0,0]x1 - 5*d[0,1]x1\n"
+    "eq: -9*d[1,1]x1 + 3*d[2,0]x1 + 1*d[0,1]x1 - 3*d[0,0]x1\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BASES))
+def test_groebner_basis_and_certified_margin_pinned(name):
+    # --check takes its prolongation margin from here
+    system = parse_system(UNIT_IDEAL) if name == "unit-ideal" else load(name)
+    gb, margin = _groebner_with_margin(system)
+    lines = [
+        " ".join(f"{c}*{mono.exponents}x{mono.var_index}" for c, mono in eq.terms)
+        for eq in gb.equations
+    ]
+    assert (margin, lines) == PINNED_BASES[name]
+
+
 def test_groebner_handles_redundant_equations():
     system = parse_system(
         "m = 2\nn = 1\n"
@@ -173,6 +206,48 @@ def test_groebner_handles_redundant_equations():
     )
     gb = module_groebner(system)
     assert len(gb.equations) == 1
+
+
+def _random_one_unknown_systems(seed, count):
+    """Systems in one unknown over m = 2 and 3 of order <= 3; about a third
+    of the coefficients are fractions."""
+    rng = random.Random(seed)
+    for k in range(count):
+        m = 2 + k % 2
+        vectors = [xi for xi in product(range(4), repeat=m) if sum(xi) <= 3]
+        eqs = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {
+                (rng.choice(vectors), 1): Fraction(
+                    rng.choice([-5, -3, -2, -1, 1, 2, 4, 7]), rng.choice([1, 1, 2, 3])
+                )
+                for _ in range(rng.randint(2, 4))
+            }
+            eqs.append(LinearEquation.from_terms(terms))
+        yield LinearDiffSystem(m, 1, tuple(eqs))
+
+
+def test_groebner_leaders_match_sympy():
+    # one unknown: the operator ring is Q[d1..dm] and the orderly ranking is
+    # grlex with d1 > d2 > ..., so sympy's reduced basis has the same leaders
+    sympy = pytest.importorskip("sympy")
+    fixtures = [load(name) for name in ("heat.sys", "laplace.sys", "ode2.sys", "wave.sys")]
+    for system in fixtures + list(_random_one_unknown_systems(31, 40)):
+        gens = sympy.symbols(f"d1:{system.m + 1}")
+        polys = [
+            sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([g**e for g, e in zip(gens, mono.exponents)])
+                for c, mono in eq.terms
+            )
+            for eq in system.equations
+        ]
+        expected = sorted(
+            p.monoms(order="grlex")[0]
+            for p in sympy.groebner(polys, *gens, order="grlex").polys
+        )
+        leaders = sorted(eq.leader.exponents for eq in module_groebner(system).equations)
+        assert leaders == expected, system
 
 
 # -------------------------------------------------------------- pipelines
@@ -222,6 +297,18 @@ def test_prolongation_respects_cell_cap():
     system = load("heat.sys")
     with pytest.raises(ResourceLimit):
         prolongation_dimension(system, 30, 0, matrix_cell_cap=100)
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])
+def test_prolongation_dimension_rejects_cap_that_is_not_positive_int(cap):
+    with pytest.raises(ValueError, match="matrix_cell_cap"):
+        prolongation_dimension(load("heat.sys"), 2, 0, matrix_cell_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])
+def test_kolchin_via_prolongation_rejects_cap_that_is_not_positive_int(cap):
+    with pytest.raises(ValueError, match="matrix_cell_cap"):
+        kolchin_via_prolongation(load("heat.sys"), matrix_cell_cap=cap)
 
 
 def _dense_prolongation(system, level):
