@@ -49,8 +49,6 @@ from .diffrank import (
     kolchin_from_leaders,
     parse_leader_profile,
     parse_monomial,
-    profile_order,
-    profile_stability_bound,
 )
 from .lindiff import (
     LinearDiffSystem,
@@ -104,8 +102,6 @@ __all__ = [
     "parse_leader_profile",
     "parse_monomial",
     "parse_system",
-    "profile_order",
-    "profile_stability_bound",
     "prolongation_dimension",
     "regularity_bound",
     "render",

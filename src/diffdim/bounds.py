@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import ResourceLimit
+from .errors import ResourceLimit, check_cap
 
 DEFAULT_DIGIT_CAP = 10**5
 DEFAULT_STEP_BUDGET = 10**6
@@ -31,6 +31,11 @@ def _brief(value: int) -> str:
     if value < 10**30:
         return str(value)
     return f"a {value.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 1}-digit number"
+
+
+def _check_caps(digit_cap, step_budget) -> None:
+    check_cap("digit_cap", digit_cap)
+    check_cap("step_budget", step_budget)
 
 
 def _guard_digits(value: int, digit_cap: int, what: str):
@@ -55,6 +60,7 @@ def ackermann(
     """
     if i < 0 or x < 0:
         raise ValueError("Ackermann arguments must be non-negative")
+    _check_caps(digit_cap, step_budget)
     stack = [i]
     value = x
     steps = 0
@@ -108,6 +114,7 @@ def char_order_bound(
         raise ValueError("need at least one derivation and one unknown")
     if r < 0:
         raise ValueError("order bound must be non-negative")
+    _check_caps(digit_cap, step_budget)
     value = r
     for _ in range(n):
         if value > step_budget:

@@ -8,12 +8,11 @@ with applying further derivations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import AmbientMismatch, ParseError
-from .expsets import (
-    ExponentSet, ExponentVector, dimension_polynomial, minimal_elements, stability_bound,
-)
+from .expsets import ExponentSet, ExponentVector, _NATURALS, _lines, _naturals, dimension_polynomial
 from .numpoly import NumericalPolynomial
 
 TermKey = tuple[ExponentVector, int]
@@ -109,21 +108,17 @@ def kolchin_from_leaders(profile: LeaderProfile) -> NumericalPolynomial:
     return total
 
 
-def profile_order(profile: LeaderProfile) -> int:
-    """Largest generator order appearing in the profile; 0 when free."""
-    orders = [
-        sum(g)
-        for es in profile.variable_sets
-        for g in minimal_elements(es).generators
-    ]
-    return max(orders, default=0)
+# 'd[u1,...,um]x<i>' or the order-zero shorthand 'x<i>'; whitespace only
+# around the exponents
+_MONOMIAL = re.compile(rf"(?:d\[(?P<exps>{_NATURALS.pattern})\])?x(?P<idx>[0-9]+)")
 
 
-def profile_stability_bound(profile: LeaderProfile) -> int:
-    """Where every component count has become polynomial."""
-    return max(
-        (stability_bound(es) for es in profile.variable_sets), default=0
-    )
+def _monomial_key(match: re.Match, width: int) -> TermKey:
+    """(exponents, unknown index) of a ``_MONOMIAL`` match; the shorthand
+    'x<i>' stands for order zero over ``width`` derivations."""
+    exps = match["exps"]
+    xi = tuple(map(int, exps.split(","))) if exps else (0,) * width
+    return xi, int(match["idx"])
 
 
 def parse_monomial(text: str) -> DifferentialMonomial:
@@ -132,31 +127,13 @@ def parse_monomial(text: str) -> DifferentialMonomial:
     The shorthand carries no ambient width, so it parses over one
     derivation; compare only against like monomials.
     """
-    s = text.strip()
-    if s.startswith("d["):
-        close = s.find("]")
-        if close < 0:
-            raise ParseError(f"unterminated exponent list in {text!r}")
-        body = s[2:close]
-        rest = s[close + 1:]
-        try:
-            exps = tuple(int(p.strip()) for p in body.split(","))
-        except ValueError:
-            raise ParseError(f"bad exponent list in {text!r}") from None
-    elif s.startswith("x"):
-        exps = None
-        rest = s
-    else:
-        raise ParseError(f"expected a derivative symbol, got {text!r}")
-    if not rest.startswith("x") or not rest[1:].isdigit():
-        raise ParseError(f"expected unknown 'x<i>' in {text!r}")
-    idx = int(rest[1:])
-    if exps is None:
-        exps = (0,)
+    match = _MONOMIAL.fullmatch(text.strip())
+    if not match:
+        raise ParseError(f"expected 'd[u1,...,um]x<i>' or 'x<i>', got {text!r}", line=1)
     try:
-        return DifferentialMonomial(exps, idx)
+        return DifferentialMonomial(*_monomial_key(match, 1))
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), line=1) from None
 
 
 def parse_leader_profile(
@@ -170,31 +147,15 @@ def parse_leader_profile(
     """
     rows: dict[int, list[ExponentVector]] = {}
     width = m
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         head, sep, tail = line.partition(":")
         if not sep:
             raise ParseError("expected 'index: entries'", line=lineno)
-        try:
-            idx = int(head.strip())
-        except ValueError:
-            raise ParseError(f"bad unknown index {head.strip()!r}", line=lineno) from None
+        (idx,) = _naturals(head, lineno, 1)
         if idx < 1:
             raise ParseError("unknown index is 1-based", line=lineno)
-        try:
-            entries = tuple(int(p.strip()) for p in tail.split(","))
-        except ValueError:
-            raise ParseError(f"bad exponent entry in {tail.strip()!r}", line=lineno) from None
-        if any(e < 0 for e in entries):
-            raise ParseError("exponents must be non-negative", line=lineno)
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ParseError(
-                f"expected {width} entries, got {len(entries)}", line=lineno
-            )
+        entries = _naturals(tail, lineno, width)
+        width = len(entries)
         rows.setdefault(idx, []).append(entries)
     if width is None:
         raise ParseError("no rows and no ambient dimension given")

@@ -11,6 +11,7 @@ s; the two agree from stabilisation_level on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -240,6 +241,30 @@ def stability_bound(exp_set: ExponentSet) -> int:
     return max(0, exp_set.m * (d - 1))
 
 
+# comma-separated ASCII naturals, whitespace allowed around each entry
+_NATURALS = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*")
+
+
+def _lines(text: str):
+    """Yield (1-based line number, line) with '#' comments cut, trailing
+    whitespace stripped and blank lines skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line:
+            yield lineno, line
+
+
+def _naturals(text: str, lineno: int, width: int | None = None) -> tuple[int, ...]:
+    """Read 'u1,...,uk' as a tuple of naturals, of length ``width`` when
+    that is given."""
+    if not _NATURALS.fullmatch(text):
+        raise ParseError(f"expected comma-separated naturals, got {text.strip()!r}", line=lineno)
+    row = tuple(map(int, text.split(",")))
+    if width is not None and len(row) != width:
+        raise ParseError(f"expected {width} entries, got {len(row)}", line=lineno)
+    return row
+
+
 def parse_exponent_set(text: str, m: int | None = None) -> ExponentSet:
     """Read one generator per line, entries comma-separated.
 
@@ -249,24 +274,9 @@ def parse_exponent_set(text: str, m: int | None = None) -> ExponentSet:
     """
     gens = []
     width = m
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            entries = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"bad exponent entry in {line!r}", line=lineno) from None
-        if any(e < 0 for e in entries):
-            raise ParseError("exponent entries must be non-negative", line=lineno)
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ParseError(
-                f"expected {width} entries, got {len(entries)}", line=lineno
-            )
-        gens.append(entries)
+    for lineno, line in _lines(text):
+        gens.append(_naturals(line, lineno, width))
+        width = len(gens[-1])
     if width is None:
         raise ParseError("no generators and no ambient dimension given")
     return ExponentSet(width, tuple(gens))

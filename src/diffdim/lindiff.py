@@ -9,6 +9,7 @@ rank computations on prolongation matrices followed by interpolation.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,14 +19,16 @@ from math import comb, gcd, lcm
 from operator import add, le, neg, sub
 
 from .diffrank import (
+    _MONOMIAL,
     DifferentialMonomial,
     LeaderProfile,
     TermKey,
+    _monomial_key,
     kolchin_from_leaders,
     rank_key,
 )
 from .errors import AmbientMismatch, ParseError, ResourceLimit, check_cap
-from .expsets import ExponentSet, ExponentVector, stabilisation_level
+from .expsets import ExponentSet, ExponentVector, _lines, _naturals, stabilisation_level
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
 DEFAULT_MATRIX_CELL_CAP = 10**8
@@ -110,6 +113,16 @@ class LinearDiffSystem:
 # parsing
 
 
+_HEADER = re.compile(r"\s*([mn])\s*=(.*)")
+_EQUATION = re.compile(r"\s*eq\s*:")
+# [+|-] [p[/q] *] monomial with every part optional, so that the part
+# that is missing gets its own message and column
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*(?P<star>\*?)\s*)?"
+    rf"(?P<mono>{_MONOMIAL.pattern})?\s*"
+)
+
+
 def parse_system(text: str) -> LinearDiffSystem:
     """Parse the plain text system format.
 
@@ -119,147 +132,66 @@ def parse_system(text: str) -> LinearDiffSystem:
     to a monomial 'd[u1,...,um]x<i>' or its order-zero shorthand 'x<i>'.
     Blank lines and '#' comments are ignored.
     """
-    m = n = None
+    shape: dict[str, int] = {}
     equations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if stripped.startswith(("m", "n")) and "=" in stripped and not stripped.startswith("eq"):
-            name, _, value = stripped.partition("=")
-            name = name.strip()
-            if name not in ("m", "n"):
-                raise ParseError(f"unknown header {name!r}", line=lineno)
-            try:
-                parsed = int(value.strip())
-            except ValueError:
-                raise ParseError(f"bad integer for {name}", line=lineno) from None
-            if parsed < 1:
+    for lineno, line in _lines(text):
+        if header := _HEADER.fullmatch(line):
+            name = header[1]
+            if name in shape:
+                raise ParseError(f"duplicate {name} header", line=lineno)
+            (shape[name],) = _naturals(header[2], lineno, 1)
+            if shape[name] < 1:
                 raise ParseError(f"{name} must be at least 1", line=lineno)
-            if name == "m":
-                if m is not None:
-                    raise ParseError("duplicate m header", line=lineno)
-                m = parsed
-            else:
-                if n is not None:
-                    raise ParseError("duplicate n header", line=lineno)
-                n = parsed
-            continue
-        if stripped.startswith("eq"):
-            rest = stripped[2:].lstrip()
-            if not rest.startswith(":"):
-                raise ParseError("expected ':' after 'eq'", line=lineno)
-            if m is None or n is None:
+        elif eq := _EQUATION.match(line):
+            if len(shape) < 2:
                 raise ParseError("m and n must be declared before equations", line=lineno)
-            body_offset = line.index(":", line.find("eq")) + 1
-            body = line[body_offset:]
-            equations.append(_parse_equation(body, lineno, body_offset, m, n))
-            continue
-        raise ParseError(f"unrecognised line {stripped!r}", line=lineno)
-    if m is None or n is None:
+            equations.append(_parse_equation(line, eq.end(), lineno, shape["m"], shape["n"]))
+        else:
+            raise ParseError(f"unrecognised line {line.strip()!r}", line=lineno)
+    if len(shape) < 2:
         raise ParseError("missing m or n header")
-    return LinearDiffSystem(m, n, tuple(equations))
+    return LinearDiffSystem(shape["m"], shape["n"], tuple(equations))
 
 
-def _parse_equation(body: str, lineno: int, offset: int, m: int, n: int) -> LinearEquation:
+def _parse_equation(line: str, pos: int, lineno: int, m: int, n: int) -> LinearEquation:
+    """The terms of an 'eq:' line read from ``pos`` on; error columns are
+    1-based within ``line``."""
     terms: dict[TermKey, Fraction] = {}
-    i = 0
-
-    def col(pos):
-        return offset + pos + 1
-
-    def skip_ws(pos):
-        while pos < len(body) and body[pos].isspace():
-            pos += 1
-        return pos
-
-    def scan_int(pos):
-        start = pos
-        while pos < len(body) and body[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a number", line=lineno, column=col(start))
-        return int(body[start:pos]), pos
-
-    i = skip_ws(i)
-    if i >= len(body):
-        raise ParseError("empty equation", line=lineno, column=col(i))
-    first = True
-    while i < len(body):
-        sign = 1
-        if body[i] in "+-":
-            if body[i] == "-":
-                sign = -1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise ParseError(
-                f"expected '+' or '-', got {body[i]!r}", line=lineno, column=col(i)
-            )
-        coeff = Fraction(sign)
-        if i < len(body) and body[i].isdigit():
-            num_col = col(i)
-            num, i = scan_int(i)
-            den = 1
-            if i < len(body) and body[i] == "/":
-                num2, i = scan_int(i + 1)
-                den = num2
-                if den == 0:
-                    raise ParseError("zero denominator", line=lineno, column=num_col)
+    if not line[pos:].strip():
+        raise ParseError("empty equation", line=lineno, column=len(line) + 1)
+    while pos < len(line):
+        term = _TERM.match(line, pos)
+        if not term["sign"] and terms:
+            at = term.start("sign")
+            raise ParseError(f"expected '+' or '-', got {line[at]!r}", line=lineno, column=at + 1)
+        coeff = Fraction(-1 if term["sign"] == "-" else 1)
+        if term["num"]:
+            num, den = int(term["num"]), int(term["den"] or 1)
+            if den == 0:
+                raise ParseError("zero denominator", line=lineno, column=term.start("num") + 1)
             if num == 0:
-                raise ParseError("zero coefficient", line=lineno, column=num_col)
-            coeff *= Fraction(num, den)
-            i = skip_ws(i)
-            if i >= len(body) or body[i] != "*":
+                raise ParseError("zero coefficient", line=lineno, column=term.start("num") + 1)
+            if not term["star"]:
                 raise ParseError(
                     "constant terms are not allowed; expected '*' and a monomial",
                     line=lineno,
-                    column=col(i),
+                    column=term.start("star") + 1,
                 )
-            i = skip_ws(i + 1)
-        mono_col = col(i)
-        if i < len(body) and body[i] == "d":
-            if i + 1 >= len(body) or body[i + 1] != "[":
-                raise ParseError("expected '[' after 'd'", line=lineno, column=col(i + 1))
-            i += 2
-            exps = []
-            while True:
-                e, i = scan_int(skip_ws(i))
-                exps.append(e)
-                i = skip_ws(i)
-                if i < len(body) and body[i] == ",":
-                    i += 1
-                    continue
-                if i < len(body) and body[i] == "]":
-                    i += 1
-                    break
-                raise ParseError("expected ',' or ']'", line=lineno, column=col(i))
-            exps = tuple(exps)
-        elif i < len(body) and body[i] == "x":
-            exps = (0,) * m
-        else:
-            raise ParseError("expected a monomial", line=lineno, column=col(i))
-        if len(exps) != m:
+            coeff *= Fraction(num, den)
+        if not term["mono"]:
+            raise ParseError("expected a monomial", line=lineno, column=term.end() + 1)
+        column = term.start("mono") + 1
+        xi, idx = _monomial_key(term, m)
+        if len(xi) != m:
             raise ParseError(
-                f"exponent list has {len(exps)} entries, expected {m}",
-                line=lineno,
-                column=mono_col,
+                f"exponent list has {len(xi)} entries, expected {m}", line=lineno, column=column
             )
-        if i >= len(body) or body[i] != "x":
-            raise ParseError("expected unknown 'x<i>'", line=lineno, column=col(i))
-        idx, i = scan_int(i + 1)
         if not 1 <= idx <= n:
-            raise ParseError(
-                f"unknown x{idx} outside 1..{n}", line=lineno, column=mono_col
-            )
-        key = (exps, idx)
-        if key in terms:
-            raise ParseError(
-                f"duplicate monomial in equation", line=lineno, column=mono_col
-            )
-        terms[key] = coeff
-        first = False
-        i = skip_ws(i)
+            raise ParseError(f"unknown x{idx} outside 1..{n}", line=lineno, column=column)
+        if (xi, idx) in terms:
+            raise ParseError("duplicate monomial in equation", line=lineno, column=column)
+        terms[xi, idx] = coeff
+        pos = term.end()
     return LinearEquation.from_terms(terms)
 
 

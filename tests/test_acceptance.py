@@ -19,7 +19,6 @@ from diffdim.expsets import (
     volume,
     volume_ie,
 )
-from diffdim.diffrank import profile_order, profile_stability_bound
 from diffdim.lindiff import (
     LinearDiffSystem,
     LinearEquation,
@@ -167,7 +166,7 @@ def test_criterion_4_regularity_bound_window():
         for name in FULL_CORPUS:
             system = _load(name)
             gb = module_groebner(system)
-            margin = profile_order(leader_profile(gb))
+            margin = gb.order
             omega = kolchin_polynomial(system)
             level = regularity_bound(system.order, system.m, system.n)
             for s in range(level, level + 6):
@@ -225,7 +224,7 @@ def test_criterion_7_counting_identity():
             system = _load(name)
             profile = leader_profile(module_groebner(system))
             omega = kolchin_polynomial(system)
-            base = profile_stability_bound(profile)
+            base = max(stability_bound(es) for es in profile.variable_sets)
             for s in range(base, base + 11):
                 component_sum = sum(
                     volume(es, s) for es in profile.variable_sets

@@ -170,3 +170,19 @@ def test_step_budget_guard():
     # forcing a tiny budget trips the iteration count check
     with pytest.raises(ResourceLimit):
         char_order_bound(12, 2, 3, step_budget=10)
+
+
+BOUND_CALLS = {
+    "ackermann": lambda **caps: ackermann(2, 3, **caps),
+    "char_order_bound": lambda **caps: char_order_bound(2, 2, 1, **caps),
+    "regularity_bound": lambda **caps: regularity_bound(2, 2, 1, **caps),
+    "bound_report": lambda **caps: bound_report(2, 2, 1, **caps),
+}
+
+
+@pytest.mark.parametrize("cap", ["digit_cap", "step_budget"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, True])
+@pytest.mark.parametrize("name", sorted(BOUND_CALLS))
+def test_caps_must_be_positive_integers(name, value, cap):
+    with pytest.raises(ValueError, match=cap):
+        BOUND_CALLS[name](**{cap: value})

@@ -9,8 +9,6 @@ from diffdim.diffrank import (
     kolchin_from_leaders,
     parse_leader_profile,
     parse_monomial,
-    profile_order,
-    profile_stability_bound,
 )
 from diffdim.errors import AmbientMismatch, ParseError
 from diffdim.expsets import ExponentSet
@@ -104,15 +102,11 @@ def test_parse_monomial_errors():
 def test_profile_kolchin_single_heat_leader():
     profile = LeaderProfile(2, (ExponentSet(2, ((0, 2),)),))
     assert kolchin_from_leaders(profile).standard_coeffs == (0, 2, -1)
-    assert profile_order(profile) == 2
-    assert profile_stability_bound(profile) == 2
 
 
 def test_profile_kolchin_two_free_unknowns():
     profile = LeaderProfile(1, (ExponentSet(1, ()), ExponentSet(1, ())))
     assert kolchin_from_leaders(profile).standard_coeffs == (2, 0)
-    assert profile_order(profile) == 0
-    assert profile_stability_bound(profile) == 0
 
 
 def test_profile_kolchin_sums_components():
@@ -125,11 +119,6 @@ def test_profile_kolchin_sums_components():
         ),
     )
     assert kolchin_from_leaders(profile).standard_coeffs == (0, 2, 0)
-
-
-def test_profile_order_uses_minimal_elements():
-    profile = LeaderProfile(2, (ExponentSet(2, ((1, 1), (3, 3))),))
-    assert profile_order(profile) == 2
 
 
 def test_profile_ambient_checked():
