@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -37,23 +38,27 @@ class CliConfig:
     fmt: str = "human"
 
 
+# Numbers on the command line follow the input files' grammar: ASCII
+# decimals only, where int() alone would also take '1_0', '+3' and '٣'.
+_INTEGERS = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
+
+
+def _natural(text: str) -> int:
+    if "," in text or not expsets._NATURALS.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    if "," in text or not expsets._NATURALS.fullmatch(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    return int(text)
 
 
 def _coeff_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p.strip()) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma separated integers, got {text!r}"
-        )
+    if not _INTEGERS.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}")
+    return tuple(map(int, text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,19 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-set", parents=[common],
                        help="Kolchin polynomial of an exponent set file")
     p.add_argument("--file", required=True, help="generator file, one vector per line")
-    p.add_argument("--m", type=int, default=None, help="ambient dimension")
+    p.add_argument("--m", type=_natural, default=None, help="ambient dimension")
 
     p = sub.add_parser("volume", parents=[common],
                        help="points outside the closure up to a given order")
     p.add_argument("--file", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--s", type=int, required=True, help="order cutoff")
+    p.add_argument("--m", type=_natural, default=None)
+    p.add_argument("--s", type=_natural, required=True, help="order cutoff")
 
     p = sub.add_parser("bounds", parents=[common],
                        help="effective bounds for a system shape (r, m, n)")
-    p.add_argument("--r", type=int, required=True, help="maximal equation order")
-    p.add_argument("--m", type=int, required=True, help="number of derivations")
-    p.add_argument("--n", type=int, required=True, help="number of unknowns")
+    p.add_argument("--r", type=_natural, required=True, help="maximal equation order")
+    p.add_argument("--m", type=_natural, required=True, help="number of derivations")
+    p.add_argument("--n", type=_natural, required=True, help="number of unknowns")
 
     p = sub.add_parser("rank-compare", parents=[common],
                        help="compare two derivative symbols under the orderly ranking")
@@ -100,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-leaders", parents=[common],
                        help="Kolchin polynomial from a leader profile file")
     p.add_argument("--file", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=_natural, default=None)
+    p.add_argument("--n", type=_natural, default=None)
 
     p = sub.add_parser("kolchin", parents=[common],
                        help="Kolchin polynomial of a linear system file")
@@ -120,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recover a polynomial from consecutive values")
     p.add_argument("--values", required=True, type=_coeff_list,
                    help="comma separated values at start, start+1, ...")
-    p.add_argument("--start", type=int, required=True)
+    p.add_argument("--start", type=_natural, required=True)
 
     return parser
 

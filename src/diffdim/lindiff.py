@@ -27,12 +27,11 @@ from .diffrank import (
     kolchin_from_leaders,
     rank_key,
 )
-from .errors import AmbientMismatch, ParseError, ResourceLimit, check_cap
+from .errors import AmbientMismatch, DiffdimError, ParseError, ResourceLimit, check_cap
 from .expsets import ExponentSet, ExponentVector, _lines, _naturals, stabilisation_level
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
 DEFAULT_MATRIX_CELL_CAP = 10**8
-DEFAULT_SEARCH_SPAN = 100
 
 
 @dataclass(frozen=True)
@@ -274,10 +273,14 @@ def _groebner_with_margin(system: LinearDiffSystem):
     unknown, which is the case that genuinely reduces to the one-unknown
     polynomial ring.
 
-    Every element carries the prolongation level at which it is reachable
-    from the original equations, so the returned margin makes the level
-    s + margin prolongation span contain every basis prolongation of order
-    up to s.
+    Every element g carries rep(g), a prolongation level at which it is
+    reachable from the original equations, and the returned margin is
+    max(rep(g) - ord g) over the reduced basis.  It is certified: under the
+    orderly ranking every f in the module with ord f <= s has a standard
+    representation sum c * theta * g with ord(theta * g) <= s, and each
+    theta * g lies in the level rep(g) + ord theta <= s + (rep(g) - ord g)
+    span.  So the pivots of order <= s at level s + margin count exactly
+    the module's elements of order <= s.
     """
     basis: list[tuple[dict, tuple[int, ...], int]] = []  # (row, leader, rep)
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
@@ -338,7 +341,7 @@ def _groebner_with_margin(system: LinearDiffSystem):
                 others.setdefault(other[1][1], []).append(other)
         nf, rep = _normal_form(entry[0], entry[2], others)
         lead = max(nf)
-        margin = max(margin, lead[0], rep - lead[0])
+        margin = max(margin, rep - lead[0])
         reduced.append((lead, nf))
     equations = tuple(
         LinearEquation.from_terms({(k[2:], k[1]): Fraction(v, nf[lead]) for k, v in nf.items()})
@@ -464,43 +467,29 @@ def kolchin_via_prolongation(
 ) -> NumericalPolynomial:
     """Kolchin polynomial from exact prolongation ranks plus interpolation.
 
-    The margin combines the order of the reduced basis with the certified
-    level overshoot needed to reach each basis element by prolonging the
-    original equations.  Starting at the level where every leader
-    complement already counts polynomially, the first window [s*, s* + m]
-    on which the margin and margin + 1 dimensions agree pointwise is
-    declared stable and its values are interpolated.  One echelon form,
-    grown only as far as the current window needs, serves every level.
-    Raises ResourceLimit when no window stabilises within
-    ``DEFAULT_SEARCH_SPAN`` levels.
+    At the certified margin of ``_groebner_with_margin`` the dimension at
+    level t + margin counts the solutions of order <= t exactly, and the
+    leader complements count polynomially from ``floor``, the largest
+    ``stabilisation_level`` of the leader sets.  So the m + 1 values on the
+    fixed window [floor, floor + m] give the polynomial, read from one
+    echelon form grown to level floor + m + margin + 1; no other window is
+    tried.  Each value must be the same at margin + 1, or DiffdimError is
+    raised.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
     gb, margin = _groebner_with_margin(system)
-    profile = leader_profile(gb)
-    floor = max(stabilisation_level(es) for es in profile.variable_sets)
+    floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
-    levels = _pivot_orders(system, matrix_cell_cap)
-    low: list[tuple[int, ...]] = []  # low[L][s]: pivots of order <= s after level L
-
-    limit = floor + DEFAULT_SEARCH_SPAN
-    start = floor
-    while start + m <= limit:
-        low.extend(islice(levels, start + m + margin + 2 - len(low)))
-        moved = False
-        for t in range(start, start + m + 1):
-            if low[t + margin][t] != low[t + margin + 1][t]:
-                start = t + 1
-                moved = True
-                break
-        if not moved:
-            values = [
-                n * comb(m + t, m) - low[t + margin][t] for t in range(start, start + m + 1)
-            ]
-            return interpolate(values, start, m)
-    raise ResourceLimit(
-        f"prolongation dimensions did not stabilise within {DEFAULT_SEARCH_SPAN} "
-        f"levels past {floor}"
-    )
+    # low[L][s]: pivots of order <= s after level L
+    low = list(islice(_pivot_orders(system, matrix_cell_cap), floor + m + margin + 2))
+    window = range(floor, floor + m + 1)
+    for t in window:
+        if low[t + margin][t] != low[t + margin + 1][t]:
+            raise DiffdimError(
+                f"prolongation self-check failed at t = {t}: {low[t + margin][t]} pivots of "
+                f"order <= t at margin {margin}, {low[t + margin + 1][t]} at margin {margin + 1}"
+            )
+    return interpolate([n * comb(m + t, m) - low[t + margin][t] for t in window], floor, m)
 
 
 def omega_at_least(system: LinearDiffSystem, p: NumericalPolynomial) -> bool:

@@ -261,3 +261,46 @@ def test_interpolate_bad_values_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["interpolate", "--values", "1,one,3", "--start", "0"])
     assert info.value.code == 2
+
+
+NUMBER_FLAGS = [
+    ("volume --file unused --s", "--s"),
+    ("omega-set --file unused --m", "--m"),
+    ("omega-leaders --file unused --n", "--n"),
+    ("bounds --m 2 --n 1 --r", "--r"),
+    ("interpolate --values 1,3 --start", "--start"),
+    ("interpolate --start 0 --values", "--values"),
+    ("kolchin --system unused --equals", "--equals"),
+    ("kolchin --system unused --matrix-cell-cap", "--matrix-cell-cap"),
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "\u00b2", "+3"])
+@pytest.mark.parametrize("prefix,flag", NUMBER_FLAGS)
+def test_numbers_are_ascii_decimals(capsys, prefix, flag, value):
+    # int() takes each of these; the input files' grammar takes none
+    with pytest.raises(SystemExit) as info:
+        main(prefix.split() + [value])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--values", "1_0,\u0663", "--start", "0"], "--values"),
+        (["--values", "1,3", "--start", "-1"], "--start"),
+    ],
+)
+def test_interpolate_bad_numbers_name_the_flag(capsys, argv, flag):
+    # '1_0,٣' used to read as [10, 3]; a negative start is no start at all
+    with pytest.raises(SystemExit) as info:
+        main(["interpolate", *argv])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_interpolate_spaced_values(capsys):
+    code, out, _ = run(capsys, "interpolate", "--values", " 1, 3 ,5", "--start", " 1")
+    assert code == 0
+    assert out.splitlines()[0] == "2*t - 1"

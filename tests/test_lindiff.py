@@ -1,17 +1,22 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from diffdim import lindiff
+from diffdim.cli import main
 from diffdim.diffrank import DifferentialMonomial
-from diffdim.errors import ParseError, ResourceLimit
+from diffdim.errors import DiffdimError, ParseError, ResourceLimit
+from diffdim.expsets import stabilisation_level
 from diffdim.lindiff import (
+    DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
     LinearEquation,
     _groebner_with_margin,
+    _pivot_orders,
     kolchin_polynomial,
     kolchin_via_prolongation,
     leader_profile,
@@ -167,13 +172,13 @@ def test_groebner_deterministic_under_input_order():
 
 PINNED_BASES = {
     # system: (margin, basis as "coefficient*exponents x unknown" lines)
-    "cauchy_riemann.sys": (2, ["1*(2, 0)x1 1*(0, 2)x1", "1*(1, 0)x2 1*(0, 1)x1",
+    "cauchy_riemann.sys": (0, ["1*(2, 0)x1 1*(0, 2)x1", "1*(1, 0)x2 1*(0, 1)x1",
                                "1*(0, 1)x2 -1*(1, 0)x1"]),
     "free2.sys": (0, []),
-    "heat.sys": (2, ["1*(0, 2)x1 -1*(1, 0)x1"]),
-    "laplace.sys": (2, ["1*(2, 0)x1 1*(0, 2)x1"]),
-    "ode2.sys": (2, ["1*(2,)x1"]),
-    "wave.sys": (2, ["1*(2, 0)x1 -1*(0, 2)x1"]),
+    "heat.sys": (0, ["1*(0, 2)x1 -1*(1, 0)x1"]),
+    "laplace.sys": (0, ["1*(2, 0)x1 1*(0, 2)x1"]),
+    "ode2.sys": (0, ["1*(2,)x1"]),
+    "wave.sys": (0, ["1*(2, 0)x1 -1*(0, 2)x1"]),
     "unit-ideal": (4, ["1*(0, 0)x1"]),
 }
 # the unit ideal, reached only two levels past the equations' order
@@ -195,6 +200,60 @@ def test_groebner_basis_and_certified_margin_pinned(name):
         for eq in gb.equations
     ]
     assert (margin, lines) == PINNED_BASES[name]
+
+
+def _margin_systems():
+    """The fixtures, the unit ideal and seeded random systems with m <= 3,
+    n <= 2 and order <= 3."""
+    for path in sorted(DATA.glob("*.sys")):
+        yield path.name, parse_system(path.read_text())
+    yield "unit-ideal", parse_system(UNIT_IDEAL)
+    rng = random.Random(1618)
+    for k in range(20):
+        m, n = rng.randint(1, 3), rng.randint(1, 2)
+        vectors = [xi for xi in product(range(4), repeat=m) if sum(xi) <= 3]
+        eqs = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {
+                (rng.choice(vectors), rng.randint(1, n)): Fraction(
+                    rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)
+                )
+                for _ in range(rng.randint(1, 4))
+            }
+            eqs.append(LinearEquation.from_terms(terms))
+        yield f"random-{k}", LinearDiffSystem(m, n, tuple(eqs))
+
+
+@pytest.mark.parametrize(
+    "system", [pytest.param(system, id=name) for name, system in _margin_systems()]
+)
+def test_certified_margin_counts_as_margin_plus_three(system):
+    # the margin max(rep - ord) is meant to be exact: three more levels of
+    # prolongation must not find a single further pivot of order <= s
+    gb, margin = _groebner_with_margin(system)
+    top = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
+    low = list(islice(_pivot_orders(system, DEFAULT_MATRIX_CELL_CAP), top + margin + 4))
+    for s in range(top + 1):
+        assert low[s + margin][s] == low[s + margin + 3][s], s
+
+
+def test_unit_ideal_margin_is_tight():
+    # x1 is reached only at level 4, so margin 3 still leaves it free at s = 0
+    system = parse_system(UNIT_IDEAL)
+    assert prolongation_dimension(system, 0, 3) == 1
+    assert prolongation_dimension(system, 0, 4) == 0
+
+
+def test_understated_margin_fails_the_self_check(monkeypatch, tmp_path, capsys):
+    system = parse_system(UNIT_IDEAL)
+    gb, _ = _groebner_with_margin(system)
+    monkeypatch.setattr(lindiff, "_groebner_with_margin", lambda _system: (gb, 3))
+    with pytest.raises(DiffdimError, match="t = 0: 0 pivots .* 1 at margin 4"):
+        kolchin_via_prolongation(system)
+    path = tmp_path / "unit.sys"
+    path.write_text(UNIT_IDEAL)
+    assert main(["kolchin", "--system", str(path), "--check"]) == 1
+    assert "self-check" in capsys.readouterr().err
 
 
 def test_groebner_handles_redundant_equations():
