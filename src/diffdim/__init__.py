@@ -17,7 +17,6 @@ from .numpoly import (
     EQUAL,
     GREATER,
     LESS,
-    MonomialForm,
     NumericalPolynomial,
     compare_eventual,
     from_json_dict,
@@ -78,7 +77,6 @@ __all__ = [
     "LESS",
     "LinearDiffSystem",
     "LinearEquation",
-    "MonomialForm",
     "NumericalPolynomial",
     "ParseError",
     "ResourceLimit",

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import diffrank, expsets, lindiff, numpoly
@@ -22,20 +21,11 @@ from .errors import DiffdimError, ResourceLimit
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 ENV_ENUM_CAP = "KOLCHIN_ENUM_CAP"
 ENV_CELL_CAP = "KOLCHIN_MATRIX_CELL_CAP"
 ENV_DIGIT_CAP = "KOLCHIN_BOUND_MAGNITUDE_CAP"
-
-
-@dataclass
-class CliConfig:
-    enumeration_cap: int = expsets.DEFAULT_ENUMERATION_CAP
-    matrix_cell_cap: int = lindiff.DEFAULT_MATRIX_CELL_CAP
-    bound_digit_cap: int = bounds_mod.DEFAULT_DIGIT_CAP
-    fmt: str = "human"
 
 
 # Numbers on the command line follow the input files' grammar: ASCII
@@ -130,7 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(parser, args) -> CliConfig:
+def _config(parser, args) -> None:
+    """Resolve each cap from its flag, then the environment, then the
+    library default, and write it back onto ``args``."""
+
     def cap(flag_value, env, default):
         if flag_value is not None:
             return flag_value
@@ -142,16 +135,9 @@ def _config(parser, args) -> CliConfig:
         except argparse.ArgumentTypeError as exc:
             parser.error(f"environment variable {env}: {exc}")
 
-    return CliConfig(
-        enumeration_cap=cap(args.enum_cap, ENV_ENUM_CAP, expsets.DEFAULT_ENUMERATION_CAP),
-        matrix_cell_cap=cap(
-            args.matrix_cell_cap, ENV_CELL_CAP, lindiff.DEFAULT_MATRIX_CELL_CAP
-        ),
-        bound_digit_cap=cap(
-            args.bound_digit_cap, ENV_DIGIT_CAP, bounds_mod.DEFAULT_DIGIT_CAP
-        ),
-        fmt=args.fmt,
-    )
+    args.enum_cap = cap(args.enum_cap, ENV_ENUM_CAP, expsets.DEFAULT_ENUMERATION_CAP)
+    args.matrix_cell_cap = cap(args.matrix_cell_cap, ENV_CELL_CAP, lindiff.DEFAULT_MATRIX_CELL_CAP)
+    args.bound_digit_cap = cap(args.bound_digit_cap, ENV_DIGIT_CAP, bounds_mod.DEFAULT_DIGIT_CAP)
 
 
 def _read(path: str) -> str:
@@ -165,35 +151,35 @@ def _poly_doc(p) -> dict:
     return doc
 
 
-def _emit_poly(p, cfg: CliConfig):
-    if cfg.fmt == "json":
+def _emit_poly(p, fmt: str):
+    if fmt == "json":
         print(json.dumps(_poly_doc(p)))
     else:
         print(numpoly.render(p))
         print(f"standard coefficients: {list(p.standard_coeffs)}")
 
 
-def _cmd_omega_set(args, cfg):
+def _cmd_omega_set(args):
     exp_set = expsets.parse_exponent_set(_read(args.file), m=args.m)
-    _emit_poly(expsets.dimension_polynomial(exp_set), cfg)
+    _emit_poly(expsets.dimension_polynomial(exp_set), args.fmt)
     return EXIT_OK
 
 
-def _cmd_volume(args, cfg):
+def _cmd_volume(args):
     exp_set = expsets.parse_exponent_set(_read(args.file), m=args.m)
-    v = expsets.volume(exp_set, args.s, enumeration_cap=cfg.enumeration_cap)
-    w = expsets.volume_ie(exp_set, args.s)
-    if cfg.fmt == "json":
-        print(json.dumps({"s": args.s, "volume": v, "volume_ie": w}))
+    v = expsets.volume(exp_set, args.s, enumeration_cap=args.enum_cap)
+    w = expsets._numerator_volume(exp_set, args.s)
+    if args.fmt == "json":
+        print(json.dumps({"s": args.s, "volume": v, "numerator": w}))
     else:
         print(f"volume = {v}")
-        print(f"volume_ie = {w}")
+        print(f"numerator = {w}")
     return EXIT_OK
 
 
-def _cmd_bounds(args, cfg):
+def _cmd_bounds(args):
     report = bounds_mod.bound_report(
-        args.r, args.m, args.n, digit_cap=cfg.bound_digit_cap
+        args.r, args.m, args.n, digit_cap=args.bound_digit_cap
     )
     fields = (
         ("char_order", report.char_order),
@@ -202,7 +188,7 @@ def _cmd_bounds(args, cfg):
         ("comparison_level", report.comparison_level),
         ("coeff_bound", report.coeff_bound),
     )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {"r": args.r, "m": args.m, "n": args.n}
         doc.update((k, str(v)) for k, v in fields)
         print(json.dumps(doc))
@@ -212,32 +198,32 @@ def _cmd_bounds(args, cfg):
     return EXIT_OK
 
 
-def _cmd_rank_compare(args, cfg):
+def _cmd_rank_compare(args):
     left = diffrank.parse_monomial(args.left)
     right = diffrank.parse_monomial(args.right)
     verdict = {-1: "Less", 0: "Equal", 1: "Greater"}[diffrank.compare_rank(left, right)]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({"result": verdict}))
     else:
         print(verdict)
     return EXIT_OK
 
 
-def _cmd_omega_leaders(args, cfg):
+def _cmd_omega_leaders(args):
     profile = diffrank.parse_leader_profile(_read(args.file), m=args.m, n=args.n)
-    _emit_poly(diffrank.kolchin_from_leaders(profile), cfg)
+    _emit_poly(diffrank.kolchin_from_leaders(profile), args.fmt)
     return EXIT_OK
 
 
-def _cmd_kolchin(args, cfg):
+def _cmd_kolchin(args):
     system = lindiff.parse_system(_read(args.system))
     if args.check:
         via_gb = lindiff.kolchin_polynomial(system)
         via_ranks = lindiff.kolchin_via_prolongation(
-            system, matrix_cell_cap=cfg.matrix_cell_cap
+            system, matrix_cell_cap=args.matrix_cell_cap
         )
         agree = via_gb == via_ranks
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             print(json.dumps({
                 "groebner": _poly_doc(via_gb),
                 "prolongation": _poly_doc(via_ranks),
@@ -253,26 +239,26 @@ def _cmd_kolchin(args, cfg):
     if coeffs is not None:
         test = lindiff.omega_equals if args.at_least is None else lindiff.omega_at_least
         answer = test(system, numpoly.NumericalPolynomial.from_coeffs(coeffs))
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             print(json.dumps({"result": answer}))
         else:
             print("true" if answer else "false")
         return EXIT_OK
     p = lindiff.kolchin_polynomial(system)
     if args.diff_type:
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             print(json.dumps({"differential_type": p.differential_type()}))
         else:
             print(p.differential_type())
         return EXIT_OK
-    _emit_poly(p, cfg)
+    _emit_poly(p, args.fmt)
     return EXIT_OK
 
 
-def _cmd_interpolate(args, cfg):
+def _cmd_interpolate(args):
     values = args.values
     p = numpoly.interpolate(values, args.start, len(values) - 1)
-    _emit_poly(p, cfg)
+    _emit_poly(p, args.fmt)
     return EXIT_OK
 
 
@@ -291,8 +277,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(parser, args)
-        return _HANDLERS[args.command](args, cfg)
+        _config(parser, args)
+        return _HANDLERS[args.command](args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -51,16 +51,6 @@ class DifferentialMonomial:
     def order(self) -> int:
         return sum(self.exponents)
 
-    def derive(self, theta: ExponentVector) -> "DifferentialMonomial":
-        """Apply further derivations given by the multi-index theta."""
-        if len(theta) != self.m:
-            raise AmbientMismatch(
-                f"derivation multi-index has {len(theta)} entries, expected {self.m}"
-            )
-        return DifferentialMonomial(
-            tuple(a + b for a, b in zip(self.exponents, theta)), self.var_index
-        )
-
 
 def compare_rank(a: DifferentialMonomial, b: DifferentialMonomial) -> int:
     """-1, 0 or 1 under the orderly ranking.  Ambients must agree."""

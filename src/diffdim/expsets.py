@@ -11,6 +11,7 @@ s; the two agree from stabilisation_level on.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from math import comb
@@ -150,10 +151,6 @@ def volume_ie(exp_set: ExponentSet, s: int) -> int:
     return total
 
 
-# numerators by (m, antichain): N_k at index k, trailing zeros dropped
-_DIMENSION_CACHE: dict[tuple[int, tuple[ExponentVector, ...]], tuple[int, ...]] = {}
-
-
 def dimension_polynomial(exp_set: ExponentSet) -> NumericalPolynomial:
     """The Kolchin polynomial of the complement of the closure.
 
@@ -170,47 +167,48 @@ def dimension_polynomial(exp_set: ExponentSet) -> NumericalPolynomial:
     return NumericalPolynomial(m, tuple(coeffs))
 
 
+def _add_shifted(total: list[int], poly: tuple[int, ...], shift: int, sign: int) -> None:
+    """total += sign * z^shift * poly, growing total as needed."""
+    total.extend([0] * (shift + len(poly) - len(total)))
+    for k, c in enumerate(poly):
+        total[shift + k] += sign * c
+
+
+@functools.lru_cache(maxsize=4096)
 def _numerator(m: int, gens: tuple[ExponentVector, ...]) -> tuple[int, ...]:
     """Hilbert numerator of the complement of the antichain's closure.
 
-    Splits on a pivot coordinate j: the points with xi_j = 0 form the
-    complement of the section in N^(m-1), and the points with xi_j >= 1
-    are e_j plus the complement of the decremented set, hence
-    N = (1 - z) * N_section + z * N_decremented.
+    Splits on a pivot coordinate j, with d the least positive j-th entry:
+    the points with xi_j < d are d layers over the complement of the
+    section (the generators with xi_j = 0) in N^(m-1), and the points with
+    xi_j >= d are d*e_j plus the complement of the set shifted down by d in
+    coordinate j, hence N = (1 - z^d) * N_section + z^d * N_shifted.  The
+    shifted set is split again in the loop, so the recursion descends in m
+    only.
     """
-    key = (m, gens)
-    cached = _DIMENSION_CACHE.get(key)
-    if cached is not None:
-        return cached
+    total: list[int] = []
+    shift = 0
+    while gens and (0,) * m not in gens:
+        j = max(i for i, e in enumerate(gens[0]) if e)  # gens[0] is lexicographically least
+        d = min(g[j] for g in gens if g[j])
+        section = _numerator(m - 1, _minimalize(tuple(g[:j] + g[j + 1:] for g in gens if not g[j])))
+        _add_shifted(total, section, shift, 1)
+        _add_shifted(total, section, shift + d, -1)
+        shift += d
+        gens = _minimalize(tuple(g[:j] + (max(g[j] - d, 0),) + g[j + 1:] for g in gens))
     if not gens:
-        result = (1,)
-    elif (0,) * m in gens:
-        result = ()
-    elif m == 1:
-        # antichain in N^1 is a single positive generator (v,): 1 - z^v
-        result = (1,) + (0,) * (gens[0][0] - 1) + (-1,)
-    else:
-        pivot_gen = gens[0]  # lexicographically least minimal element
-        j = max(i for i, e in enumerate(pivot_gen) if e != 0)
-        section = _minimalize(
-            tuple(g[:j] + g[j + 1:] for g in gens if g[j] == 0)
-        )
-        decremented = _minimalize(
-            tuple(g[:j] + (max(g[j] - 1, 0),) + g[j + 1:] for g in gens)
-        )
-        a = _numerator(m - 1, section)
-        b = _numerator(m, decremented)
-        coeffs = [0] * (max(len(a), len(b)) + 1)
-        for k, c in enumerate(a):
-            coeffs[k] += c
-            coeffs[k + 1] -= c
-        for k, c in enumerate(b):
-            coeffs[k + 1] += c
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        result = tuple(coeffs)
-    _DIMENSION_CACHE[key] = result
-    return result
+        _add_shifted(total, (1,), shift, 1)
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
+def _numerator_volume(exp_set: ExponentSet, s: int) -> int:
+    """volume(exp_set, s) read off the Hilbert numerator, with no enumeration:
+    sum_{k <= s} N_k * binom(s - k + m, m)."""
+    m = exp_set.m
+    num = _numerator(m, exp_set._antichain)
+    return sum(c * comb(s - k + m, m) for k, c in enumerate(num[: s + 1]))
 
 
 def stabilisation_level(exp_set: ExponentSet) -> int:

@@ -13,6 +13,7 @@ arithmetic here is exact.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -70,20 +71,6 @@ class NumericalPolynomial:
     def zero(cls, degree_bound: int = 0) -> "NumericalPolynomial":
         return cls(degree_bound, (0,) * (degree_bound + 1))
 
-    @classmethod
-    def basis(cls, degree_bound: int, i: int) -> "NumericalPolynomial":
-        """The basis element binom(t + i, i), padded to the given bound."""
-        if not 0 <= i <= degree_bound:
-            raise ValueError("basis index out of range")
-        coeffs = [0] * (degree_bound + 1)
-        coeffs[degree_bound - i] = 1
-        return cls(degree_bound, tuple(coeffs))
-
-    @classmethod
-    def full(cls, m: int) -> "NumericalPolynomial":
-        """binom(t + m, m), the polynomial of an unconstrained lattice."""
-        return cls.basis(m, m)
-
     def _trimmed(self) -> tuple[int, ...]:
         coeffs = self.standard_coeffs
         k = 0
@@ -123,80 +110,29 @@ class NumericalPolynomial:
         b = other.padded(m).standard_coeffs
         return NumericalPolynomial(m, tuple(x + y for x, y in zip(a, b)))
 
-    def __mul__(self, scalar: int) -> "NumericalPolynomial":
-        scalar = _as_int(scalar)
-        return NumericalPolynomial(
-            self.degree_bound, tuple(scalar * c for c in self.standard_coeffs)
-        )
-
-    __rmul__ = __mul__
-
     def differential_type(self) -> int:
         """Degree of the polynomial; zero for the zero polynomial."""
         trimmed = self._trimmed()
         return len(trimmed) - 1
 
-    def leading_coefficient(self) -> int:
-        """Standard coefficient at the differential type; 0 only for zero."""
-        return self._trimmed()[0]
 
-    def to_monomial_form(self) -> "MonomialForm":
-        m = self.degree_bound
-        total = [Fraction(0)] * (m + 1)  # index = power of t
-        for i, a in zip(range(m, -1, -1), self.standard_coeffs):
-            if a == 0:
-                continue
-            # expand binom(t+i, i) = (t+1)(t+2)...(t+i) / i!
-            poly = [Fraction(1)]
-            for j in range(1, i + 1):
-                poly = [Fraction(0)] + poly
-                for k in range(len(poly) - 1):
-                    poly[k] += j * poly[k + 1]
-            scale = Fraction(a, factorial(i))
-            for k, c in enumerate(poly):
-                total[k] += scale * c
-        return MonomialForm(m, tuple(reversed(total)))
-
-
-@dataclass(frozen=True)
-class MonomialForm:
-    """The same polynomial in powers of t, coefficients (b_m, ..., b_0)."""
-
-    degree_bound: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.degree_bound + 1:
-            raise ValueError("coefficient count does not match degree bound")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def to_numerical(self) -> NumericalPolynomial:
-        """Convert back to standard coefficients.
-
-        Peels off the top basis element repeatedly: the coefficient of t^i
-        in binom(t+i, i) is 1/i!, so a_i = (residual coefficient of t^i) * i!.
-        Raises InputNotNumericalPolynomial when some a_i is not an integer.
-        """
-        m = self.degree_bound
-        residual = list(self.coeffs)  # descending powers
-        standard = []
-        for i in range(m, -1, -1):
-            b = residual[m - i]
-            a = b * factorial(i)
-            if a.denominator != 1:
-                raise InputNotNumericalPolynomial(
-                    f"coefficient {a} of basis element {i} is not an integer"
-                )
-            a = int(a)
-            standard.append(a)
-            if a != 0:
-                piece = NumericalPolynomial.basis(m, i).to_monomial_form().coeffs
-                for k in range(m + 1):
-                    residual[k] -= a * piece[k]
-        if any(residual):
-            raise InputNotNumericalPolynomial("conversion left a nonzero residue")
-        return NumericalPolynomial(m, tuple(standard))
+def _power_coeffs(p: NumericalPolynomial) -> tuple[Fraction, ...]:
+    """The coefficients of p in powers of t, highest first: (b_m, ..., b_0)."""
+    m = p.degree_bound
+    total = [Fraction(0)] * (m + 1)  # index = power of t
+    for i, a in zip(range(m, -1, -1), p.standard_coeffs):
+        if a == 0:
+            continue
+        # expand binom(t+i, i) = (t+1)(t+2)...(t+i) / i!
+        poly = [Fraction(1)]
+        for j in range(1, i + 1):
+            poly = [Fraction(0)] + poly
+            for k in range(len(poly) - 1):
+                poly[k] += j * poly[k + 1]
+        scale = Fraction(a, factorial(i))
+        for k, c in enumerate(poly):
+            total[k] += scale * c
+    return tuple(reversed(total))
 
 
 def compare_eventual(p: NumericalPolynomial, q: NumericalPolynomial) -> int:
@@ -254,27 +190,33 @@ def to_json_dict(p: NumericalPolynomial) -> dict:
     }
 
 
+# the decimal strings to_json_dict writes: ASCII digits, optional minus
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def from_json_dict(doc: dict) -> NumericalPolynomial:
+    """Read back a to_json_dict document; anything else raises
+    InputNotNumericalPolynomial."""
     try:
         m = doc["m"]
         raw = doc["standard_coeffs"]
     except (KeyError, TypeError) as exc:
         raise InputNotNumericalPolynomial(f"missing field: {exc}") from None
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InputNotNumericalPolynomial("field 'm' must be an integer")
-    try:
-        coeffs = tuple(int(c) for c in raw)
-    except (TypeError, ValueError):
-        raise InputNotNumericalPolynomial("coefficients must be decimal strings") from None
-    return NumericalPolynomial(m, coeffs)
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise InputNotNumericalPolynomial("field 'm' must be a natural number")
+    if not isinstance(raw, list) or not all(
+        isinstance(c, str) and _DECIMAL.fullmatch(c) for c in raw
+    ):
+        raise InputNotNumericalPolynomial("coefficients must be a list of decimal strings")
+    if len(raw) != m + 1:
+        raise InputNotNumericalPolynomial(f"expected {m + 1} coefficients, got {len(raw)}")
+    return NumericalPolynomial(m, tuple(map(int, raw)))
 
 
 def render(p: NumericalPolynomial) -> str:
     """Human form in powers of t, e.g. '2*t + 1' or '1/2*t^2 + 3/2*t + 1'."""
-    mf = p.to_monomial_form()
     terms = []
-    for power in range(mf.degree_bound, -1, -1):
-        c = mf.coeffs[mf.degree_bound - power]
+    for power, c in zip(range(p.degree_bound, -1, -1), _power_coeffs(p)):
         if c == 0:
             continue
         mag = abs(c)

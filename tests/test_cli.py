@@ -48,7 +48,7 @@ def test_omega_set_missing_file(capsys):
 def test_volume_command(capsys, heat_leaders):
     code, out, _ = run(capsys, "volume", "--file", heat_leaders, "--s", "3")
     assert code == 0
-    assert out.splitlines() == ["volume = 7", "volume_ie = 7"]
+    assert out.splitlines() == ["volume = 7", "numerator = 7"]
 
 
 def test_volume_json(capsys, heat_leaders):
@@ -56,7 +56,17 @@ def test_volume_json(capsys, heat_leaders):
         capsys, "volume", "--format", "json", "--file", heat_leaders, "--s", "3"
     )
     assert code == 0
-    assert json.loads(out) == {"s": 3, "volume": 7, "volume_ie": 7}
+    assert json.loads(out) == {"s": 3, "volume": 7, "numerator": 7}
+
+
+def test_volume_on_a_long_staircase(capsys, tmp_path):
+    # 24 generators (i, 23 - i): the second count comes from the Hilbert
+    # numerator, so it does not walk the 2^24 subsets of the antichain
+    path = tmp_path / "staircase.txt"
+    path.write_text("".join(f"{i}, {23 - i}\n" for i in range(24)))
+    code, out, _ = run(capsys, "volume", "--file", str(path), "--s", "30")
+    assert code == 0
+    assert out.splitlines() == ["volume = 276", "numerator = 276"]
 
 
 def test_volume_cap_exit_code(capsys, tmp_path):

@@ -120,11 +120,18 @@ def test_dimension_polynomial_two_generators():
 
 
 def test_dimension_polynomial_free():
-    assert dimension_polynomial(ExponentSet(3, ())) == NumericalPolynomial.full(3)
+    assert dimension_polynomial(ExponentSet(3, ())) == NumericalPolynomial.from_coeffs((1, 0, 0, 0))
 
 
 def test_dimension_polynomial_blocked():
     assert dimension_polynomial(ExponentSet(2, ((0, 0),))) == NumericalPolynomial.zero(2)
+
+
+def test_dimension_polynomial_of_a_high_order_generator():
+    # the recursion steps down in the ambient dimension only, not once per
+    # unit of order, so the order is not limited by Python's stack
+    p = dimension_polynomial(ExponentSet(2, ((0, 5000),)))
+    assert p.standard_coeffs == (0, 5000, -5000 * 4999 // 2)
 
 
 def test_dimension_polynomial_one_variable():
@@ -180,7 +187,7 @@ def test_dimension_polynomial_degree_at_most_m():
         if minimal_elements(exp_set).generators:
             assert omega.differential_type() < m
         else:
-            assert omega == NumericalPolynomial.full(m)
+            assert omega == NumericalPolynomial.from_coeffs((1,) + (0,) * m)
 
 
 def test_volume_antitone_in_generators():

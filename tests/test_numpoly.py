@@ -8,8 +8,8 @@ from diffdim.numpoly import (
     EQUAL,
     GREATER,
     LESS,
-    MonomialForm,
     NumericalPolynomial,
+    _power_coeffs,
     compare_eventual,
     from_json_dict,
     interpolate,
@@ -110,36 +110,14 @@ def test_interpolate_evaluate_roundtrip_random():
 
 def test_monomial_form_of_basis():
     # binomial(t+2, 2) = 1/2 t^2 + 3/2 t + 1
-    mf = NumericalPolynomial.from_coeffs((1, 0, 0)).to_monomial_form()
-    assert mf.coeffs == (Fraction(1, 2), Fraction(3, 2), Fraction(1))
-
-
-def test_monomial_form_roundtrip_random():
-    rng = random.Random(11)
-    for _ in range(200):
-        m = rng.randint(0, 4)
-        coeffs = tuple(rng.randint(-9, 9) for _ in range(m + 1))
-        p = NumericalPolynomial.from_coeffs(coeffs)
-        assert p.to_monomial_form().to_numerical() == p
-
-
-def test_monomial_form_rejects_non_numerical():
-    # t^2 / 3 takes non-integer values
-    mf = MonomialForm(2, (Fraction(1, 3), Fraction(0), Fraction(0)))
-    with pytest.raises(InputNotNumericalPolynomial):
-        mf.to_numerical()
-
-
-def test_half_square_is_not_numerical_but_binomial_is():
-    mf = MonomialForm(2, (Fraction(1, 2), Fraction(3, 2), Fraction(1)))
-    assert mf.to_numerical() == NumericalPolynomial.from_coeffs((1, 0, 0))
+    coeffs = _power_coeffs(NumericalPolynomial.from_coeffs((1, 0, 0)))
+    assert coeffs == (Fraction(1, 2), Fraction(3, 2), Fraction(1))
 
 
 def test_differential_type():
     assert NumericalPolynomial.from_coeffs((0, 0, 5)).differential_type() == 0
     assert NumericalPolynomial.from_coeffs((0, 2, 1)).differential_type() == 1
     assert NumericalPolynomial.zero(3).differential_type() == 0
-    assert NumericalPolynomial.zero(3).leading_coefficient() == 0
 
 
 def test_json_roundtrip():
@@ -155,6 +133,28 @@ def test_json_rejects_garbage():
         from_json_dict({"m": 1})
     with pytest.raises(InputNotNumericalPolynomial):
         from_json_dict({"m": 1, "standard_coeffs": ["1", "x"]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": 1, "standard_coeffs": [1.5, 2]},
+        {"m": 1, "standard_coeffs": [1, 2]},
+        {"m": 2, "standard_coeffs": "123"},
+        {"m": 0, "standard_coeffs": [True]},
+        {"m": 0, "standard_coeffs": ["1_0"]},
+        {"m": 0, "standard_coeffs": ["\u0663"]},
+        {"m": 0, "standard_coeffs": ["+1"]},
+        {"m": 0, "standard_coeffs": [" 1"]},
+        {"m": 1, "standard_coeffs": ["1"]},
+        {"m": -1, "standard_coeffs": []},
+    ],
+    ids=["float", "int", "string", "bool", "underscore", "arabic_digit", "plus",
+         "space", "wrong_count", "negative_m"],
+)
+def test_json_rejects_malformed(doc):
+    with pytest.raises(InputNotNumericalPolynomial):
+        from_json_dict(doc)
 
 
 def test_render_edge_cases():
