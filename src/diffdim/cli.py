@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 domain error (bad input data, failed --check),
 2 usage error, 3 resource limit.  Caps can be set per invocation with
 flags or through the environment (KOLCHIN_ENUM_CAP, KOLCHIN_MATRIX_CELL_CAP,
-KOLCHIN_BOUND_MAGNITUDE_CAP); a cap that is not a positive integer is a
-usage error.
+KOLCHIN_GB_STEP_CAP, KOLCHIN_BOUND_MAGNITUDE_CAP); a cap that is not a
+positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ EXIT_RESOURCE = 3
 
 ENV_ENUM_CAP = "KOLCHIN_ENUM_CAP"
 ENV_CELL_CAP = "KOLCHIN_MATRIX_CELL_CAP"
+ENV_GB_STEP_CAP = "KOLCHIN_GB_STEP_CAP"
 ENV_DIGIT_CAP = "KOLCHIN_BOUND_MAGNITUDE_CAP"
 
 
@@ -61,6 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="candidate cap for volume enumeration")
     common.add_argument("--matrix-cell-cap", type=_positive_int, default=None,
                         help="cell cap for prolongation matrices")
+    common.add_argument("--gb-step-cap", type=_positive_int, default=None,
+                        help="S-pair reduction cap for Groebner completion")
     common.add_argument("--bound-digit-cap", type=_positive_int, default=None,
                         help="decimal digit cap for bound evaluation")
 
@@ -137,6 +140,7 @@ def _config(parser, args) -> None:
 
     args.enum_cap = cap(args.enum_cap, ENV_ENUM_CAP, expsets.DEFAULT_ENUMERATION_CAP)
     args.matrix_cell_cap = cap(args.matrix_cell_cap, ENV_CELL_CAP, lindiff.DEFAULT_MATRIX_CELL_CAP)
+    args.gb_step_cap = cap(args.gb_step_cap, ENV_GB_STEP_CAP, lindiff.DEFAULT_GB_STEP_CAP)
     args.bound_digit_cap = cap(args.bound_digit_cap, ENV_DIGIT_CAP, bounds_mod.DEFAULT_DIGIT_CAP)
 
 
@@ -218,9 +222,9 @@ def _cmd_omega_leaders(args):
 def _cmd_kolchin(args):
     system = lindiff.parse_system(_read(args.system))
     if args.check:
-        via_gb = lindiff.kolchin_polynomial(system)
+        via_gb = lindiff.kolchin_polynomial(system, gb_step_cap=args.gb_step_cap)
         via_ranks = lindiff.kolchin_via_prolongation(
-            system, matrix_cell_cap=args.matrix_cell_cap
+            system, matrix_cell_cap=args.matrix_cell_cap, gb_step_cap=args.gb_step_cap
         )
         agree = via_gb == via_ranks
         if args.fmt == "json":
@@ -238,13 +242,15 @@ def _cmd_kolchin(args):
     coeffs = args.at_least if args.at_least is not None else args.equals
     if coeffs is not None:
         test = lindiff.omega_equals if args.at_least is None else lindiff.omega_at_least
-        answer = test(system, numpoly.NumericalPolynomial.from_coeffs(coeffs))
+        answer = test(
+            system, numpoly.NumericalPolynomial.from_coeffs(coeffs), gb_step_cap=args.gb_step_cap
+        )
         if args.fmt == "json":
             print(json.dumps({"result": answer}))
         else:
             print("true" if answer else "false")
         return EXIT_OK
-    p = lindiff.kolchin_polynomial(system)
+    p = lindiff.kolchin_polynomial(system, gb_step_cap=args.gb_step_cap)
     if args.diff_type:
         if args.fmt == "json":
             print(json.dumps({"differential_type": p.differential_type()}))

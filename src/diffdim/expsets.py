@@ -185,17 +185,24 @@ def _numerator(m: int, gens: tuple[ExponentVector, ...]) -> tuple[int, ...]:
     coordinate j, hence N = (1 - z^d) * N_section + z^d * N_shifted.  The
     shifted set is split again in the loop, so the recursion descends in m
     only.
+
+    ``gens`` is a sorted antichain and stays one.  The section is already
+    one.  After the shift, a generator can only come to lie below another
+    when its j-th entry fell from d to 0; those fallen generators stay
+    pairwise incomparable, so the shift only drops what they dominate.
     """
     total: list[int] = []
     shift = 0
     while gens and (0,) * m not in gens:
         j = max(i for i, e in enumerate(gens[0]) if e)  # gens[0] is lexicographically least
         d = min(g[j] for g in gens if g[j])
-        section = _numerator(m - 1, _minimalize(tuple(g[:j] + g[j + 1:] for g in gens if not g[j])))
+        section = _numerator(m - 1, tuple(g[:j] + g[j + 1:] for g in gens if not g[j]))
         _add_shifted(total, section, shift, 1)
         _add_shifted(total, section, shift + d, -1)
         shift += d
-        gens = _minimalize(tuple(g[:j] + (max(g[j] - d, 0),) + g[j + 1:] for g in gens))
+        fallen = [g[:j] + (0,) + g[j + 1:] for g in gens if g[j] == d]
+        rest = (g[:j] + (max(g[j] - d, 0),) + g[j + 1:] for g in gens if g[j] != d)
+        gens = tuple(sorted(fallen + [g for g in rest if not any(dominates(g, f) for f in fallen)]))
     if not gens:
         _add_shifted(total, (1,), shift, 1)
     while total and total[-1] == 0:

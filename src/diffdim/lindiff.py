@@ -10,7 +10,6 @@ rank computations on prolongation matrices followed by interpolation.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -32,6 +31,7 @@ from .expsets import ExponentSet, ExponentVector, _lines, _naturals, stabilisati
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
 DEFAULT_MATRIX_CELL_CAP = 10**8
+DEFAULT_GB_STEP_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -263,15 +263,23 @@ def _normal_form(row, rep, index):
     return row, level
 
 
-def _groebner_with_margin(system: LinearDiffSystem):
+def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     """Reduced Groebner basis plus a certified prolongation margin.
 
     Buchberger completion under the orderly ranking, on integer rows keyed by
     ``rank_key``.  S-pairs exist only between elements whose leaders involve
-    the same unknown; a pair is skipped by the product criterion only when
-    the leader exponents are disjoint and both elements involve no other
-    unknown, which is the case that genuinely reduces to the one-unknown
-    polynomial ring.
+    the same unknown.  They wait in a heap keyed by (starting rep, join order,
+    a, b): the starting rep max(rep(a) + ord theta_a, rep(b) + ord theta_b) is
+    the sugar degree of Giovini et al. (ISSAC '91) with the prolongation level
+    in the role of the homogenised degree, so pairs are treated level by
+    level, least join first within a level.  A pair is skipped by the product
+    criterion only when the leader exponents are disjoint and both elements
+    involve no other unknown, which is the case that genuinely reduces to the
+    one-unknown polynomial ring.  It is skipped by Buchberger's chain
+    criterion (Becker and Weispfenning 1993) when another element c of the
+    same unknown has a leader dividing the join and neither (a, c) nor (b, c)
+    is still pending.  Completion raises ResourceLimit once it would reduce
+    more than ``gb_step_cap`` S-pairs.
 
     Every element g carries rep(g), a prolongation level at which it is
     reachable from the original equations, and the returned margin is
@@ -280,33 +288,59 @@ def _groebner_with_margin(system: LinearDiffSystem):
     representation sum c * theta * g with ord(theta * g) <= s, and each
     theta * g lies in the level rep(g) + ord theta <= s + (rep(g) - ord g)
     span.  So the pivots of order <= s at level s + margin count exactly
-    the module's elements of order <= s.
+    the module's elements of order <= s.  The argument reads only each kept
+    element's own rep, which every reduction keeps honest, so the pair order
+    and the criteria can move the margin but not its certificate.
     """
+    check_cap("gb_step_cap", gb_step_cap)
     basis: list[tuple[dict, tuple[int, ...], int]] = []  # (row, leader, rep)
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
+    exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     confined: list[bool] = []
-    pairs: deque[tuple[int, int]] = deque()
+    pairs: list[tuple[int, int, int, int]] = []  # heap of (starting rep, join order, a, b)
+    pending: set[tuple[int, int]] = set()
 
     def push(row, rep):
         lead = max(row)
         entry = (row, lead, rep)
-        k = len(basis)
-        pairs.extend((j, k) for j, other in enumerate(basis) if other[1][1] == lead[1])
+        k, xi = len(basis), lead[2:]
+        members = exponents.setdefault(lead[1], [])
+        for j, jxi in members:
+            order = sum(map(max, jxi, xi))
+            jlead, jrep = basis[j][1:]
+            heappush(pairs, (max(order - jlead[0] + jrep, order - lead[0] + rep), order, j, k))
+            pending.add((j, k))
         basis.append(entry)
         index.setdefault(lead[1], []).append(entry)
+        members.append((k, xi))
         confined.append(all(key[1] == lead[1] for key in row))
 
     for eq in system.equations:
         nf, rep = _normal_form(_integer_row(eq), eq.order, index)
         if nf:
             push(nf, rep)
+    steps = 0
     while pairs:
-        a, b = pairs.popleft()
+        start, _, a, b = heappop(pairs)
+        pending.remove((a, b))
         (f, flead, frep), (g, glead, grep) = basis[a], basis[b]
         fxi, gxi = flead[2:], glead[2:]
         if confined[a] and confined[b] and not any(map(min, fxi, gxi)):
             continue
         join = tuple(map(max, fxi, gxi))
+        if any(
+            c != a and c != b and all(map(le, cxi, join))
+            and (min(a, c), max(a, c)) not in pending
+            and (min(b, c), max(b, c)) not in pending
+            for c, cxi in exponents[flead[1]]
+        ):
+            continue
+        if steps == gb_step_cap:
+            raise ResourceLimit(
+                f"Groebner completion stopped after {steps} S-pair reductions "
+                f"with {len(basis)} basis elements (cap {gb_step_cap})"
+            )
+        steps += 1
         fshift, gshift = tuple(map(sub, join, fxi)), tuple(map(sub, join, gxi))
         forder, gorder = sum(fshift), sum(gshift)
         common = gcd(f[flead], g[glead])
@@ -319,7 +353,7 @@ def _groebner_with_margin(system: LinearDiffSystem):
                 s_row[k] = val
             else:
                 s_row.pop(k, None)
-        nf, rep = _normal_form(s_row, max(forder + frep, gorder + grep), index)
+        nf, rep = _normal_form(s_row, start, index)
         if nf:
             push(nf, rep)
 
@@ -350,9 +384,11 @@ def _groebner_with_margin(system: LinearDiffSystem):
     return LinearDiffSystem(system.m, system.n, equations), margin
 
 
-def module_groebner(system: LinearDiffSystem) -> LinearDiffSystem:
+def module_groebner(
+    system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
+) -> LinearDiffSystem:
     """The reduced Groebner basis of the submodule the equations generate."""
-    return _groebner_with_margin(system)[0]
+    return _groebner_with_margin(system, gb_step_cap)[0]
 
 
 def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
@@ -366,9 +402,11 @@ def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
     )
 
 
-def kolchin_polynomial(system: LinearDiffSystem) -> NumericalPolynomial:
+def kolchin_polynomial(
+    system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
+) -> NumericalPolynomial:
     """Kolchin polynomial via the Groebner route."""
-    return kolchin_from_leaders(leader_profile(module_groebner(system)))
+    return kolchin_from_leaders(leader_profile(module_groebner(system, gb_step_cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +502,7 @@ def prolongation_dimension(
 def kolchin_via_prolongation(
     system: LinearDiffSystem,
     matrix_cell_cap: int = DEFAULT_MATRIX_CELL_CAP,
+    gb_step_cap: int = DEFAULT_GB_STEP_CAP,
 ) -> NumericalPolynomial:
     """Kolchin polynomial from exact prolongation ranks plus interpolation.
 
@@ -477,7 +516,7 @@ def kolchin_via_prolongation(
     raised.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
-    gb, margin = _groebner_with_margin(system)
+    gb, margin = _groebner_with_margin(system, gb_step_cap)
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
     # low[L][s]: pivots of order <= s after level L
@@ -492,10 +531,14 @@ def kolchin_via_prolongation(
     return interpolate([n * comb(m + t, m) - low[t + margin][t] for t in window], floor, m)
 
 
-def omega_at_least(system: LinearDiffSystem, p: NumericalPolynomial) -> bool:
+def omega_at_least(
+    system: LinearDiffSystem, p: NumericalPolynomial, gb_step_cap: int = DEFAULT_GB_STEP_CAP
+) -> bool:
     """Does the system's Kolchin polynomial eventually dominate p?"""
-    return compare_eventual(kolchin_polynomial(system), p) >= 0
+    return compare_eventual(kolchin_polynomial(system, gb_step_cap), p) >= 0
 
 
-def omega_equals(system: LinearDiffSystem, p: NumericalPolynomial) -> bool:
-    return compare_eventual(kolchin_polynomial(system), p) == 0
+def omega_equals(
+    system: LinearDiffSystem, p: NumericalPolynomial, gb_step_cap: int = DEFAULT_GB_STEP_CAP
+) -> bool:
+    return compare_eventual(kolchin_polynomial(system, gb_step_cap), p) == 0

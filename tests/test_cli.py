@@ -188,7 +188,23 @@ def test_kolchin_check_cell_cap(capsys):
     assert out.splitlines()[-1] == "AGREE"
 
 
-@pytest.mark.parametrize("flag", ["--enum-cap", "--matrix-cell-cap", "--bound-digit-cap"])
+def test_kolchin_gb_step_cap(capsys, monkeypatch):
+    probe4 = str(DATA / "probe4.sys")
+    code, _, err = run(capsys, "kolchin", "--system", probe4, "--gb-step-cap", "5")
+    assert code == 3
+    assert "resource limit" in err and "after 5 S-pair reductions" in err
+    monkeypatch.setenv("KOLCHIN_GB_STEP_CAP", "5")
+    for extra in ([], ["--check"], ["--type"], ["--equals", "0,0,53,-206"]):
+        code, _, err = run(capsys, "kolchin", "--system", probe4, *extra)
+        assert code == 3, extra
+        assert "resource limit" in err
+    code, out, _ = run(capsys, "kolchin", "--system", str(DATA / "heat.sys"), "--check")
+    assert (code, out.splitlines()[-1]) == (0, "AGREE")
+
+
+@pytest.mark.parametrize(
+    "flag", ["--enum-cap", "--matrix-cell-cap", "--gb-step-cap", "--bound-digit-cap"]
+)
 @pytest.mark.parametrize("value", ["0", "-5", "ten"])
 def test_cap_flag_must_be_positive(capsys, flag, value):
     with pytest.raises(SystemExit) as info:
@@ -198,7 +214,9 @@ def test_cap_flag_must_be_positive(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
-    "env", ["KOLCHIN_ENUM_CAP", "KOLCHIN_MATRIX_CELL_CAP", "KOLCHIN_BOUND_MAGNITUDE_CAP"]
+    "env",
+    ["KOLCHIN_ENUM_CAP", "KOLCHIN_MATRIX_CELL_CAP", "KOLCHIN_GB_STEP_CAP",
+     "KOLCHIN_BOUND_MAGNITUDE_CAP"],
 )
 @pytest.mark.parametrize("value", ["0", "-1", "ten"])
 def test_cap_env_must_be_positive(capsys, monkeypatch, env, value):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -174,6 +175,15 @@ def test_stabilisation_level_staircase():
     assert volume(staircase, 9) != omega.evaluate(9)
     for s in range(10, 14):
         assert omega.evaluate(s) == volume(staircase, s) == volume_ie(staircase, s)
+
+
+def test_numerator_on_a_400_step_staircase():
+    # every monomial of order G - 1 in N^2: the shift at each step of the
+    # numerator loop touches one generator, so this stays quadratic in G
+    g = 400
+    staircase = ExponentSet(2, tuple((i, g - 1 - i) for i in range(g)))
+    assert dimension_polynomial(staircase).standard_coeffs == (0, 0, comb(g, 2))
+    assert stabilisation_level(staircase) == g - 2
 
 
 def test_dimension_polynomial_degree_at_most_m():

@@ -2,12 +2,14 @@
 the equations generate, not on how the equations are written down."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from diffdim.diffrank import rank_key  # noqa: E402
 from diffdim.lindiff import LinearDiffSystem, LinearEquation, module_groebner  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=30, deadline=None)
@@ -61,3 +63,89 @@ def test_groebner_unchanged_by_appending_derived_equation(system, data):
     hypothesis.assume(derived)
     eqs = system.equations + (LinearEquation.from_terms(derived),)
     assert module_groebner(with_equations(system, eqs)) == module_groebner(system)
+
+
+# ------------------------------------------------------------------ oracle
+# Textbook Buchberger over Fraction dicts keyed (exponents, unknown): FIFO
+# pairs, no criterion, no rep bookkeeping, nothing shared with lindiff.
+
+
+def _lead(f):
+    return max(f, key=rank_key)
+
+
+def _add_multiple(f, g, theta, c):
+    """f + c * theta * g."""
+    h = dict(f)
+    for (xi, i), v in g.items():
+        key = (tuple(a + b for a, b in zip(xi, theta)), i)
+        h[key] = h.get(key, 0) + c * v
+        if not h[key]:
+            del h[key]
+    return h
+
+
+def _reducer(t, basis):
+    for g in basis:
+        gx, gi = _lead(g)
+        if gi == t[1] and all(a <= b for a, b in zip(gx, t[0])):
+            return g, tuple(b - a for a, b in zip(gx, t[0]))
+    return None
+
+
+def _reduce(f, basis):
+    f, done = dict(f), {}
+    while f:
+        t = _lead(f)
+        hit = _reducer(t, basis)
+        if hit is None:
+            done[t] = f.pop(t)
+        else:
+            g, theta = hit
+            f = _add_multiple(f, g, theta, -f[t] / g[_lead(g)])
+    return done
+
+
+def oracle_basis(system):
+    """The monic reduced basis, as a set of frozen term dicts."""
+    basis = [{(mono.exponents, mono.var_index): c for c, mono in eq.terms}
+             for eq in system.equations]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        f, g = (basis[k] for k in pairs.pop(0))
+        (fx, fi), (gx, gi) = _lead(f), _lead(g)
+        if fi == gi:
+            join = tuple(map(max, fx, gx))
+            s = _add_multiple({}, f, tuple(a - b for a, b in zip(join, fx)), 1 / f[fx, fi])
+            s = _add_multiple(s, g, tuple(a - b for a, b in zip(join, gx)), -1 / g[gx, gi])
+            if s := _reduce(s, basis):
+                pairs += [(k, len(basis)) for k in range(len(basis))]
+                basis.append(s)
+    kept = []
+    for g in sorted(basis, key=lambda g: rank_key(_lead(g))):
+        if _reducer(_lead(g), kept) is None:
+            kept.append(g)
+    reduced = (_reduce(g, [h for h in kept if h is not g]) for g in kept)
+    return {frozenset((k, v / g[_lead(g)]) for k, v in g.items()) for g in reduced}
+
+
+@st.composite
+def small_systems(draw):
+    """m <= 3, n <= 2, order <= 3."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    vectors = [xi for xi in product(range(4), repeat=m) if sum(xi) <= 3]
+    equation = st.dictionaries(
+        st.tuples(st.sampled_from(vectors), st.integers(1, n)), coefficients,
+        min_size=1, max_size=4,
+    ).map(LinearEquation.from_terms)
+    return LinearDiffSystem(m, n, tuple(draw(st.lists(equation, min_size=1, max_size=3))))
+
+
+@SETTINGS
+@hypothesis.given(small_systems())
+def test_groebner_matches_plain_buchberger(system):
+    basis = {
+        frozenset(((mono.exponents, mono.var_index), c) for c, mono in eq.terms)
+        for eq in module_groebner(system).equations
+    }
+    assert basis == oracle_basis(system)

@@ -12,6 +12,7 @@ from diffdim.diffrank import DifferentialMonomial
 from diffdim.errors import DiffdimError, ParseError, ResourceLimit
 from diffdim.expsets import stabilisation_level
 from diffdim.lindiff import (
+    DEFAULT_GB_STEP_CAP,
     DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
     LinearEquation,
@@ -247,13 +248,56 @@ def test_unit_ideal_margin_is_tight():
 def test_understated_margin_fails_the_self_check(monkeypatch, tmp_path, capsys):
     system = parse_system(UNIT_IDEAL)
     gb, _ = _groebner_with_margin(system)
-    monkeypatch.setattr(lindiff, "_groebner_with_margin", lambda _system: (gb, 3))
+    monkeypatch.setattr(lindiff, "_groebner_with_margin", lambda _system, _cap: (gb, 3))
     with pytest.raises(DiffdimError, match="t = 0: 0 pivots .* 1 at margin 4"):
         kolchin_via_prolongation(system)
     path = tmp_path / "unit.sys"
     path.write_text(UNIT_IDEAL)
     assert main(["kolchin", "--system", str(path), "--check"]) == 1
     assert "self-check" in capsys.readouterr().err
+
+
+def test_probe4_both_routes_agree():
+    # m = n = 3, four equations of order 3: completion in FIFO pair order
+    # ran past 60 s of CPU here
+    system = load("probe4.sys")
+    expected = NumericalPolynomial.from_coeffs((0, 0, 53, -206))
+    assert kolchin_polynomial(system) == expected
+    assert kolchin_via_prolongation(system) == expected
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+def test_groebner_step_cap_names_reductions_and_basis(cap):
+    with pytest.raises(
+        ResourceLimit, match=rf"after {cap} S-pair reductions with \d+ basis elements \(cap {cap}\)"
+    ):
+        _groebner_with_margin(load("probe4.sys"), gb_step_cap=cap)
+
+
+HEAT_OMEGA = NumericalPolynomial.from_coeffs((0, 2, -1))
+COMPLETION_ENTRIES = {
+    "_groebner_with_margin": _groebner_with_margin,
+    "module_groebner": module_groebner,
+    "kolchin_polynomial": kolchin_polynomial,
+    "kolchin_via_prolongation": kolchin_via_prolongation,
+    "omega_at_least": lambda system, **cap: omega_at_least(system, HEAT_OMEGA, **cap),
+    "omega_equals": lambda system, **cap: omega_equals(system, HEAT_OMEGA, **cap),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COMPLETION_ENTRIES))
+def test_completion_entries_take_the_step_cap(entry):
+    heat = load("heat.sys")
+    assert COMPLETION_ENTRIES[entry](heat, gb_step_cap=DEFAULT_GB_STEP_CAP)
+    with pytest.raises(ResourceLimit, match="S-pair reductions"):
+        COMPLETION_ENTRIES[entry](load("probe4.sys"), gb_step_cap=1)
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])
+@pytest.mark.parametrize("entry", sorted(COMPLETION_ENTRIES))
+def test_completion_entries_reject_step_cap_that_is_not_positive_int(entry, cap):
+    with pytest.raises(ValueError, match="gb_step_cap"):
+        COMPLETION_ENTRIES[entry](load("heat.sys"), gb_step_cap=cap)
 
 
 def test_groebner_handles_redundant_equations():
