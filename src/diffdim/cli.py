@@ -174,11 +174,13 @@ def _cmd_volume(args):
     v = expsets.volume(exp_set, args.s, enumeration_cap=args.enum_cap)
     w = expsets._numerator_volume(exp_set, args.s)
     if args.fmt == "json":
-        print(json.dumps({"s": args.s, "volume": v, "numerator": w}))
+        print(json.dumps({"s": args.s, "volume": v, "numerator": w, "agree": v == w}))
     else:
         print(f"volume = {v}")
         print(f"numerator = {w}")
-    return EXIT_OK
+        if v != w:
+            print("DISAGREE")
+    return EXIT_OK if v == w else EXIT_DOMAIN
 
 
 def _cmd_bounds(args):
@@ -222,10 +224,9 @@ def _cmd_omega_leaders(args):
 def _cmd_kolchin(args):
     system = lindiff.parse_system(_read(args.system))
     if args.check:
-        via_gb = lindiff.kolchin_polynomial(system, gb_step_cap=args.gb_step_cap)
-        via_ranks = lindiff.kolchin_via_prolongation(
-            system, matrix_cell_cap=args.matrix_cell_cap, gb_step_cap=args.gb_step_cap
-        )
+        gb, margin = lindiff._groebner_with_margin(system, args.gb_step_cap)
+        via_gb = diffrank.kolchin_from_leaders(lindiff.leader_profile(gb))
+        via_ranks = lindiff._prolongation_polynomial(system, gb, margin, args.matrix_cell_cap)
         agree = via_gb == via_ranks
         if args.fmt == "json":
             print(json.dumps({

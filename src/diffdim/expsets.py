@@ -81,29 +81,16 @@ def minimal_elements(exp_set: ExponentSet) -> ExponentSet:
     return ExponentSet(exp_set.m, exp_set._antichain)
 
 
-def _lattice_points(m: int, s: int) -> np.ndarray:
-    """All vectors in N^m with entry sum <= s, one per row."""
-    pts = np.arange(s + 1, dtype=np.int64).reshape(-1, 1)
-    for _ in range(m - 1):
-        sums = pts.sum(axis=1)
-        order = np.argsort(sums, kind="stable")
-        pts = pts[order]
-        sums = sums[order]
-        blocks = []
-        for k in range(s + 1):
-            take = int(np.searchsorted(sums, s - k, side="right"))
-            blocks.append(
-                np.hstack([np.full((take, 1), k, dtype=np.int64), pts[:take]])
-            )
-        pts = np.vstack(blocks)
-    return pts
-
-
 def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Count points of order <= s lying outside the upward closure.
 
-    Enumerates every candidate point, so the candidate count binom(s+m, m)
-    is checked against ``enumeration_cap`` first.
+    Counts by fibres over the first m - 1 coordinates.  Over a prefix p
+    with |p| <= s, the point (p, t) lies outside the closure exactly when
+    t < min{g_m : g[:m-1] <= p} and t <= s - |p|, so its fibre holds
+    min(s - |p| + 1, that minimum) outside points; a generator of order
+    above s lowers no fibre.  Only the binom(s+m-1, m-1) prefixes are
+    enumerated, but the cap still bounds the binom(s+m, m) candidate
+    points, and is checked first.
     """
     if s < 0:
         raise ValueError("order cutoff must be non-negative")
@@ -115,10 +102,22 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
             f"volume enumeration needs {candidates} candidates "
             f"(cap {enumeration_cap})"
         )
-    pts = _lattice_points(m, s)
-    outside = np.ones(len(pts), dtype=bool)
-    for g in exp_set.generators:
-        outside &= ~(pts >= np.asarray(g, dtype=np.int64)).all(axis=1)
+    # prefixes[j] holds coordinate j of every prefix; room is s - |p|
+    prefixes = np.empty((0, 1), dtype=np.int64)
+    room = np.array([s], dtype=np.int64)
+    for _ in range(m - 1):
+        counts = room + 1
+        entry = np.arange(counts.sum(), dtype=np.int64)
+        entry -= np.repeat(np.cumsum(counts) - counts, counts)
+        prefixes = np.vstack([np.repeat(prefixes, counts, axis=1), entry])
+        room = np.repeat(room, counts) - entry
+    outside = room + 1
+    for g in exp_set._antichain:
+        if sum(g) <= s:
+            below = True
+            for column, e in zip(prefixes, g):
+                below = below & (column >= e)
+            np.minimum(outside, g[-1], out=outside, where=below)
     return int(outside.sum())
 
 

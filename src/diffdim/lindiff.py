@@ -517,6 +517,14 @@ def kolchin_via_prolongation(
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
     gb, margin = _groebner_with_margin(system, gb_step_cap)
+    return _prolongation_polynomial(system, gb, margin, matrix_cell_cap)
+
+
+def _prolongation_polynomial(
+    system: LinearDiffSystem, gb: LinearDiffSystem, margin: int, matrix_cell_cap: int
+) -> NumericalPolynomial:
+    """``kolchin_via_prolongation`` from a completion already made: ``gb`` and
+    ``margin`` as ``_groebner_with_margin`` returns them for ``system``."""
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
     # low[L][s]: pivots of order <= s after level L

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from diffdim import from_json_dict
+from diffdim import expsets, from_json_dict, lindiff
 from diffdim.cli import main
 from diffdim.numpoly import NumericalPolynomial
 
@@ -56,7 +56,19 @@ def test_volume_json(capsys, heat_leaders):
         capsys, "volume", "--format", "json", "--file", heat_leaders, "--s", "3"
     )
     assert code == 0
-    assert json.loads(out) == {"s": 3, "volume": 7, "numerator": 7}
+    assert json.loads(out) == {"s": 3, "volume": 7, "numerator": 7, "agree": True}
+
+
+def test_volume_disagreement_exits_1(capsys, heat_leaders, monkeypatch):
+    monkeypatch.setattr(expsets, "_numerator_volume", lambda _exp_set, s: s)
+    code, out, _ = run(capsys, "volume", "--file", heat_leaders, "--s", "3")
+    assert code == 1
+    assert out.splitlines() == ["volume = 7", "numerator = 3", "DISAGREE"]
+    code, out, _ = run(
+        capsys, "volume", "--format", "json", "--file", heat_leaders, "--s", "3"
+    )
+    assert code == 1
+    assert json.loads(out) == {"s": 3, "volume": 7, "numerator": 3, "agree": False}
 
 
 def test_volume_on_a_long_staircase(capsys, tmp_path):
@@ -158,6 +170,22 @@ def test_kolchin_check_agrees(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "AGREE"
+
+
+def test_kolchin_check_runs_completion_once(capsys, monkeypatch):
+    completions = []
+    complete = lindiff._groebner_with_margin
+
+    def counted(system, gb_step_cap):
+        completions.append(system)
+        return complete(system, gb_step_cap)
+
+    monkeypatch.setattr(lindiff, "_groebner_with_margin", counted)
+    for name in ("heat.sys", "laplace.sys", "cauchy_riemann.sys"):
+        completions.clear()
+        code, out, _ = run(capsys, "kolchin", "--system", str(DATA / name), "--check")
+        assert (code, out.splitlines()[-1]) == (0, "AGREE")
+        assert len(completions) == 1, name
 
 
 def test_kolchin_check_json(capsys):

@@ -7,6 +7,7 @@ import pytest
 from diffdim.errors import ParseError, ResourceLimit
 from diffdim.expsets import (
     ExponentSet,
+    _numerator_volume,
     dimension_polynomial,
     minimal_elements,
     parse_exponent_set,
@@ -96,6 +97,25 @@ def test_volume_respects_cap():
 def test_volume_rejects_cap_that_is_not_positive_int(cap):
     with pytest.raises(ValueError, match="enumeration_cap"):
         volume(ExponentSet(2, ((1, 1),)), 3, enumeration_cap=cap)
+
+
+@pytest.mark.parametrize("m, s", [(1, 9), (2, 6), (3, 10), (4, 4)])
+def test_enumeration_cap_counts_order_s_candidates(m, s):
+    # the cap bounds the binom(s+m, m) points of order <= s, not the
+    # fewer prefixes the fibre count walks
+    exp_set = ExponentSet(m, ((1,) * m,))
+    candidates = comb(s + m, m)
+    assert volume(exp_set, s, enumeration_cap=candidates) == brute_volume(exp_set.generators, m, s)
+    with pytest.raises(ResourceLimit, match=rf"needs {candidates} candidates \(cap {candidates - 1}\)"):
+        volume(exp_set, s, enumeration_cap=candidates - 1)
+
+
+def test_volume_on_a_3_variable_staircase_at_s_150():
+    # 585,276 candidate points, too many for brute force in a unit test, so
+    # the Hilbert numerator gives the second count; over the prefixes
+    # (a, 0) with a >= 12 the fibres run up to order 150
+    exp_set = ExponentSet(3, tuple((i, 12 - i, 6 * (i % 3)) for i in range(12)))
+    assert volume(exp_set, 150) == _numerator_volume(exp_set, 150) == 23429
 
 
 def test_volume_routes_agree_randomly():
