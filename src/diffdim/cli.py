@@ -173,14 +173,15 @@ def _cmd_volume(args):
     exp_set = expsets.parse_exponent_set(_read(args.file), m=args.m)
     v = expsets.volume(exp_set, args.s, enumeration_cap=args.enum_cap)
     w = expsets._numerator_volume(exp_set, args.s)
+    agree = v == w
     if args.fmt == "json":
-        print(json.dumps({"s": args.s, "volume": v, "numerator": w, "agree": v == w}))
+        print(json.dumps({"s": args.s, "volume": v, "numerator": w, "agree": agree}))
     else:
         print(f"volume = {v}")
         print(f"numerator = {w}")
-        if v != w:
+        if not agree:
             print("DISAGREE")
-    return EXIT_OK if v == w else EXIT_DOMAIN
+    return EXIT_OK if agree else EXIT_DOMAIN
 
 
 def _cmd_bounds(args):
