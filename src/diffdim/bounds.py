@@ -3,8 +3,9 @@
 Everything here is a worst-case estimate: the order of a characteristic
 set, the level where a dimension count becomes polynomial, and the level
 where eventual comparison of two bounded polynomials is already decided.
-The numbers grow fast, so evaluation is guarded by a digit cap and a step
-budget instead of being allowed to spin forever.
+The numbers grow fast, so evaluation is guarded by a digit cap and by the
+fixed step budget DEFAULT_STEP_BUDGET instead of being allowed to spin
+forever.
 """
 
 from __future__ import annotations
@@ -33,22 +34,12 @@ def _brief(value: int) -> str:
     return f"a {value.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 1}-digit number"
 
 
-def _check_caps(digit_cap, step_budget) -> None:
-    check_cap("digit_cap", digit_cap)
-    check_cap("step_budget", step_budget)
-
-
 def _guard_digits(value: int, digit_cap: int, what: str):
     if value.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN > digit_cap:
         raise ResourceLimit(f"{what} exceeds {digit_cap} decimal digits")
 
 
-def ackermann(
-    i: int,
-    x: int,
-    digit_cap: int = DEFAULT_DIGIT_CAP,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> int:
+def ackermann(i: int, x: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """The two-argument Ackermann function A(i, x).
 
     Conventions: A(0, x) = x + 1, A(i+1, 0) = A(i, 1), and
@@ -56,20 +47,19 @@ def ackermann(
     their closed forms (x+1, x+2, 2x+3, 2^(x+3) - 3); above that the
     definition is unwound on an explicit stack.  Raises ResourceLimit when
     a value would exceed ``digit_cap`` decimal digits or the unwinding
-    exceeds ``step_budget`` steps.
+    exceeds DEFAULT_STEP_BUDGET steps.
     """
     if i < 0 or x < 0:
         raise ValueError("Ackermann arguments must be non-negative")
-    _check_caps(digit_cap, step_budget)
+    check_cap("digit_cap", digit_cap)
+    budget = DEFAULT_STEP_BUDGET
     stack = [i]
     value = x
     steps = 0
     while stack:
         steps += 1
-        if steps > step_budget:
-            raise ResourceLimit(
-                f"ackermann({i}, {x}) exceeded {step_budget} evaluation steps"
-            )
+        if steps > budget:
+            raise ResourceLimit(f"ackermann({i}, {x}) exceeded {budget} evaluation steps")
         row = stack.pop()
         if row == 0:
             value += 1
@@ -96,35 +86,31 @@ def ackermann(
     return value
 
 
-def char_order_bound(
-    r: int,
-    m: int,
-    n: int,
-    digit_cap: int = DEFAULT_DIGIT_CAP,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> int:
+def char_order_bound(r: int, m: int, n: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """Worst-case order bound C for characteristic sets.
 
     Defined by iteration: one pass sends r to the r-fold application of
     A(m - 1, .) to 0, and the pass itself is applied n times.  Known
     specialisations: C = r when m = 1, C = 2^n * r when m = 2, and
-    C = 3*(2^r - 1) when m = 3, n = 1.
+    C = 3*(2^r - 1) when m = 3, n = 1.  Raises ResourceLimit when a pass
+    needs more than DEFAULT_STEP_BUDGET Ackermann iterations.
     """
     if m < 1 or n < 1:
         raise ValueError("need at least one derivation and one unknown")
     if r < 0:
         raise ValueError("order bound must be non-negative")
-    _check_caps(digit_cap, step_budget)
+    check_cap("digit_cap", digit_cap)
+    budget = DEFAULT_STEP_BUDGET
     value = r
     for _ in range(n):
-        if value > step_budget:
+        if value > budget:
             raise ResourceLimit(
                 f"characteristic order bound needs {_brief(value)} Ackermann "
-                f"iterations (budget {step_budget})"
+                f"iterations (budget {budget})"
             )
         t = 0
         for _ in range(value):
-            t = ackermann(m - 1, t, digit_cap=digit_cap, step_budget=step_budget)
+            t = ackermann(m - 1, t, digit_cap=digit_cap)
         value = t
     return value
 
@@ -137,20 +123,14 @@ def _order_sum_bound(c: int, m: int, digit_cap: int) -> int:
     return d
 
 
-def regularity_bound(
-    r: int,
-    m: int,
-    n: int,
-    digit_cap: int = DEFAULT_DIGIT_CAP,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> int:
+def regularity_bound(r: int, m: int, n: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
     """Level past which the dimension count is already polynomial.
 
     Equals max(0, m*D - m) with D the order sum bound derived from the
     characteristic order bound; for a single derivation this collapses
     to r - 1.
     """
-    c = char_order_bound(r, m, n, digit_cap=digit_cap, step_budget=step_budget)
+    c = char_order_bound(r, m, n, digit_cap=digit_cap)
     d = _order_sum_bound(c, m, digit_cap)
     return max(0, m * d - m)
 
@@ -174,20 +154,13 @@ class BoundReport:
     coeff_bound: int
 
 
-def bound_report(
-    r: int,
-    m: int,
-    n: int,
-    *,
-    digit_cap: int = DEFAULT_DIGIT_CAP,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> BoundReport:
+def bound_report(r: int, m: int, n: int, *, digit_cap: int = DEFAULT_DIGIT_CAP) -> BoundReport:
     """Compute every bound for the given shape of system.
 
     The comparison level is n * 2^(m+1) * m! * D^m + 1 and the coefficient
     bound is n * D^m, with D the order sum bound.
     """
-    c = char_order_bound(r, m, n, digit_cap=digit_cap, step_budget=step_budget)
+    c = char_order_bound(r, m, n, digit_cap=digit_cap)
     big_d = _order_sum_bound(c, m, digit_cap)
     if big_d > 1 and big_d.bit_length() * m * _LOG10_2_NUM // _LOG10_2_DEN > digit_cap:
         raise ResourceLimit(

@@ -3,10 +3,12 @@
 An exponent set stands for the upward closure of its generators under the
 componentwise order.  The points *outside* the closure of order at most s
 are counted by the volume function.  One recursion computes the Hilbert
-numerator N(z), with sum_{xi outside the closure} z^|xi| = N(z) / (1 - z)^m.
-The count at s is sum_{k <= s} N_k * binom(s - k + m, m); the Kolchin
-polynomial is that sum over every k, each binomial read as a polynomial in
-s; the two agree from stabilisation_level on.
+numerator N(z), with sum_{xi outside the closure} z^|xi| = N(z) / (1 - z)^m,
+kept sparse as its nonzero terms, so a generator entry of 10^9 costs one
+term and not 10^9.  The count at s is sum_{k <= s} N_k * binom(s - k + m, m);
+the Kolchin polynomial is that sum over every k, each binomial read as a
+polynomial in s; the two agree from stabilisation_level = max(0, deg N - m)
+on.
 """
 
 from __future__ import annotations
@@ -160,22 +162,15 @@ def dimension_polynomial(exp_set: ExponentSet) -> NumericalPolynomial:
     """
     m = exp_set.m
     num = _numerator(m, exp_set._antichain)
-    coeffs = (
-        (-1) ** j * sum(c * comb(k, j) for k, c in enumerate(num)) for j in range(m + 1)
-    )
+    coeffs = ((-1) ** j * sum(c * comb(k, j) for k, c in num) for j in range(m + 1))
     return NumericalPolynomial(m, tuple(coeffs))
 
 
-def _add_shifted(total: list[int], poly: tuple[int, ...], shift: int, sign: int) -> None:
-    """total += sign * z^shift * poly, growing total as needed."""
-    total.extend([0] * (shift + len(poly) - len(total)))
-    for k, c in enumerate(poly):
-        total[shift + k] += sign * c
-
-
 @functools.lru_cache(maxsize=4096)
-def _numerator(m: int, gens: tuple[ExponentVector, ...]) -> tuple[int, ...]:
-    """Hilbert numerator of the complement of the antichain's closure.
+def _numerator(m: int, gens: tuple[ExponentVector, ...]) -> tuple[tuple[int, int], ...]:
+    """Hilbert numerator of the complement of the antichain's closure, as
+    its (degree, coefficient) pairs with nonzero coefficient, in increasing
+    degree; the empty tuple is N = 0.
 
     Splits on a pivot coordinate j, with d the least positive j-th entry:
     the points with xi_j < d are d layers over the complement of the
@@ -190,23 +185,22 @@ def _numerator(m: int, gens: tuple[ExponentVector, ...]) -> tuple[int, ...]:
     when its j-th entry fell from d to 0; those fallen generators stay
     pairwise incomparable, so the shift only drops what they dominate.
     """
-    total: list[int] = []
+    total: dict[int, int] = {}
     shift = 0
     while gens and (0,) * m not in gens:
         j = max(i for i, e in enumerate(gens[0]) if e)  # gens[0] is lexicographically least
         d = min(g[j] for g in gens if g[j])
         section = _numerator(m - 1, tuple(g[:j] + g[j + 1:] for g in gens if not g[j]))
-        _add_shifted(total, section, shift, 1)
-        _add_shifted(total, section, shift + d, -1)
+        for k, c in section:
+            total[shift + k] = total.get(shift + k, 0) + c
+            total[shift + d + k] = total.get(shift + d + k, 0) - c
         shift += d
         fallen = [g[:j] + (0,) + g[j + 1:] for g in gens if g[j] == d]
         rest = (g[:j] + (max(g[j] - d, 0),) + g[j + 1:] for g in gens if g[j] != d)
         gens = tuple(sorted(fallen + [g for g in rest if not any(dominates(g, f) for f in fallen)]))
     if not gens:
-        _add_shifted(total, (1,), shift, 1)
-    while total and total[-1] == 0:
-        total.pop()
-    return tuple(total)
+        total[shift] = total.get(shift, 0) + 1
+    return tuple(sorted((k, c) for k, c in total.items() if c))
 
 
 def _numerator_volume(exp_set: ExponentSet, s: int) -> int:
@@ -214,24 +208,22 @@ def _numerator_volume(exp_set: ExponentSet, s: int) -> int:
     sum_{k <= s} N_k * binom(s - k + m, m)."""
     m = exp_set.m
     num = _numerator(m, exp_set._antichain)
-    return sum(c * comb(s - k + m, m) for k, c in enumerate(num[: s + 1]))
+    return sum(c * comb(s - k + m, m) for k, c in num if k <= s)
 
 
 def stabilisation_level(exp_set: ExponentSet) -> int:
     """The least L >= 0 with volume(exp_set, s) equal to the Kolchin
-    polynomial at s for every s >= L.
+    polynomial at s for every s >= L; it is max(0, deg N - m), and 0 when
+    N = 0.
 
     The polynomial minus the count at s is
     (-1)^m * sum_{k > s} N_k * binom(k - s - 1, m), whose terms vanish once
-    k <= s + m, so every s >= deg N - m agrees; below that the level walks
-    down while the difference stays zero.
+    k <= s + m, so every s >= deg N - m agrees.  At s = deg N - m - 1 only
+    k = deg N is left, with binom(m, m) = 1, so the difference there is
+    +-N_top, which is not zero.
     """
-    m = exp_set.m
-    num = _numerator(m, exp_set._antichain)
-    level = max(0, len(num) - 1 - m)
-    while level > 0 and not sum(c * comb(i, m) for i, c in enumerate(num[level:])):
-        level -= 1
-    return level
+    num = _numerator(exp_set.m, exp_set._antichain)
+    return max(0, num[-1][0] - exp_set.m) if num else 0
 
 
 def stability_bound(exp_set: ExponentSet) -> int:

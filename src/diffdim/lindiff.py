@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import add, le, neg, sub
 
@@ -421,34 +421,39 @@ def _exponents_of_order(m: int, k: int) -> list[ExponentVector]:
     ]
 
 
-def _pivot_orders(system: LinearDiffSystem, matrix_cell_cap: int):
-    """Grow one echelon form of the prolongation rows, level by level.
+def _pivot_orders(
+    system: LinearDiffSystem, top: int, matrix_cell_cap: int
+) -> list[tuple[int, ...]]:
+    """One echelon form of the prolongation rows, built level by level up
+    to level ``top``.
 
     Level L adds the rows theta * equation with ord(theta) + ord(equation)
     == L.  Rows are sparse integer dicts keyed by ``rank_key``, so a row's
     pivot is its highest-ranked derivative; each new row is reduced once,
     fraction-free with gcd content removal, against the pivot rows so far.
     The pivot set is the set of leading derivatives of the row span: it does
-    not depend on row order and only grows with L.  After level L this
-    yields ``low`` with ``low[s]`` the number of pivots of order <= s.
+    not depend on row order and only grows with L.  Returns ``low`` with
+    ``low[L][s]`` the number of pivots of order <= s after level L, for L
+    in range(top + 1).
 
-    Raises ResourceLimit before building a level whose cumulative rows times
-    its n * C(m + L, m) columns exceed ``matrix_cell_cap``.
+    The cap is checked once, at ``top``, before level 0 is built: raises
+    ResourceLimit when level top's cumulative rows times its n * C(m + top, m)
+    columns exceed ``matrix_cell_cap``.  Cells never decrease with the level,
+    so no lower level can exceed the cap when level top does not.
     """
     m, n = system.m, system.n
     equations = [(eq.order, _integer_row(eq)) for eq in system.equations]
+    rows = sum(comb(top - d + m, m) for d, _ in equations if d <= top)
+    cells = rows * n * comb(m + top, m)
+    if cells > matrix_cell_cap:
+        raise ResourceLimit(
+            f"prolongation matrix at level {top} would hold {cells} cells "
+            f"(cap {matrix_cell_cap})"
+        )
     pivots: dict[tuple[int, ...], dict] = {}
     by_order: list[int] = []
-    rows = 0
-    level = 0
-    while True:
-        rows += sum(comb(level - d + m - 1, m - 1) for d, _ in equations if d <= level)
-        cells = rows * n * comb(m + level, m)
-        if cells > matrix_cell_cap:
-            raise ResourceLimit(
-                f"prolongation matrix would hold {cells} cells "
-                f"(cap {matrix_cell_cap})"
-            )
+    low = []
+    for level in range(top + 1):
         by_order.append(0)
         new_rows = (
             {_shift(key, level - d, th): c for key, c in eq_row.items()}
@@ -475,8 +480,8 @@ def _pivot_orders(system: LinearDiffSystem, matrix_cell_cap: int):
                         row[k] = v
                     else:
                         del row[k]
-        yield tuple(accumulate(by_order))
-        level += 1
+        low.append(tuple(accumulate(by_order)))
+    return low
 
 
 def prolongation_dimension(
@@ -495,7 +500,7 @@ def prolongation_dimension(
     if s < 0 or margin < 0:
         raise ValueError("level and margin must be non-negative")
     check_cap("matrix_cell_cap", matrix_cell_cap)
-    low = next(islice(_pivot_orders(system, matrix_cell_cap), s + margin, None))
+    low = _pivot_orders(system, s + margin, matrix_cell_cap)[-1]
     return system.n * comb(system.m + s, system.m) - low[s]
 
 
@@ -511,7 +516,7 @@ def kolchin_via_prolongation(
     leader complements count polynomially from ``floor``, the largest
     ``stabilisation_level`` of the leader sets.  So the m + 1 values on the
     fixed window [floor, floor + m] give the polynomial, read from one
-    echelon form grown to level floor + m + margin + 1; no other window is
+    echelon form built to level floor + m + margin + 1; no other window is
     tried.  Each value must be the same at margin + 1, or DiffdimError is
     raised.
     """
@@ -528,7 +533,7 @@ def _prolongation_polynomial(
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
     # low[L][s]: pivots of order <= s after level L
-    low = list(islice(_pivot_orders(system, matrix_cell_cap), floor + m + margin + 2))
+    low = _pivot_orders(system, floor + m + margin + 1, matrix_cell_cap)
     window = range(floor, floor + m + 1)
     for t in window:
         if low[t + margin][t] != low[t + margin + 1][t]:

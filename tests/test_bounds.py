@@ -1,5 +1,6 @@
 import pytest
 
+from diffdim import bounds
 from diffdim.bounds import (
     ackermann,
     bound_report,
@@ -166,10 +167,11 @@ def test_bounds_monotone_in_order():
         previous = current
 
 
-def test_step_budget_guard():
+def test_step_budget_guard(monkeypatch):
     # forcing a tiny budget trips the iteration count check
+    monkeypatch.setattr(bounds, "DEFAULT_STEP_BUDGET", 10)
     with pytest.raises(ResourceLimit):
-        char_order_bound(12, 2, 3, step_budget=10)
+        char_order_bound(12, 2, 3)
 
 
 BOUND_CALLS = {
@@ -180,7 +182,7 @@ BOUND_CALLS = {
 }
 
 
-@pytest.mark.parametrize("cap", ["digit_cap", "step_budget"])
+@pytest.mark.parametrize("cap", ["digit_cap"])
 @pytest.mark.parametrize("value", [0, -1, 2.5, True])
 @pytest.mark.parametrize("name", sorted(BOUND_CALLS))
 def test_caps_must_be_positive_integers(name, value, cap):

@@ -216,6 +216,29 @@ def test_kolchin_check_cell_cap(capsys):
     assert out.splitlines()[-1] == "AGREE"
 
 
+BIG_EXPONENT = "m = 2\nn = 1\neq: d[1000000000,0]x1 + d[0,3]x1\n"
+
+
+def test_kolchin_on_a_big_exponent(capsys, tmp_path):
+    # the Hilbert numerator of the leader set holds two terms, not 10^9
+    path = tmp_path / "big.sys"
+    path.write_text(BIG_EXPONENT)
+    code, out, _ = run(capsys, "kolchin", "--system", str(path))
+    assert code == 0
+    assert out.splitlines()[1] == "standard coefficients: [0, 1000000000, -499999999500000000]"
+
+
+def test_kolchin_check_on_a_big_exponent_stops_at_the_stated_level(capsys, tmp_path):
+    # the prolongation route would read level floor + m + margin + 1 = 10^9 + 1;
+    # the cell cap is checked there before level 0 is built, not after 10^9
+    # empty levels
+    path = tmp_path / "big.sys"
+    path.write_text(BIG_EXPONENT)
+    code, _, err = run(capsys, "kolchin", "--system", str(path), "--check")
+    assert code == 3
+    assert "prolongation matrix at level 1000000001 would hold" in err
+
+
 def test_kolchin_gb_step_cap(capsys, monkeypatch):
     probe4 = str(DATA / "probe4.sys")
     code, _, err = run(capsys, "kolchin", "--system", probe4, "--gb-step-cap", "5")

@@ -206,6 +206,13 @@ def test_numerator_on_a_400_step_staircase():
     assert stabilisation_level(staircase) == g - 2
 
 
+def test_a_big_exponent_costs_one_numerator_term():
+    # the numerator is sparse: an entry of 10^9 adds a term, not 10^9 of them
+    exp_set = ExponentSet(2, ((10**9, 1), (0, 3)))
+    assert dimension_polynomial(exp_set).standard_coeffs == (0, 1, 2 * 10**9)
+    assert stabilisation_level(exp_set) == 10**9 + 1
+
+
 def test_dimension_polynomial_degree_at_most_m():
     rng = random.Random(31)
     for _ in range(40):

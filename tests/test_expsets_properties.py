@@ -1,13 +1,21 @@
 """Property tests: the fibre count of ``volume`` equals a plain count over
-every lattice point, and the count read off the Hilbert numerator equals
-the fibre count."""
+every lattice point, the count read off the Hilbert numerator equals the
+fibre count, and the polynomial meets the fibre count exactly from
+``stabilisation_level`` on."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from diffdim.expsets import ExponentSet, _numerator_volume, volume  # noqa: E402
+from diffdim.expsets import (  # noqa: E402
+    ExponentSet,
+    _numerator,
+    _numerator_volume,
+    dimension_polynomial,
+    stabilisation_level,
+    volume,
+)
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
 
@@ -57,3 +65,23 @@ raw_sets = st.integers(1, 4).flatmap(
 @hypothesis.example(ExponentSet(2, ((10**30, 0), (1, 10**30), (2, 2))), 10)
 def test_volume_equals_brute_force_count(exp_set, s):
     assert volume(exp_set, s) == brute_volume(exp_set, s)
+
+
+@SETTINGS
+@hypothesis.given(raw_sets)
+@hypothesis.example(ExponentSet(3, ()))
+@hypothesis.example(ExponentSet(2, ((0, 0), (3, 1))))
+@hypothesis.example(ExponentSet(2, ((1, 3), (1, 3), (2, 5), (0, 4))))
+def test_polynomial_meets_volume_exactly_from_the_level(exp_set):
+    # the level is stated, not searched; check it against the fibre count,
+    # which does not read the numerator
+    m = exp_set.m
+    num = _numerator(m, exp_set._antichain)
+    assert all(c for _, c in num)
+    assert all(a < b for (a, _), (b, _) in zip(num, num[1:]))
+    poly = dimension_polynomial(exp_set)
+    level = stabilisation_level(exp_set)
+    for s in range(level, level + m + 2):
+        assert poly.evaluate(s) == volume(exp_set, s), s
+    if level > 0:
+        assert poly.evaluate(level - 1) != volume(exp_set, level - 1)
