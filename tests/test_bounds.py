@@ -188,3 +188,27 @@ BOUND_CALLS = {
 def test_caps_must_be_positive_integers(name, value, cap):
     with pytest.raises(ValueError, match=cap):
         BOUND_CALLS[name](**{cap: value})
+
+
+BUDGET_CALLS = {
+    # each needs more than one step of DEFAULT_STEP_BUDGET
+    "ackermann": lambda: ackermann(4, 0),
+    "char_order_bound": lambda: char_order_bound(2, 2, 1),
+    "regularity_bound": lambda: regularity_bound(2, 2, 1),
+    "bound_report": lambda: bound_report(2, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CALLS))
+def test_step_budget_is_read_at_call_time(name, monkeypatch):
+    BUDGET_CALLS[name]()
+    monkeypatch.setattr(bounds, "DEFAULT_STEP_BUDGET", 1)
+    with pytest.raises(ResourceLimit, match=r"exceeded 1 evaluation steps|budget 1\)"):
+        BUDGET_CALLS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CALLS))
+def test_step_budget_keyword_is_rejected(name):
+    # the budget is no longer a per-call option; an old call fails loudly
+    with pytest.raises(TypeError, match="step_budget"):
+        BOUND_CALLS[name](step_budget=10)

@@ -402,6 +402,26 @@ def test_prolongation_respects_cell_cap():
         prolongation_dimension(system, 30, 0, matrix_cell_cap=100)
 
 
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.sys")))
+def test_pivot_orders_checks_the_cell_cap_once_at_the_stated_top(name, monkeypatch):
+    # the cap is met exactly by level top's rows times its columns, and a
+    # cap one short raises before level 0 is built
+    system, top = load(name), 4
+    m, n = system.m, system.n
+    rows = sum(comb(top - eq.order + m, m) for eq in system.equations if eq.order <= top)
+    cells = rows * n * comb(m + top, m)
+    low = _pivot_orders(system, top, cells)
+    assert len(low) == top + 1
+    assert low == _pivot_orders(system, top + 2, DEFAULT_MATRIX_CELL_CAP)[: top + 1]
+
+    def no_level_is_built(m, k):
+        raise AssertionError("a level was built past the cap")
+
+    monkeypatch.setattr(lindiff, "_exponents_of_order", no_level_is_built)
+    with pytest.raises(ResourceLimit, match=rf"level {top} would hold {cells} cells"):
+        _pivot_orders(system, top, cells - 1)
+
+
 @pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])
 def test_prolongation_dimension_rejects_cap_that_is_not_positive_int(cap):
     with pytest.raises(ValueError, match="matrix_cell_cap"):
