@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import chain
 from math import comb, gcd, lcm
 from operator import add, le, neg, sub
 
@@ -413,62 +413,80 @@ def kolchin_polynomial(
 # prolongation matrices
 
 
-def _exponents_of_order(m: int, k: int) -> list[ExponentVector]:
-    if m == 1:
-        return [(k,)]
-    return [
-        (j,) + rest for j in range(k + 1) for rest in _exponents_of_order(m - 1, k - j)
-    ]
-
-
 def _pivot_orders(
     system: LinearDiffSystem, top: int, matrix_cell_cap: int
-) -> list[tuple[int, ...]]:
+) -> list[tuple[int, int]]:
     """One echelon form of the prolongation rows, built level by level up
-    to level ``top``.
+    to level ``top``.  Returns one (level, order) pair per pivot, in the
+    order the pivots were made.
 
-    Level L adds the rows theta * equation with ord(theta) + ord(equation)
-    == L.  Rows are sparse integer dicts keyed by ``rank_key``, so a row's
-    pivot is its highest-ranked derivative; each new row is reduced once,
-    fraction-free with gcd content removal, against the pivot rows so far.
-    The pivot set is the set of leading derivatives of the row span: it does
-    not depend on row order and only grows with L.  Returns ``low`` with
-    ``low[L][s]`` the number of pivots of order <= s after level L, for L
-    in range(top + 1).
+    Level L spans the rows theta * equation with ord(theta) + ord(equation)
+    == L, but builds them from the level below: this is F4's Simplify
+    (Faugere 1999) with Janet's choice of parent (Gerdt and Blinkov 1998).
+    Level L starts with the equations of order L, unshifted.  Then each row
+    of level L - 1 that did not reduce to zero adds d_j of its reduced row
+    for every j >= k, where k (``first``) is the index that row was built
+    with and an equation's own row has k = 0; a row that reduced to zero
+    has no children.  Rows are sparse integer dicts keyed by ``rank_key``, so a
+    row's pivot is its highest-ranked derivative; each new row is reduced
+    once, fraction-free with gcd content removal, against the pivot rows so
+    far, and what is left is the new pivot row.  The pivot set is the set of
+    leading derivatives of the row span: it does not depend on row order
+    and only grows with L.  So the pivots of order <= s after level L are
+    the pairs with level <= L and order <= s.
 
-    The cap is checked once, at ``top``, before level 0 is built: raises
-    ResourceLimit when level top's cumulative rows times its n * C(m + top, m)
-    columns exceed ``matrix_cell_cap``.  Cells never decrease with the level,
-    so no lower level can exceed the cap when level top does not.
+    The rows built span all rows.  Let S_L be the span of all rows up to
+    level L and T_L that of the rows built; T_L is in S_L.  Suppose
+    T_{L-1} = S_{L-1}.  Then S_L = S_{L-1} + sum_j d_j S_{L-1} + (equations
+    of order L), and d_j of a pivot from level <= L - 2 lies in S_{L-1}, so
+    it suffices that d_j q is in T_L for every pivot q new at level L - 1.
+    Induct on j downwards, then on q's position within its level.  An
+    equation's own row has every d_j built.  Otherwise q = c * d_k r - v,
+    where r is its parent's reduced row and v combines the pivots that
+    existed when q was reduced.  If j >= k, d_j q is itself a built row.  If
+    j < k, d_j q = c * d_k (d_j r) - d_j v.  d_j r lies in S_{L-1}, which
+    the pivots up to level L - 1 span, so its d_k is covered by the outer
+    induction (k > j); d_j v is covered by the inner one, since v uses
+    earlier pivots.
+
+    The cap is checked once, at ``top``, before any row is built: raises
+    ResourceLimit when the rows theta * equation up to level top, a bound on
+    the rows built, times level top's n * C(m + top, m) columns exceed
+    ``matrix_cell_cap``.  Cells never decrease with the level, so no lower
+    level can exceed the cap when level top does not.
     """
     m, n = system.m, system.n
-    equations = [(eq.order, _integer_row(eq)) for eq in system.equations]
-    rows = sum(comb(top - d + m, m) for d, _ in equations if d <= top)
+    rows = sum(comb(top - eq.order + m, m) for eq in system.equations if eq.order <= top)
     cells = rows * n * comb(m + top, m)
     if cells > matrix_cell_cap:
         raise ResourceLimit(
             f"prolongation matrix at level {top} would hold {cells} cells "
             f"(cap {matrix_cell_cap})"
         )
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
     pivots: dict[tuple[int, ...], dict] = {}
-    by_order: list[int] = []
-    low = []
-    for level in range(top + 1):
-        by_order.append(0)
-        new_rows = (
-            {_shift(key, level - d, th): c for key, c in eq_row.items()}
-            for d, eq_row in equations
-            if d <= level
-            for th in _exponents_of_order(m, level - d)
+    orders: list[tuple[int, int]] = []
+    parents: list[tuple[int, dict]] = []  # (k, reduced row) of the level below
+    start = min((eq.order for eq in system.equations), default=top + 1)
+    for level in range(start, top + 1):
+        previous, parents = parents, []
+        new_rows = chain(
+            ((0, _integer_row(eq)) for eq in system.equations if eq.order == level),
+            (
+                (j, {_shift(key, 1, units[j]): c for key, c in row.items()})
+                for first, row in previous
+                for j in range(first, m)
+            ),
         )
-        for row in new_rows:
+        for first, row in new_rows:
             while row:
                 lead = max(row)
                 piv = pivots.get(lead)
                 if piv is None:
                     content = gcd(*row.values())
-                    pivots[lead] = {k: v // content for k, v in row.items()}
-                    by_order[lead[0]] += 1
+                    pivots[lead] = row = {k: v // content for k, v in row.items()}
+                    orders.append((level, lead[0]))
+                    parents.append((first, row))
                     break
                 g = gcd(row[lead], piv[lead])
                 ma, mb = piv[lead] // g, row[lead] // g
@@ -480,8 +498,7 @@ def _pivot_orders(
                         row[k] = v
                     else:
                         del row[k]
-        low.append(tuple(accumulate(by_order)))
-    return low
+    return orders
 
 
 def prolongation_dimension(
@@ -500,8 +517,8 @@ def prolongation_dimension(
     if s < 0 or margin < 0:
         raise ValueError("level and margin must be non-negative")
     check_cap("matrix_cell_cap", matrix_cell_cap)
-    low = _pivot_orders(system, s + margin, matrix_cell_cap)[-1]
-    return system.n * comb(system.m + s, system.m) - low[s]
+    pivots = _pivot_orders(system, s + margin, matrix_cell_cap)
+    return system.n * comb(system.m + s, system.m) - sum(order <= s for _, order in pivots)
 
 
 def kolchin_via_prolongation(
@@ -532,16 +549,19 @@ def _prolongation_polynomial(
     ``margin`` as ``_groebner_with_margin`` returns them for ``system``."""
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
-    # low[L][s]: pivots of order <= s after level L
-    low = _pivot_orders(system, floor + m + margin + 1, matrix_cell_cap)
+    pivots = _pivot_orders(system, floor + m + margin + 1, matrix_cell_cap)
+
+    def low(level, s):  # pivots of order <= s after level
+        return sum(at <= level and order <= s for at, order in pivots)
+
     window = range(floor, floor + m + 1)
     for t in window:
-        if low[t + margin][t] != low[t + margin + 1][t]:
+        if low(t + margin, t) != low(t + margin + 1, t):
             raise DiffdimError(
-                f"prolongation self-check failed at t = {t}: {low[t + margin][t]} pivots of "
-                f"order <= t at margin {margin}, {low[t + margin + 1][t]} at margin {margin + 1}"
+                f"prolongation self-check failed at t = {t}: {low(t + margin, t)} pivots of "
+                f"order <= t at margin {margin}, {low(t + margin + 1, t)} at margin {margin + 1}"
             )
-    return interpolate([n * comb(m + t, m) - low[t + margin][t] for t in window], floor, m)
+    return interpolate([n * comb(m + t, m) - low(t + margin, t) for t in window], floor, m)
 
 
 def omega_at_least(

@@ -239,6 +239,16 @@ def test_kolchin_check_on_a_big_exponent_stops_at_the_stated_level(capsys, tmp_p
     assert "prolongation matrix at level 1000000001 would hold" in err
 
 
+def test_kolchin_check_on_a_high_order_ode_keeps_one_record_per_pivot(capsys, tmp_path):
+    # the route reads levels 20000 and 20001; nothing below the equation's
+    # order is walked, and no per-level history as long as its level is kept
+    path = tmp_path / "ode.sys"
+    path.write_text("m = 1\nn = 1\neq: d[20000]x1\n")
+    code, out, _ = run(capsys, "kolchin", "--system", str(path), "--check")
+    assert code == 0
+    assert out.splitlines()[-1] == "AGREE"
+
+
 def test_kolchin_gb_step_cap(capsys, monkeypatch):
     probe4 = str(DATA / "probe4.sys")
     code, _, err = run(capsys, "kolchin", "--system", probe4, "--gb-step-cap", "5")
