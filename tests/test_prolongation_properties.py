@@ -1,7 +1,6 @@
 """Property tests: the echelon built from Janet parents has the pivots of the
 echelon that reduces every prolongation theta * equation from scratch."""
 
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
@@ -93,11 +92,3 @@ def test_janet_parent_echelon_matches_from_scratch_echelon(system, top):
             count = sum(at <= level and order <= s for at, order in pivots)
             assert count == low[level][s], (level, s)
 
-
-def test_oracle_counts_a_known_system():
-    # d[1,0]x1 - d[0,2]x1 (heat): level L >= 2 adds L - 1 rows, all of them pivots
-    heat = LinearDiffSystem(2, 1, (LinearEquation.from_terms(
-        {((1, 0), 1): Fraction(1), ((0, 2), 1): Fraction(-1)}
-    ),))
-    low = from_scratch_low(heat, 4)
-    assert [row[-1] for row in low] == [0, 0, 1, 3, 6]
