@@ -1,10 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain error (bad input data, failed --check),
-2 usage error, 3 resource limit.  Caps can be set per invocation with
-flags or through the environment (KOLCHIN_ENUM_CAP, KOLCHIN_MATRIX_CELL_CAP,
-KOLCHIN_GB_STEP_CAP, KOLCHIN_BOUND_MAGNITUDE_CAP); a cap that is not a
-positive integer is a usage error.
+2 usage error, 3 resource limit.  A cap is a flag, or an environment
+variable when the flag is absent, on the subcommands that read it:
+--enum-cap (KOLCHIN_ENUM_CAP) on volume, --bound-digit-cap
+(KOLCHIN_BOUND_MAGNITUDE_CAP) on bounds, and --gb-step-cap
+(KOLCHIN_GB_STEP_CAP) and --matrix-cell-cap (KOLCHIN_MATRIX_CELL_CAP, read
+under --check) on kolchin.  A subcommand rejects a cap flag it does not
+read and ignores that cap's variable; a cap that is not a positive integer
+is a usage error.
 """
 
 from __future__ import annotations
@@ -23,10 +27,19 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_RESOURCE = 3
 
-ENV_ENUM_CAP = "KOLCHIN_ENUM_CAP"
-ENV_CELL_CAP = "KOLCHIN_MATRIX_CELL_CAP"
-ENV_GB_STEP_CAP = "KOLCHIN_GB_STEP_CAP"
-ENV_DIGIT_CAP = "KOLCHIN_BOUND_MAGNITUDE_CAP"
+# args name -> (flag, environment variable, library default, help)
+_CAPS = {
+    "enum_cap": ("--enum-cap", "KOLCHIN_ENUM_CAP", expsets.DEFAULT_ENUMERATION_CAP,
+                 "candidate cap for volume enumeration"),
+    "matrix_cell_cap": ("--matrix-cell-cap", "KOLCHIN_MATRIX_CELL_CAP",
+                        lindiff.DEFAULT_MATRIX_CELL_CAP,
+                        "cell cap for prolongation matrices, read under --check"),
+    "gb_step_cap": ("--gb-step-cap", "KOLCHIN_GB_STEP_CAP", lindiff.DEFAULT_GB_STEP_CAP,
+                    "S-pair reduction cap for Groebner completion"),
+    "bound_digit_cap": ("--bound-digit-cap", "KOLCHIN_BOUND_MAGNITUDE_CAP",
+                        bounds_mod.DEFAULT_DIGIT_CAP,
+                        "decimal digit cap for bound evaluation"),
+}
 
 
 # Numbers on the command line follow the input files' grammar: ASCII
@@ -34,15 +47,10 @@ ENV_DIGIT_CAP = "KOLCHIN_BOUND_MAGNITUDE_CAP"
 _INTEGERS = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
 
 
-def _natural(text: str) -> int:
-    if "," in text or not expsets._NATURALS.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
-    return int(text)
-
-
-def _positive_int(text: str) -> int:
-    if "," in text or not expsets._NATURALS.fullmatch(text) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _natural(text: str, least: int = 0) -> int:
+    if "," in text or not expsets._NATURALS.fullmatch(text) or int(text) < least:
+        kind = "a positive integer" if least else "a natural number"
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
     return int(text)
 
 
@@ -58,14 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("human", "json"), default="human", dest="fmt",
         help="output format (default human)",
     )
-    common.add_argument("--enum-cap", type=_positive_int, default=None,
-                        help="candidate cap for volume enumeration")
-    common.add_argument("--matrix-cell-cap", type=_positive_int, default=None,
-                        help="cell cap for prolongation matrices")
-    common.add_argument("--gb-step-cap", type=_positive_int, default=None,
-                        help="S-pair reduction cap for Groebner completion")
-    common.add_argument("--bound-digit-cap", type=_positive_int, default=None,
-                        help="decimal digit cap for bound evaluation")
 
     parser = argparse.ArgumentParser(
         prog="diffdim",
@@ -73,36 +73,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("omega-set", parents=[common],
-                       help="Kolchin polynomial of an exponent set file")
+    def command(name, handler, summary, caps=()):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        for cap in caps:
+            flag, _, _, cap_help = _CAPS[cap]
+            p.add_argument(flag, dest=cap, type=lambda text: _natural(text, 1), default=None,
+                           help=cap_help)
+        return p
+
+    p = command("omega-set", _cmd_omega_set, "Kolchin polynomial of an exponent set file")
     p.add_argument("--file", required=True, help="generator file, one vector per line")
     p.add_argument("--m", type=_natural, default=None, help="ambient dimension")
 
-    p = sub.add_parser("volume", parents=[common],
-                       help="points outside the closure up to a given order")
+    p = command("volume", _cmd_volume, "points outside the closure up to a given order",
+                caps=["enum_cap"])
     p.add_argument("--file", required=True)
     p.add_argument("--m", type=_natural, default=None)
     p.add_argument("--s", type=_natural, required=True, help="order cutoff")
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="effective bounds for a system shape (r, m, n)")
+    p = command("bounds", _cmd_bounds, "effective bounds for a system shape (r, m, n)",
+                caps=["bound_digit_cap"])
     p.add_argument("--r", type=_natural, required=True, help="maximal equation order")
     p.add_argument("--m", type=_natural, required=True, help="number of derivations")
     p.add_argument("--n", type=_natural, required=True, help="number of unknowns")
 
-    p = sub.add_parser("rank-compare", parents=[common],
-                       help="compare two derivative symbols under the orderly ranking")
+    p = command("rank-compare", _cmd_rank_compare,
+                "compare two derivative symbols under the orderly ranking")
     p.add_argument("left", help="monomial like d[1,0]x1")
     p.add_argument("right")
 
-    p = sub.add_parser("omega-leaders", parents=[common],
-                       help="Kolchin polynomial from a leader profile file")
+    p = command("omega-leaders", _cmd_omega_leaders,
+                "Kolchin polynomial from a leader profile file")
     p.add_argument("--file", required=True)
     p.add_argument("--m", type=_natural, default=None)
     p.add_argument("--n", type=_natural, default=None)
 
-    p = sub.add_parser("kolchin", parents=[common],
-                       help="Kolchin polynomial of a linear system file")
+    p = command("kolchin", _cmd_kolchin, "Kolchin polynomial of a linear system file",
+                caps=["matrix_cell_cap", "gb_step_cap"])
     p.add_argument("--system", required=True, help="system description file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--check", action="store_true",
@@ -114,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--type", action="store_true", dest="diff_type",
                        help="print the differential type only")
 
-    p = sub.add_parser("interpolate", parents=[common],
-                       help="recover a polynomial from consecutive values")
+    p = command("interpolate", _cmd_interpolate, "recover a polynomial from consecutive values")
     p.add_argument("--values", required=True, type=_coeff_list,
                    help="comma separated values at start, start+1, ...")
     p.add_argument("--start", type=_natural, required=True)
@@ -124,24 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(parser, args) -> None:
-    """Resolve each cap from its flag, then the environment, then the
-    library default, and write it back onto ``args``."""
-
-    def cap(flag_value, env, default):
-        if flag_value is not None:
-            return flag_value
+    """Resolve each cap the subcommand reads from its flag, then the
+    environment, then the library default, and write it back onto ``args``."""
+    for name, (_, env, default, _) in _CAPS.items():
+        if name not in vars(args) or getattr(args, name) is not None:
+            continue
         raw = os.environ.get(env)
-        if raw is None:
-            return default
         try:
-            return _positive_int(raw)
+            setattr(args, name, default if raw is None else _natural(raw, 1))
         except argparse.ArgumentTypeError as exc:
             parser.error(f"environment variable {env}: {exc}")
-
-    args.enum_cap = cap(args.enum_cap, ENV_ENUM_CAP, expsets.DEFAULT_ENUMERATION_CAP)
-    args.matrix_cell_cap = cap(args.matrix_cell_cap, ENV_CELL_CAP, lindiff.DEFAULT_MATRIX_CELL_CAP)
-    args.gb_step_cap = cap(args.gb_step_cap, ENV_GB_STEP_CAP, lindiff.DEFAULT_GB_STEP_CAP)
-    args.bound_digit_cap = cap(args.bound_digit_cap, ENV_DIGIT_CAP, bounds_mod.DEFAULT_DIGIT_CAP)
 
 
 def _read(path: str) -> str:
@@ -155,18 +154,15 @@ def _poly_doc(p) -> dict:
     return doc
 
 
-def _emit_poly(p, fmt: str):
-    if fmt == "json":
-        print(json.dumps(_poly_doc(p)))
-    else:
-        print(numpoly.render(p))
-        print(f"standard coefficients: {list(p.standard_coeffs)}")
+def _poly_answer(p):
+    """The exit code, JSON document and text lines that report ``p``."""
+    doc = _poly_doc(p)
+    return EXIT_OK, doc, [doc["render"], f"standard coefficients: {list(p.standard_coeffs)}"]
 
 
 def _cmd_omega_set(args):
     exp_set = expsets.parse_exponent_set(_read(args.file), m=args.m)
-    _emit_poly(expsets.dimension_polynomial(exp_set), args.fmt)
-    return EXIT_OK
+    return _poly_answer(expsets.dimension_polynomial(exp_set))
 
 
 def _cmd_volume(args):
@@ -174,52 +170,31 @@ def _cmd_volume(args):
     v = expsets.volume(exp_set, args.s, enumeration_cap=args.enum_cap)
     w = expsets._numerator_volume(exp_set, args.s)
     agree = v == w
-    if args.fmt == "json":
-        print(json.dumps({"s": args.s, "volume": v, "numerator": w, "agree": agree}))
-    else:
-        print(f"volume = {v}")
-        print(f"numerator = {w}")
-        if not agree:
-            print("DISAGREE")
-    return EXIT_OK if agree else EXIT_DOMAIN
+    doc = {"s": args.s, "volume": v, "numerator": w, "agree": agree}
+    lines = [f"volume = {v}", f"numerator = {w}"] + ([] if agree else ["DISAGREE"])
+    return (EXIT_OK if agree else EXIT_DOMAIN), doc, lines
 
 
 def _cmd_bounds(args):
     report = bounds_mod.bound_report(
         args.r, args.m, args.n, digit_cap=args.bound_digit_cap
     )
-    fields = (
-        ("char_order", report.char_order),
-        ("order_sum", report.order_sum),
-        ("regularity", report.regularity),
-        ("comparison_level", report.comparison_level),
-        ("coeff_bound", report.coeff_bound),
-    )
-    if args.fmt == "json":
-        doc = {"r": args.r, "m": args.m, "n": args.n}
-        doc.update((k, str(v)) for k, v in fields)
-        print(json.dumps(doc))
-    else:
-        for k, v in fields:
-            print(f"{k} = {v}")
-    return EXIT_OK
+    fields = [(k, str(getattr(report, k))) for k in
+              ("char_order", "order_sum", "regularity", "comparison_level", "coeff_bound")]
+    doc = {"r": args.r, "m": args.m, "n": args.n, **dict(fields)}
+    return EXIT_OK, doc, [f"{k} = {v}" for k, v in fields]
 
 
 def _cmd_rank_compare(args):
     left = diffrank.parse_monomial(args.left)
     right = diffrank.parse_monomial(args.right)
     verdict = {-1: "Less", 0: "Equal", 1: "Greater"}[diffrank.compare_rank(left, right)]
-    if args.fmt == "json":
-        print(json.dumps({"result": verdict}))
-    else:
-        print(verdict)
-    return EXIT_OK
+    return EXIT_OK, {"result": verdict}, [verdict]
 
 
 def _cmd_omega_leaders(args):
     profile = diffrank.parse_leader_profile(_read(args.file), m=args.m, n=args.n)
-    _emit_poly(diffrank.kolchin_from_leaders(profile), args.fmt)
-    return EXIT_OK
+    return _poly_answer(diffrank.kolchin_from_leaders(profile))
 
 
 def _cmd_kolchin(args):
@@ -229,56 +204,27 @@ def _cmd_kolchin(args):
         via_gb = diffrank.kolchin_from_leaders(lindiff.leader_profile(gb))
         via_ranks = lindiff._prolongation_polynomial(system, gb, margin, args.matrix_cell_cap)
         agree = via_gb == via_ranks
-        if args.fmt == "json":
-            print(json.dumps({
-                "groebner": _poly_doc(via_gb),
-                "prolongation": _poly_doc(via_ranks),
-                "agree": agree,
-            }))
-        else:
-            print(f"groebner: {numpoly.render(via_gb)}  {list(via_gb.standard_coeffs)}")
-            print(f"prolongation: {numpoly.render(via_ranks)}  "
-                  f"{list(via_ranks.standard_coeffs)}")
-            print("AGREE" if agree else "DISAGREE")
-        return EXIT_OK if agree else EXIT_DOMAIN
+        doc = {"groebner": _poly_doc(via_gb), "prolongation": _poly_doc(via_ranks),
+               "agree": agree}
+        lines = [f"{route}: {numpoly.render(p)}  {list(p.standard_coeffs)}"
+                 for route, p in (("groebner", via_gb), ("prolongation", via_ranks))]
+        lines.append("AGREE" if agree else "DISAGREE")
+        return (EXIT_OK if agree else EXIT_DOMAIN), doc, lines
     coeffs = args.at_least if args.at_least is not None else args.equals
     if coeffs is not None:
         test = lindiff.omega_equals if args.at_least is None else lindiff.omega_at_least
         answer = test(
             system, numpoly.NumericalPolynomial.from_coeffs(coeffs), gb_step_cap=args.gb_step_cap
         )
-        if args.fmt == "json":
-            print(json.dumps({"result": answer}))
-        else:
-            print("true" if answer else "false")
-        return EXIT_OK
+        return EXIT_OK, {"result": answer}, ["true" if answer else "false"]
     p = lindiff.kolchin_polynomial(system, gb_step_cap=args.gb_step_cap)
     if args.diff_type:
-        if args.fmt == "json":
-            print(json.dumps({"differential_type": p.differential_type()}))
-        else:
-            print(p.differential_type())
-        return EXIT_OK
-    _emit_poly(p, args.fmt)
-    return EXIT_OK
+        return EXIT_OK, {"differential_type": p.differential_type()}, [str(p.differential_type())]
+    return _poly_answer(p)
 
 
 def _cmd_interpolate(args):
-    values = args.values
-    p = numpoly.interpolate(values, args.start, len(values) - 1)
-    _emit_poly(p, args.fmt)
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "omega-set": _cmd_omega_set,
-    "volume": _cmd_volume,
-    "bounds": _cmd_bounds,
-    "rank-compare": _cmd_rank_compare,
-    "omega-leaders": _cmd_omega_leaders,
-    "kolchin": _cmd_kolchin,
-    "interpolate": _cmd_interpolate,
-}
+    return _poly_answer(numpoly.interpolate(args.values, args.start, len(args.values) - 1))
 
 
 def main(argv=None) -> int:
@@ -286,7 +232,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _config(parser, args)
-        return _HANDLERS[args.command](args)
+        code, doc, lines = args.handler(args)
+        print(json.dumps(doc) if args.fmt == "json" else "\n".join(lines))
+        return code
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -163,7 +163,7 @@ def _parse_equation(line: str, pos: int, lineno: int, m: int, n: int) -> LinearE
         if not term["sign"] and terms:
             at = term.start("sign")
             raise ParseError(f"expected '+' or '-', got {line[at]!r}", line=lineno, column=at + 1)
-        coeff = Fraction(-1 if term["sign"] == "-" else 1)
+        num, den = 1, 1
         if term["num"]:
             num, den = int(term["num"]), int(term["den"] or 1)
             if den == 0:
@@ -176,7 +176,7 @@ def _parse_equation(line: str, pos: int, lineno: int, m: int, n: int) -> LinearE
                     line=lineno,
                     column=term.start("star") + 1,
                 )
-            coeff *= Fraction(num, den)
+        coeff = Fraction(-num if term["sign"] == "-" else num, den)
         if not term["mono"]:
             raise ParseError("expected a monomial", line=lineno, column=term.end() + 1)
         column = term.start("mono") + 1

@@ -16,6 +16,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# placeholders an argv may name: files the test writes, and *.sys files
+# under tests/data
+FILES = {"HEAT": "0, 2\n", "CORNER": "1, 1\n", "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n"}
+
+
+def resolve(tmp_path, argv):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    return [
+        str(tmp_path / a) if a in FILES else str(DATA / a) if a.endswith(".sys") else a
+        for a in argv
+    ]
+
+
 @pytest.fixture
 def heat_leaders(tmp_path):
     path = tmp_path / "heat_leaders.txt"
@@ -263,29 +277,68 @@ def test_kolchin_gb_step_cap(capsys, monkeypatch):
     assert (code, out.splitlines()[-1]) == (0, "AGREE")
 
 
-@pytest.mark.parametrize(
-    "flag", ["--enum-cap", "--matrix-cell-cap", "--gb-step-cap", "--bound-digit-cap"]
-)
+# each cap on the command that reads it, with the rest of a valid invocation
+CAP_COMMANDS = {
+    "--enum-cap": ["volume", "--file", "HEAT", "--s", "3"],
+    "--bound-digit-cap": ["bounds", "--r", "1", "--m", "2", "--n", "1"],
+    "--matrix-cell-cap": ["kolchin", "--system", "heat.sys", "--check"],
+    "--gb-step-cap": ["kolchin", "--system", "heat.sys"],
+}
+CAP_ENV = {
+    "--enum-cap": "KOLCHIN_ENUM_CAP",
+    "--bound-digit-cap": "KOLCHIN_BOUND_MAGNITUDE_CAP",
+    "--matrix-cell-cap": "KOLCHIN_MATRIX_CELL_CAP",
+    "--gb-step-cap": "KOLCHIN_GB_STEP_CAP",
+}
+
+
+@pytest.mark.parametrize("flag", list(CAP_COMMANDS))
 @pytest.mark.parametrize("value", ["0", "-5", "ten"])
-def test_cap_flag_must_be_positive(capsys, flag, value):
+def test_cap_flag_must_be_positive(capsys, tmp_path, flag, value):
     with pytest.raises(SystemExit) as info:
-        main(["kolchin", "--system", str(DATA / "heat.sys"), flag, value])
+        main(resolve(tmp_path, [*CAP_COMMANDS[flag], flag, value]))
     assert info.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err and "positive integer" in err
 
 
-@pytest.mark.parametrize(
-    "env",
-    ["KOLCHIN_ENUM_CAP", "KOLCHIN_MATRIX_CELL_CAP", "KOLCHIN_GB_STEP_CAP",
-     "KOLCHIN_BOUND_MAGNITUDE_CAP"],
-)
+@pytest.mark.parametrize("flag,env", list(CAP_ENV.items()), ids=list(CAP_ENV.values()))
 @pytest.mark.parametrize("value", ["0", "-1", "ten"])
-def test_cap_env_must_be_positive(capsys, monkeypatch, env, value):
+def test_cap_env_must_be_positive(capsys, monkeypatch, tmp_path, flag, env, value):
     monkeypatch.setenv(env, value)
     with pytest.raises(SystemExit) as info:
-        main(["kolchin", "--system", str(DATA / "heat.sys")])
+        main(resolve(tmp_path, CAP_COMMANDS[flag]))
     assert info.value.code == 2
-    assert env in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert env in err and "positive integer" in err
+
+
+CAPLESS = [
+    ["omega-set", "--file", "HEAT"],
+    ["rank-compare", "d[1,0]x1", "d[0,1]x1"],
+    ["omega-leaders", "--file", "PROFILE"],
+    ["interpolate", "--values", "1,3,5", "--start", "0"],
+]
+
+
+@pytest.mark.parametrize("flag", list(CAP_COMMANDS))
+def test_caps_only_where_read(capsys, monkeypatch, tmp_path, flag):
+    reader = CAP_COMMANDS[flag][0]
+    others = [
+        resolve(tmp_path, argv)
+        for argv in [*CAPLESS, *CAP_COMMANDS.values()]
+        if argv[0] != reader
+    ]
+    # a command rejects the flag of a cap it does not read ...
+    for argv in others:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag, "5"])
+        assert info.value.code == 2, argv
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # ... and ignores that cap's variable, malformed or not
+    monkeypatch.setenv(CAP_ENV[flag], "1e5")
+    for argv in others:
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_kolchin_type(capsys):
@@ -393,3 +446,57 @@ def test_interpolate_spaced_values(capsys):
     code, out, _ = run(capsys, "interpolate", "--values", " 1, 3 ,5", "--start", " 1")
     assert code == 0
     assert out.splitlines()[0] == "2*t - 1"
+
+
+POLY_2T_1 = '{"m": 2, "standard_coeffs": ["0", "2", "-1"], "render": "2*t + 1"}\n'
+
+# (argv, exit code, human stdout, json stdout): the exact output of every
+# subcommand and kolchin mode, in both formats
+PINNED = [
+    (("omega-set", "--file", "HEAT"), 0,
+     "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
+    (("omega-set", "--file", "CORNER", "--m", "2"), 0,
+     "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
+    (("volume", "--file", "HEAT", "--s", "3"), 0,
+     "volume = 7\nnumerator = 7\n",
+     '{"s": 3, "volume": 7, "numerator": 7, "agree": true}\n'),
+    (("volume", "--file", "CORNER", "--s", "50", "--enum-cap", "5"), 3, "", ""),
+    (("bounds", "--r", "1", "--m", "2", "--n", "1"), 0,
+     "char_order = 2\norder_sum = 6\nregularity = 10\ncomparison_level = 577\n"
+     "coeff_bound = 36\n",
+     '{"r": 1, "m": 2, "n": 1, "char_order": "2", "order_sum": "6", '
+     '"regularity": "10", "comparison_level": "577", "coeff_bound": "36"}\n'),
+    (("bounds", "--r", "4", "--m", "4", "--n", "1", "--bound-digit-cap", "50"), 3, "", ""),
+    (("rank-compare", "d[1,0]x1", "d[0,2]x1"), 0, "Less\n", '{"result": "Less"}\n'),
+    (("rank-compare", "d[1,0]x1", "d[1]x1"), 1, "", ""),
+    (("omega-leaders", "--file", "PROFILE"), 0,
+     "2*t + 2\nstandard coefficients: [0, 2, 0]\n",
+     '{"m": 2, "standard_coeffs": ["0", "2", "0"], "render": "2*t + 2"}\n'),
+    (("kolchin", "--system", "heat.sys"), 0,
+     "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
+    (("kolchin", "--system", "wave.sys", "--check"), 0,
+     "groebner: 2*t + 1  [0, 2, -1]\nprolongation: 2*t + 1  [0, 2, -1]\nAGREE\n",
+     '{"groebner": ' + POLY_2T_1[:-1] + ', "prolongation": ' + POLY_2T_1[:-1]
+     + ', "agree": true}\n'),
+    (("kolchin", "--system", "laplace.sys", "--check", "--matrix-cell-cap", "10"), 3, "", ""),
+    (("kolchin", "--system", "probe4.sys", "--gb-step-cap", "5"), 3, "", ""),
+    (("kolchin", "--system", "heat.sys", "--type"), 0, "1\n", '{"differential_type": 1}\n'),
+    (("kolchin", "--system", "heat.sys", "--at-least", "0,1,5"), 0,
+     "true\n", '{"result": true}\n'),
+    (("kolchin", "--system", "heat.sys", "--equals", "0,2,0"), 0,
+     "false\n", '{"result": false}\n'),
+    (("interpolate", "--values", "1,3,5", "--start", "0"), 0,
+     "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
+    (("interpolate", "--values", "1,4,10", "--start", "0"), 0,
+     "3/2*t^2 + 3/2*t + 1\nstandard coefficients: [3, -3, 1]\n",
+     '{"m": 2, "standard_coeffs": ["3", "-3", "1"], "render": "3/2*t^2 + 3/2*t + 1"}\n'),
+]
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize(
+    "argv,code,human,as_json", PINNED, ids=[" ".join(case[0]) for case in PINNED]
+)
+def test_output_is_pinned(capsys, tmp_path, argv, code, human, as_json, fmt):
+    out = human if fmt == "human" else as_json
+    assert run(capsys, *resolve(tmp_path, argv), "--format", fmt)[:2] == (code, out)
