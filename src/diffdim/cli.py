@@ -21,7 +21,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import diffrank, expsets, lindiff, numpoly
-from .errors import DiffdimError, ResourceLimit
+from .errors import DiffdimError, ParseError, ResourceLimit
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -52,6 +52,13 @@ def _natural(text: str, least: int = 0) -> int:
         kind = "a positive integer" if least else "a natural number"
         raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
     return int(text)
+
+
+def _monomial(text: str) -> diffrank.DifferentialMonomial:
+    try:
+        return diffrank.parse_monomial(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
 
 
 def _coeff_list(text: str) -> tuple[int, ...]:
@@ -100,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("rank-compare", _cmd_rank_compare,
                 "compare two derivative symbols under the orderly ranking")
-    p.add_argument("left", help="monomial like d[1,0]x1")
-    p.add_argument("right")
+    p.add_argument("left", type=_monomial, help="monomial like d[1,0]x1")
+    p.add_argument("right", type=_monomial)
 
     p = command("omega-leaders", _cmd_omega_leaders,
                 "Kolchin polynomial from a leader profile file")
@@ -186,9 +193,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_rank_compare(args):
-    left = diffrank.parse_monomial(args.left)
-    right = diffrank.parse_monomial(args.right)
-    verdict = {-1: "Less", 0: "Equal", 1: "Greater"}[diffrank.compare_rank(left, right)]
+    verdict = {-1: "Less", 0: "Equal", 1: "Greater"}[diffrank.compare_rank(args.left, args.right)]
     return EXIT_OK, {"result": verdict}, [verdict]
 
 

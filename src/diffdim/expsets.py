@@ -1,14 +1,16 @@
 """Exponent sets in N^m and their Kolchin polynomials.
 
 An exponent set stands for the upward closure of its generators under the
-componentwise order.  The points *outside* the closure of order at most s
-are counted by the volume function.  One recursion computes the Hilbert
-numerator N(z), with sum_{xi outside the closure} z^|xi| = N(z) / (1 - z)^m,
-kept sparse as its nonzero terms, so a generator entry of 10^9 costs one
-term and not 10^9.  The count at s is sum_{k <= s} N_k * binom(s - k + m, m);
-the Kolchin polynomial is that sum over every k, each binomial read as a
-polynomial in s; the two agree from stabilisation_level = max(0, deg N - m)
-on.
+componentwise order.  The volume function counts the points *outside* the
+closure of order at most s exactly, walking prefixes over the first m - 2
+coordinates and summing runs of coordinate m - 1 in closed form, under a
+cap on the binom(s+m, m) candidate points.  One recursion computes the
+Hilbert numerator N(z), with sum_{xi outside the closure} z^|xi| =
+N(z) / (1 - z)^m, kept sparse as its nonzero terms, so a generator entry
+of 10^9 costs one term and not 10^9.  The count at s is
+sum_{k <= s} N_k * binom(s - k + m, m); the Kolchin polynomial is that sum
+over every k, each binomial read as a polynomial in s; the two agree from
+stabilisation_level = max(0, deg N - m) on.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import functools
 import re
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 from .errors import ParseError, ResourceLimit, check_cap
 from .numpoly import NumericalPolynomial
@@ -86,13 +86,12 @@ def minimal_elements(exp_set: ExponentSet) -> ExponentSet:
 def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Count points of order <= s lying outside the upward closure.
 
-    Counts by fibres over the first m - 1 coordinates.  Over a prefix p
-    with |p| <= s, the point (p, t) lies outside the closure exactly when
-    t < min{g_m : g[:m-1] <= p} and t <= s - |p|, so its fibre holds
-    min(s - |p| + 1, that minimum) outside points; a generator of order
-    above s lowers no fibre.  Only the binom(s+m-1, m-1) prefixes are
-    enumerated, but the cap still bounds the binom(s+m, m) candidate
-    points, and is checked first.
+    Walks the prefixes p over the first m - 2 coordinates.  Over p, the
+    point (p, y, t) is outside exactly when t < h(y), the least g_m of the
+    generators whose first m - 1 entries lie below (p, y).  The fibre over
+    y holds min(s - |p| - y + 1, h(y)) points, and h is a step function, so
+    each run of y between generator entries is summed in closed form.  The
+    cap still bounds the binom(s+m, m) candidate points, checked first.
     """
     if s < 0:
         raise ValueError("order cutoff must be non-negative")
@@ -104,23 +103,34 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
             f"volume enumeration needs {candidates} candidates "
             f"(cap {enumeration_cap})"
         )
-    # prefixes[j] holds coordinate j of every prefix; room is s - |p|
-    prefixes = np.empty((0, 1), dtype=np.int64)
-    room = np.array([s], dtype=np.int64)
-    for _ in range(m - 1):
-        counts = room + 1
-        entry = np.arange(counts.sum(), dtype=np.int64)
-        entry -= np.repeat(np.cumsum(counts) - counts, counts)
-        prefixes = np.vstack([np.repeat(prefixes, counts, axis=1), entry])
-        room = np.repeat(room, counts) - entry
-    outside = room + 1
-    for g in exp_set._antichain:
-        if sum(g) <= s:
-            below = True
-            for column, e in zip(prefixes, g):
-                below = below & (column >= e)
-            np.minimum(outside, g[-1], out=outside, where=below)
-    return int(outside.sum())
+    return _outside(m, exp_set._antichain, s)
+
+
+def _tri(n: int, h: int) -> int:
+    """sum_{r <= n} min(r, h), for n >= 0."""
+    return n * (n + 1) // 2 if n <= h else h * (h + 1) // 2 + (n - h) * h
+
+
+def _outside(m: int, gens, s: int) -> int:
+    """volume in N^m for sorted ``gens``, which need not be an antichain."""
+    if m == 1:
+        return min([s + 1] + [g[0] for g in gens])
+    if m == 2:
+        # h = s + 1 stands for no generator: no fibre holds more points
+        total, h, y0 = 0, s + 1, 0
+        for a, b in gens:
+            if a <= s and b < h:
+                total += _tri(s - y0 + 1, h) - _tri(s - a + 1, h)
+                h, y0 = b, a
+        return total + _tri(s - y0 + 1, h)
+    # the slice xi_1 = x: N^(m-1) up to order s - x, less the g with g_1 <= x
+    total, active, i = 0, [], 0
+    for x in range(s + 1):
+        while i < len(gens) and gens[i][0] <= x:
+            active = sorted(active + [gens[i][1:]])
+            i += 1
+        total += _outside(m - 1, active, s - x)
+    return total
 
 
 def volume_ie(exp_set: ExponentSet, s: int) -> int:

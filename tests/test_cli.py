@@ -18,7 +18,10 @@ def run(capsys, *argv):
 
 # placeholders an argv may name: files the test writes, and *.sys files
 # under tests/data
-FILES = {"HEAT": "0, 2\n", "CORNER": "1, 1\n", "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n"}
+FILES = {
+    "HEAT": "0, 2\n", "CORNER": "1, 1\n", "FIVE": "5\n",
+    "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n",
+}
 
 
 def resolve(tmp_path, argv):
@@ -162,6 +165,25 @@ def test_rank_compare_mismatched_ambient(capsys):
     code, _, err = run(capsys, "rank-compare", "d[1,0]x1", "d[1]x1")
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["bogus", "d[2,0]x1"], "left"),
+        (["d[1,0]x1", "d[1_0,0]x1"], "right"),
+        (["x\u0663", "x1"], "left"),
+        (["d[+3]x1", "x1"], "left"),
+        (["x1", "x0"], "right"),
+    ],
+)
+def test_rank_compare_bad_monomial_is_usage_error(capsys, argv, name):
+    # a malformed monomial names its argument; an ambient mismatch stays exit 1
+    with pytest.raises(SystemExit) as info:
+        main(["rank-compare", *argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {name}: " in err and "(line" not in err
 
 
 def test_omega_leaders_command(capsys, tmp_path):
@@ -461,6 +483,9 @@ PINNED = [
      "volume = 7\nnumerator = 7\n",
      '{"s": 3, "volume": 7, "numerator": 7, "agree": true}\n'),
     (("volume", "--file", "CORNER", "--s", "50", "--enum-cap", "5"), 3, "", ""),
+    (("volume", "--file", "FIVE", "--s", str(10**20), "--enum-cap", str(10**30)), 0,
+     "volume = 5\nnumerator = 5\n",
+     '{"s": 100000000000000000000, "volume": 5, "numerator": 5, "agree": true}\n'),
     (("bounds", "--r", "1", "--m", "2", "--n", "1"), 0,
      "char_order = 2\norder_sum = 6\nregularity = 10\ncomparison_level = 577\n"
      "coeff_bound = 36\n",

@@ -20,7 +20,7 @@ from diffdim.numpoly import NumericalPolynomial
 
 
 def brute_volume(gens, m, s):
-    """Independent count over itertools.product, no numpy involved."""
+    """Independent count over itertools.product, point by point."""
     count = 0
     for pt in itertools.product(range(s + 1), repeat=m):
         if sum(pt) > s:
@@ -116,6 +116,20 @@ def test_volume_on_a_3_variable_staircase_at_s_150():
     # (a, 0) with a >= 12 the fibres run up to order 150
     exp_set = ExponentSet(3, tuple((i, 12 - i, 6 * (i % 3)) for i in range(12)))
     assert volume(exp_set, 150) == _numerator_volume(exp_set, 150) == 23429
+
+
+@pytest.mark.parametrize(
+    "exp_set, s, expected",
+    [
+        (ExponentSet(1, ((5,),)), 10**20, 5),
+        # fibres of 7 points over y < 3, of 2 over 3 <= y < 10^6, none beyond
+        (ExponentSet(2, ((0, 7), (3, 2), (10**6, 0))), 10**12, 3 * 7 + (10**6 - 3) * 2),
+    ],
+    ids=["m=1 past 2^63", "m=2 at 10^12"],
+)
+def test_volume_is_exact_at_any_order(exp_set, s, expected):
+    # the count needs no array over the prefixes, and no fixed-width integer
+    assert volume(exp_set, s, enumeration_cap=10**30) == _numerator_volume(exp_set, s) == expected
 
 
 def test_volume_routes_agree_randomly():
