@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb, gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, le, sub
 
 from .diffrank import (
     _MONOMIAL,
@@ -24,7 +24,6 @@ from .diffrank import (
     TermKey,
     _monomial_key,
     kolchin_from_leaders,
-    rank_key,
 )
 from .errors import AmbientMismatch, DiffdimError, ParseError, ResourceLimit, check_cap
 from .expsets import ExponentSet, ExponentVector, _lines, _naturals, stabilisation_level
@@ -34,19 +33,93 @@ DEFAULT_MATRIX_CELL_CAP = 10**8
 DEFAULT_GB_STEP_CAP = 10_000
 
 
-@dataclass(frozen=True)
+class _Keys:
+    """The packed layout of rank keys for m derivations, ``width`` bits a field.
+
+    The derivative theta x_i is one int whose fields, high to low, are
+    ord theta, i, theta_1, ..., theta_m, so integer order is ``rank_key``
+    order.  Every field stays below ``limit`` = 2^(width - 1), so its top bit
+    is a guard bit, 0 in every key.  Then d_j is one addition of
+    ``steps[j]``.  When lead divides key (same unknown, every exponent
+    <=), key - lead is theta packed with unknown 0, and theta * g has the
+    keys gkey + (key - lead).  Otherwise some field of key is below lead's;
+    the lowest such field borrows and sets its guard bit.  So lead divides
+    key exactly when (key - lead) & ``guards`` == 0, where ``guards`` holds
+    every guard bit and the whole unknown field.  These are the packed
+    exponent vectors of Monagan and Pearce ("Sparse polynomial division using
+    a heap", J. Symbolic Comput. 46, 2011).
+    """
+
+    __slots__ = ("m", "width", "limit", "mask", "unknown_shift", "order_shift", "guards", "steps")
+
+    def __init__(self, m: int, width: int):
+        self.m, self.width = m, width
+        self.limit = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.unknown_shift = width * m
+        self.order_shift = width * (m + 1)
+        self.guards = sum(self.limit << (width * k) for k in range(m + 2))
+        self.guards |= self.mask << self.unknown_shift
+        self.steps = tuple((1 << self.order_shift) + (1 << (width * (m - 1 - j))) for j in range(m))
+
+    @classmethod
+    def fitting(cls, m: int, bound: int) -> "_Keys":
+        """The narrowest layout whose fields hold 0..bound."""
+        return cls(m, bound.bit_length() + 1)
+
+    def pack(self, xi: ExponentVector, unknown: int) -> int:
+        w = self.width
+        key = sum(xi) << w | unknown
+        for e in xi:
+            key = key << w | e
+        return key
+
+    def unpack(self, key: int) -> TermKey:
+        """(exponents, unknown) of a packed key."""
+        w, mask = self.width, self.mask
+        return tuple((key >> (w * k)) & mask for k in range(self.m - 1, -1, -1)), self.unknown(key)
+
+    def unknown(self, key: int) -> int:
+        return (key >> self.unknown_shift) & self.mask
+
+
+def _repack(row: dict[int, int], source: _Keys, target: _Keys) -> dict[int, int]:
+    """A new copy of a row, its keys moved from layout ``source`` to
+    ``target`` over the same m."""
+    if source.width == target.width:
+        return dict(row)
+    return {target.pack(*source.unpack(key)): c for key, c in row.items()}
+
+
+def _primitive(terms: dict[TermKey, tuple[int, int]], keys: _Keys):
+    """(row, (p, q)) for terms {(exponents, unknown): (num, den)}: the
+    primitive integer row packed at ``keys``, and p / q, the factor that
+    turns it back into the terms."""
+    q = lcm(*(den for _, den in terms.values()))
+    row = {keys.pack(xi, i): num * (q // den) for (xi, i), (num, den) in terms.items()}
+    p = gcd(*row.values())
+    return {key: c // p for key, c in row.items()}, (p, q)
+
+
 class LinearEquation:
-    """Terms (coefficient, monomial), sorted by descending rank."""
+    """One homogeneous linear equation, held as a primitive integer row.
 
-    terms: tuple[tuple[Fraction, DifferentialMonomial], ...]
+    ``_row`` maps the packed key (layout ``_keys``) of each derivative to
+    an integer coefficient, with no common factor, so the leader is
+    ``_lead`` = ``max(_row)``; ``_scale`` = (p, q) turns the row back into
+    the equation's coefficients, row * p / q.  ``terms``, the public form,
+    is the pairs (coefficient, monomial) sorted by descending rank; it is
+    built on first use.  The row is shared, never mutated.
+    """
 
-    def __post_init__(self):
-        if not self.terms:
+    __slots__ = ("_row", "_scale", "_keys", "_lead", "_terms")
+
+    def __init__(self, terms: tuple[tuple[Fraction, DifferentialMonomial], ...]):
+        if not terms:
             raise ValueError("equation needs at least one term")
-        fixed = []
-        seen = set()
+        coeffs: dict[TermKey, tuple[int, int]] = {}
         width = None
-        for coeff, mono in self.terms:
+        for coeff, mono in terms:
             coeff = Fraction(coeff)
             if coeff == 0:
                 raise ValueError("zero coefficient in equation")
@@ -55,12 +128,20 @@ class LinearEquation:
             elif mono.m != width:
                 raise AmbientMismatch("mixed derivation counts in one equation")
             key = (mono.exponents, mono.var_index)
-            if key in seen:
+            if key in coeffs:
                 raise ValueError(f"duplicate monomial {key} in equation")
-            seen.add(key)
-            fixed.append((coeff, mono))
-        fixed.sort(key=lambda t: rank_key((t[1].exponents, t[1].var_index)), reverse=True)
-        object.__setattr__(self, "terms", tuple(fixed))
+            coeffs[key] = coeff.numerator, coeff.denominator
+        keys = _Keys.fitting(width, max(max(sum(xi), i) for xi, i in coeffs))
+        self._set(*_primitive(coeffs, keys), keys)
+
+    def _set(self, row: dict[int, int], scale: tuple[int, int], keys: _Keys):
+        self._row, self._scale, self._keys, self._terms = row, scale, keys, None
+        self._lead = max(row)
+        return self
+
+    @classmethod
+    def _from_row(cls, row: dict[int, int], scale: tuple[int, int], keys: _Keys):
+        return object.__new__(cls)._set(row, scale, keys)
 
     @classmethod
     def from_terms(cls, mapping: dict[TermKey, Fraction]) -> "LinearEquation":
@@ -71,12 +152,33 @@ class LinearEquation:
         )
 
     @property
+    def terms(self) -> tuple[tuple[Fraction, DifferentialMonomial], ...]:
+        if self._terms is None:
+            p, q = self._scale
+            self._terms = tuple(
+                (Fraction(c * p, q), DifferentialMonomial(*self._keys.unpack(key)))
+                for key, c in sorted(self._row.items(), reverse=True)
+            )
+        return self._terms
+
+    @property
     def leader(self) -> DifferentialMonomial:
-        return self.terms[0][1]
+        return DifferentialMonomial(*self._keys.unpack(self._lead))
 
     @property
     def order(self) -> int:
-        return self.leader.order
+        return self._lead >> self._keys.order_shift
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearEquation):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __repr__(self):
+        return f"LinearEquation(terms={self.terms!r})"
 
 
 @dataclass(frozen=True)
@@ -92,15 +194,13 @@ class LinearDiffSystem:
             raise ValueError("need at least one derivation and one unknown")
         eqs = tuple(self.equations)
         for eq in eqs:
-            for _, mono in eq.terms:
-                if mono.m != self.m:
-                    raise AmbientMismatch(
-                        f"monomial over {mono.m} derivations in a system over {self.m}"
-                    )
-                if mono.var_index > self.n:
-                    raise ValueError(
-                        f"unknown x{mono.var_index} outside 1..{self.n}"
-                    )
+            if eq._keys.m != self.m:
+                raise AmbientMismatch(
+                    f"monomial over {eq._keys.m} derivations in a system over {self.m}"
+                )
+            unknown = max(map(eq._keys.unknown, eq._row))
+            if unknown > self.n:
+                raise ValueError(f"unknown x{unknown} outside 1..{self.n}")
         object.__setattr__(self, "equations", eqs)
 
     @property
@@ -132,7 +232,7 @@ def parse_system(text: str) -> LinearDiffSystem:
     Blank lines and '#' comments are ignored.
     """
     shape: dict[str, int] = {}
-    equations = []
+    parsed = []
     for lineno, line in _lines(text):
         if header := _HEADER.fullmatch(line):
             name = header[1]
@@ -144,18 +244,26 @@ def parse_system(text: str) -> LinearDiffSystem:
         elif eq := _EQUATION.match(line):
             if len(shape) < 2:
                 raise ParseError("m and n must be declared before equations", line=lineno)
-            equations.append(_parse_equation(line, eq.end(), lineno, shape["m"], shape["n"]))
+            parsed.append(_parse_equation(line, eq.end(), lineno, shape["m"], shape["n"]))
         else:
             raise ParseError(f"unrecognised line {line.strip()!r}", line=lineno)
     if len(shape) < 2:
         raise ParseError("missing m or n header")
-    return LinearDiffSystem(shape["m"], shape["n"], tuple(equations))
+    m, n = shape["m"], shape["n"]
+    # the completion's layout, so that it takes the rows as they are
+    keys = _Keys.fitting(m, max([n] + [sum(xi) for terms in parsed for xi, _ in terms]))
+    return LinearDiffSystem(
+        m, n, tuple(LinearEquation._from_row(*_primitive(terms, keys), keys) for terms in parsed)
+    )
 
 
-def _parse_equation(line: str, pos: int, lineno: int, m: int, n: int) -> LinearEquation:
-    """The terms of an 'eq:' line read from ``pos`` on; error columns are
-    1-based within ``line``."""
-    terms: dict[TermKey, Fraction] = {}
+def _parse_equation(
+    line: str, pos: int, lineno: int, m: int, n: int
+) -> dict[TermKey, tuple[int, int]]:
+    """The terms of an 'eq:' line read from ``pos`` on, as {(exponents,
+    unknown): (numerator, denominator)}; error columns are 1-based within
+    ``line``."""
+    terms: dict[TermKey, tuple[int, int]] = {}
     if not line[pos:].strip():
         raise ParseError("empty equation", line=lineno, column=len(line) + 1)
     while pos < len(line):
@@ -176,7 +284,6 @@ def _parse_equation(line: str, pos: int, lineno: int, m: int, n: int) -> LinearE
                     line=lineno,
                     column=term.start("star") + 1,
                 )
-        coeff = Fraction(-num if term["sign"] == "-" else num, den)
         if not term["mono"]:
             raise ParseError("expected a monomial", line=lineno, column=term.end() + 1)
         column = term.start("mono") + 1
@@ -189,32 +296,21 @@ def _parse_equation(line: str, pos: int, lineno: int, m: int, n: int) -> LinearE
             raise ParseError(f"unknown x{idx} outside 1..{n}", line=lineno, column=column)
         if (xi, idx) in terms:
             raise ParseError("duplicate monomial in equation", line=lineno, column=column)
-        terms[xi, idx] = coeff
+        terms[xi, idx] = (-num if term["sign"] == "-" else num), den
         pos = term.end()
-    return LinearEquation.from_terms(terms)
+    return terms
 
 
 # ---------------------------------------------------------------------------
 # Groebner bases for submodules of the free module over the operator ring
 
 
-def _integer_row(eq: LinearEquation) -> dict[tuple[int, ...], int]:
-    """The equation times the lcm of its denominators, as a sparse integer
-    row keyed by ``rank_key``, so the row's leader is ``max(row)``."""
-    scale = lcm(*(c.denominator for c, _ in eq.terms))
-    return {rank_key((mono.exponents, mono.var_index)): int(c * scale) for c, mono in eq.terms}
-
-
-def _shift(key: tuple[int, ...], order: int, theta: ExponentVector) -> tuple[int, ...]:
-    """The rank key of theta applied to a key, for theta of the given order."""
-    return (key[0] + order, key[1]) + tuple(map(add, key[2:], theta))
-
-
-def _normal_form(row, rep, index):
-    """Fully reduce an integer row, fraction-free; its content is removed
-    once, at the end.  Terms are visited in descending rank from a heap;
-    ``index`` maps an unknown to its basis entries (row, leader, rep), and
-    the first one whose leader divides a term reduces it.
+def _normal_form(row, rep, index, keys):
+    """Fully reduce an integer row over the layout ``keys``, fraction-free;
+    its content is removed once, at the end.  Terms are visited in
+    descending rank from a heap; ``index`` maps an unknown to its basis
+    entries (row, leader, rep), and the first one whose leader divides a
+    term reduces it.
 
     ``rep`` bounds the prolongation level at which the element is available
     as a combination of the original equations; every reduction step lifts
@@ -222,23 +318,23 @@ def _normal_form(row, rep, index):
     honest.
     """
     row = dict(row)
-    heap = [(tuple(map(neg, key)), key) for key in row]
+    heap = [-key for key in row]
     heapify(heap)
     level = rep
+    guards, shift = keys.guards, keys.order_shift
+    mask, unknown_shift = keys.mask, keys.unknown_shift
     while heap:
-        key = heappop(heap)[1]
+        key = -heappop(heap)
         coeff = row.get(key)
         if coeff is None:
             continue
-        xi = key[2:]
-        for g, glead, grep in index.get(key[1], ()):
-            if glead[0] <= key[0] and all(map(le, glead[2:], xi)):
+        for g, glead, grep in index.get((key >> unknown_shift) & mask, ()):
+            if not (key - glead) & guards:
                 break
         else:
             continue
-        order = key[0] - glead[0]
-        theta = tuple(map(sub, xi, glead[2:]))
-        level = max(level, order + grep)
+        theta = key - glead
+        level = max(level, (theta >> shift) + grep)
         common = gcd(g[glead], coeff)
         scale, factor = g[glead] // common, coeff // common
         if scale != 1:
@@ -248,11 +344,11 @@ def _normal_form(row, rep, index):
         for gkey, gc in g.items():
             if gkey == glead:
                 continue
-            tkey = _shift(gkey, order, theta) if order else gkey
+            tkey = gkey + theta
             val = row.get(tkey)
             if val is None:
                 row[tkey] = -factor * gc
-                heappush(heap, (tuple(map(neg, tkey)), tkey))
+                heappush(heap, -tkey)
             elif val == factor * gc:
                 del row[tkey]
             else:
@@ -266,8 +362,9 @@ def _normal_form(row, rep, index):
 def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     """Reduced Groebner basis plus a certified prolongation margin.
 
-    Buchberger completion under the orderly ranking, on integer rows keyed by
-    ``rank_key``.  S-pairs exist only between elements whose leaders involve
+    Buchberger completion under the orderly ranking, on primitive integer
+    rows over packed keys (``_Keys``), sized by the larger of the system's
+    order and n.  S-pairs exist only between elements whose leaders involve
     the same unknown.  They wait in a heap keyed by (starting rep, join order,
     a, b): the starting rep max(rep(a) + ord theta_a, rep(b) + ord theta_b) is
     the sugar degree of Giovini et al. (ISSAC '91) with the prolongation level
@@ -281,6 +378,11 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     is still pending.  Completion raises ResourceLimit once it would reduce
     more than ``gb_step_cap`` S-pairs.
 
+    No term of a reduction outranks the S-row's leader, so keys stay
+    within the join orders.  Before an S-pair whose join order would not
+    fit a field, every row is re-packed at double width: the leaders'
+    orders fit, so one doubling fits their join.
+
     Every element g carries rep(g), a prolongation level at which it is
     reachable from the original equations, and the returned margin is
     max(rep(g) - ord g) over the reduced basis.  It is certified: under the
@@ -291,9 +393,14 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     the module's elements of order <= s.  The argument reads only each kept
     element's own rep, which every reduction keeps honest, so the pair order
     and the criteria can move the margin but not its certificate.
+
+    The basis equations keep the rows; their Fraction terms are built only
+    when read.
     """
     check_cap("gb_step_cap", gb_step_cap)
-    basis: list[tuple[dict, tuple[int, ...], int]] = []  # (row, leader, rep)
+    keys = _Keys.fitting(system.m, max(system.order, system.n))
+    basis: list[tuple[dict, int, int]] = []  # (row, leader, rep)
+    leaders: list[TermKey] = []  # (exponents, unknown) of each basis leader
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     confined: list[bool] = []
@@ -302,29 +409,29 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
 
     def push(row, rep):
         lead = max(row)
+        xi, unknown = keys.unpack(lead)
         entry = (row, lead, rep)
-        k, xi = len(basis), lead[2:]
-        members = exponents.setdefault(lead[1], [])
+        k, order = len(basis), sum(xi)
+        members = exponents.setdefault(unknown, [])
         for j, jxi in members:
-            order = sum(map(max, jxi, xi))
-            jlead, jrep = basis[j][1:]
-            heappush(pairs, (max(order - jlead[0] + jrep, order - lead[0] + rep), order, j, k))
+            join = sum(map(max, jxi, xi))
+            heappush(pairs, (max(join - sum(jxi) + basis[j][2], join - order + rep), join, j, k))
             pending.add((j, k))
         basis.append(entry)
-        index.setdefault(lead[1], []).append(entry)
+        leaders.append((xi, unknown))
+        index.setdefault(unknown, []).append(entry)
         members.append((k, xi))
-        confined.append(all(key[1] == lead[1] for key in row))
+        confined.append(all(keys.unknown(key) == unknown for key in row))
 
     for eq in system.equations:
-        nf, rep = _normal_form(_integer_row(eq), eq.order, index)
+        nf, rep = _normal_form(_repack(eq._row, eq._keys, keys), eq.order, index, keys)
         if nf:
             push(nf, rep)
     steps = 0
     while pairs:
-        start, _, a, b = heappop(pairs)
+        start, order, a, b = heappop(pairs)
         pending.remove((a, b))
-        (f, flead, frep), (g, glead, grep) = basis[a], basis[b]
-        fxi, gxi = flead[2:], glead[2:]
+        (fxi, unknown), (gxi, _) = leaders[a], leaders[b]
         if confined[a] and confined[b] and not any(map(min, fxi, gxi)):
             continue
         join = tuple(map(max, fxi, gxi))
@@ -332,7 +439,7 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
             c != a and c != b and all(map(le, cxi, join))
             and (min(a, c), max(a, c)) not in pending
             and (min(b, c), max(b, c)) not in pending
-            for c, cxi in exponents[flead[1]]
+            for c, cxi in exponents[unknown]
         ):
             continue
         if steps == gb_step_cap:
@@ -341,30 +448,35 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
                 f"with {len(basis)} basis elements (cap {gb_step_cap})"
             )
         steps += 1
-        fshift, gshift = tuple(map(sub, join, fxi)), tuple(map(sub, join, gxi))
-        forder, gorder = sum(fshift), sum(gshift)
+        if order >= keys.limit:
+            wide = _Keys(keys.m, 2 * keys.width)
+            basis[:] = [(_repack(row, keys, wide), wide.pack(*leaders[k]), rep)
+                        for k, (row, _, rep) in enumerate(basis)]
+            index.clear()
+            for entry, (_, u) in zip(basis, leaders):
+                index.setdefault(u, []).append(entry)
+            keys = wide
+        (f, flead, _), (g, glead, _) = basis[a], basis[b]
         common = gcd(f[flead], g[glead])
         fscale, gscale = g[glead] // common, f[flead] // common
-        s_row = {_shift(k, forder, fshift): fscale * v for k, v in f.items()}
+        ftheta = keys.pack(tuple(map(sub, join, fxi)), 0)
+        gtheta = keys.pack(tuple(map(sub, join, gxi)), 0)
+        s_row = {k + ftheta: fscale * v for k, v in f.items()}
         for k, v in g.items():
-            k = _shift(k, gorder, gshift)
+            k += gtheta
             val = s_row.get(k, 0) - gscale * v
             if val:
                 s_row[k] = val
             else:
                 s_row.pop(k, None)
-        nf, rep = _normal_form(s_row, start, index)
+        nf, rep = _normal_form(s_row, start, index, keys)
         if nf:
             push(nf, rep)
 
     # minimalise: drop any element whose lead another element's lead divides
-    kept: list[tuple[dict, tuple[int, ...], int]] = []  # ascending leaders
+    kept: list[tuple[dict, int, int]] = []  # ascending leaders
     for entry in sorted(basis, key=lambda e: e[1]):
-        lead = entry[1]
-        if not any(
-            other[1][1] == lead[1] and all(map(le, other[1][2:], lead[2:]))
-            for other in kept
-        ):
+        if all((entry[1] - other[1]) & keys.guards for other in kept):
             kept.append(entry)
     # tail-reduce each survivor against the others
     reduced, margin = [], 0
@@ -372,16 +484,13 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         others: dict[int, list] = {}
         for other in kept:
             if other is not entry:
-                others.setdefault(other[1][1], []).append(other)
-        nf, rep = _normal_form(entry[0], entry[2], others)
+                others.setdefault(keys.unknown(other[1]), []).append(other)
+        nf, rep = _normal_form(entry[0], entry[2], others, keys)
         lead = max(nf)
-        margin = max(margin, rep - lead[0])
-        reduced.append((lead, nf))
-    equations = tuple(
-        LinearEquation.from_terms({(k[2:], k[1]): Fraction(v, nf[lead]) for k, v in nf.items()})
-        for lead, nf in sorted(reduced, reverse=True)
-    )
-    return LinearDiffSystem(system.m, system.n, equations), margin
+        margin = max(margin, rep - (lead >> keys.order_shift))
+        reduced.append(LinearEquation._from_row(nf, (1, nf[lead]), keys))
+    reduced.sort(key=lambda eq: eq._lead, reverse=True)
+    return LinearDiffSystem(system.m, system.n, tuple(reduced)), margin
 
 
 def module_groebner(
@@ -395,8 +504,8 @@ def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
     """Leader exponents of a reduced basis, grouped by unknown."""
     buckets: list[list[ExponentVector]] = [[] for _ in range(gb.n)]
     for eq in gb.equations:
-        lead = eq.leader
-        buckets[lead.var_index - 1].append(lead.exponents)
+        xi, unknown = eq._keys.unpack(eq._lead)
+        buckets[unknown - 1].append(xi)
     return LeaderProfile(
         gb.m, tuple(ExponentSet(gb.m, tuple(b)) for b in buckets)
     )
@@ -406,7 +515,7 @@ def kolchin_polynomial(
     system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
 ) -> NumericalPolynomial:
     """Kolchin polynomial via the Groebner route."""
-    return kolchin_from_leaders(leader_profile(module_groebner(system, gb_step_cap)))
+    return kolchin_from_leaders(leader_profile(_groebner_with_margin(system, gb_step_cap)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +536,15 @@ def _pivot_orders(
     of level L - 1 that did not reduce to zero adds d_j of its reduced row
     for every j >= k, where k (``first``) is the index that row was built
     with and an equation's own row has k = 0; a row that reduced to zero
-    has no children.  Rows are sparse integer dicts keyed by ``rank_key``, so a
-    row's pivot is its highest-ranked derivative; each new row is reduced
-    once, fraction-free with gcd content removal, against the pivot rows so
-    far, and what is left is the new pivot row.  The pivot set is the set of
-    leading derivatives of the row span: it does not depend on row order
-    and only grows with L.  So the pivots of order <= s after level L are
-    the pairs with level <= L and order <= s.
+    has no children.  Rows are sparse integer dicts over packed rank keys
+    (``_Keys``, with fields wide enough for the larger of ``top`` and n), so
+    a row's pivot is its highest-ranked derivative and d_j of a row is one
+    addition per key.  Each new row is reduced once, fraction-free with gcd
+    content removal, against the pivot rows so far, and what is left is the
+    new pivot row.  The pivot set is the set of leading derivatives of the
+    row span: it does not depend on row order and only grows with L.  So
+    the pivots of order <= s after level L are the pairs with level <= L
+    and order <= s.
 
     The rows built span all rows.  Let S_L be the span of all rows up to
     level L and T_L that of the rows built; T_L is in S_L.  Suppose
@@ -463,17 +574,18 @@ def _pivot_orders(
             f"prolongation matrix at level {top} would hold {cells} cells "
             f"(cap {matrix_cell_cap})"
         )
-    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-    pivots: dict[tuple[int, ...], dict] = {}
+    keys = _Keys.fitting(m, max(top, n))
+    steps, shift = keys.steps, keys.order_shift
+    pivots: dict[int, dict] = {}
     orders: list[tuple[int, int]] = []
     parents: list[tuple[int, dict]] = []  # (k, reduced row) of the level below
     start = min((eq.order for eq in system.equations), default=top + 1)
     for level in range(start, top + 1):
         previous, parents = parents, []
         new_rows = chain(
-            ((0, _integer_row(eq)) for eq in system.equations if eq.order == level),
+            ((0, _repack(eq._row, eq._keys, keys)) for eq in system.equations if eq.order == level),
             (
-                (j, {_shift(key, 1, units[j]): c for key, c in row.items()})
+                (j, {key + steps[j]: c for key, c in row.items()})
                 for first, row in previous
                 for j in range(first, m)
             ),
@@ -485,13 +597,14 @@ def _pivot_orders(
                 if piv is None:
                     content = gcd(*row.values())
                     pivots[lead] = row = {k: v // content for k, v in row.items()}
-                    orders.append((level, lead[0]))
+                    orders.append((level, lead >> shift))
                     parents.append((first, row))
                     break
                 g = gcd(row[lead], piv[lead])
                 ma, mb = piv[lead] // g, row[lead] // g
-                for k in row:
-                    row[k] *= ma
+                if ma != 1:
+                    for k in row:
+                        row[k] *= ma
                 for k, v in piv.items():
                     v = row.get(k, 0) - mb * v
                     if v:
@@ -549,19 +662,23 @@ def _prolongation_polynomial(
     ``margin`` as ``_groebner_with_margin`` returns them for ``system``."""
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
-    pivots = _pivot_orders(system, floor + m + margin + 1, matrix_cell_cap)
-
-    def low(level, s):  # pivots of order <= s after level
-        return sum(at <= level and order <= s for at, order in pivots)
-
-    window = range(floor, floor + m + 1)
-    for t in window:
-        if low(t + margin, t) != low(t + margin + 1, t):
+    base = floor + margin
+    # one pass over the pivots: low[i][j] counts those of order <= floor + j
+    # after level base + i, for i <= m + 1 and j <= m
+    tally = [[0] * (m + 1) for _ in range(m + 2)]
+    for at, order in _pivot_orders(system, base + m + 1, matrix_cell_cap):
+        if order <= floor + m:
+            tally[max(at - base, 0)][max(order - floor, 0)] += 1
+    low = list(accumulate(
+        (list(accumulate(row)) for row in tally), lambda a, b: list(map(add, a, b))
+    ))
+    for j in range(m + 1):
+        if low[j][j] != low[j + 1][j]:
             raise DiffdimError(
-                f"prolongation self-check failed at t = {t}: {low(t + margin, t)} pivots of "
-                f"order <= t at margin {margin}, {low(t + margin + 1, t)} at margin {margin + 1}"
+                f"prolongation self-check failed at t = {floor + j}: {low[j][j]} pivots of "
+                f"order <= t at margin {margin}, {low[j + 1][j]} at margin {margin + 1}"
             )
-    return interpolate([n * comb(m + t, m) - low(t + margin, t) for t in window], floor, m)
+    return interpolate([n * comb(m + floor + j, m) - low[j][j] for j in range(m + 1)], floor, m)
 
 
 def omega_at_least(

@@ -285,6 +285,13 @@ def test_kolchin_check_on_a_high_order_ode_keeps_one_record_per_pivot(capsys, tm
     assert out.splitlines()[-1] == "AGREE"
 
 
+def test_kolchin_check_where_the_unknown_index_outgrows_the_order(capsys):
+    code, out, _ = run(capsys, "kolchin", "--system", str(DATA / "n300.sys"), "--check")
+    assert (code, out) == (
+        0, "groebner: 298*t + 301  [298, 3]\nprolongation: 298*t + 301  [298, 3]\nAGREE\n"
+    )
+
+
 def test_kolchin_gb_step_cap(capsys, monkeypatch):
     probe4 = str(DATA / "probe4.sys")
     code, _, err = run(capsys, "kolchin", "--system", probe4, "--gb-step-cap", "5")

@@ -10,7 +10,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from diffdim.diffrank import rank_key  # noqa: E402
-from diffdim.lindiff import LinearDiffSystem, LinearEquation, module_groebner  # noqa: E402
+from diffdim.lindiff import (  # noqa: E402
+    LinearDiffSystem,
+    LinearEquation,
+    module_groebner,
+    parse_system,
+)
 
 SETTINGS = hypothesis.settings(max_examples=30, deadline=None)
 
@@ -144,6 +149,20 @@ def small_systems(draw):
 @SETTINGS
 @hypothesis.given(small_systems())
 def test_groebner_matches_plain_buchberger(system):
+    basis = {
+        frozenset(((mono.exponents, mono.var_index), c) for c, mono in eq.terms)
+        for eq in module_groebner(system).equations
+    }
+    assert basis == oracle_basis(system)
+
+
+def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
+    # order 3 and n = 2 give fields that hold 0..3.  The only pair, of
+    # d[3,0]x2 and d[2,1]x2, joins at order 4, so completion re-packs the
+    # rows first; its S-row's d[3,1]x1 is then reduced by x1 with ord theta = 4
+    system = parse_system(
+        "m = 2\nn = 2\neq: d[3,0]x2 + d[3,0]x1\neq: d[2,1]x2 + x1\neq: x1\n"
+    )
     basis = {
         frozenset(((mono.exponents, mono.var_index), c) for c, mono in eq.terms)
         for eq in module_groebner(system).equations

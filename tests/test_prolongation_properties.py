@@ -2,7 +2,7 @@
 echelon that reduces every prolongation theta * equation from scratch."""
 
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -13,9 +13,9 @@ from diffdim.lindiff import (  # noqa: E402
     DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
     LinearEquation,
-    _integer_row,
     _pivot_orders,
 )
+from diffdim.diffrank import rank_key  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None)
 
@@ -24,6 +24,13 @@ def _exponents_of_order(m, k):
     if m == 1:
         return [(k,)]
     return [(j,) + rest for j in range(k + 1) for rest in _exponents_of_order(m - 1, k - j)]
+
+
+def _integer_row(eq):
+    """The equation times the lcm of its denominators, as a sparse integer
+    row keyed by ``rank_key``, so the row's leader is ``max(row)``."""
+    scale = lcm(*(c.denominator for c, _ in eq.terms))
+    return {rank_key((mono.exponents, mono.var_index)): int(c * scale) for c, mono in eq.terms}
 
 
 def from_scratch_low(system, top):
