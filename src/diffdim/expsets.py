@@ -43,11 +43,12 @@ def _check_vector(xi, m) -> ExponentVector:
 
 
 def _minimalize(gens: tuple[ExponentVector, ...]) -> tuple[ExponentVector, ...]:
+    # lexicographic order visits a generator after every one it dominates
     out = []
     for g in sorted(set(gens)):
         if not any(dominates(g, h) for h in out):
-            out = [h for h in out if not dominates(h, g)] + [g]
-    return tuple(sorted(out))
+            out.append(g)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

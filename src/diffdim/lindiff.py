@@ -15,7 +15,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import comb, gcd, lcm
-from operator import add, le, sub
+from operator import add, le
 
 from .diffrank import (
     _MONOMIAL,
@@ -305,12 +305,36 @@ def _parse_equation(
 # Groebner bases for submodules of the free module over the operator ring
 
 
+def _eliminate(row, key, g, glead):
+    """Cancel ``row``'s term c at ``key`` against theta * g, theta * glead = key,
+    in place and fraction-free: with d = gcd(c, lc g), the row becomes
+    (lc g / d) * row - (c / d) * theta * g.  Returns the keys it added."""
+    theta = key - glead
+    common = gcd(g[glead], row[key])
+    scale, factor = g[glead] // common, row[key] // common
+    if scale != 1:
+        for k in row:
+            row[k] *= scale
+    added = []
+    for gkey, gc in g.items():
+        tkey = gkey + theta
+        val = row.get(tkey)
+        if val is None:
+            row[tkey] = -factor * gc
+            added.append(tkey)
+        elif val == factor * gc:
+            del row[tkey]
+        else:
+            row[tkey] = val - factor * gc
+    return added
+
+
 def _normal_form(row, rep, index, keys):
-    """Fully reduce an integer row over the layout ``keys``, fraction-free;
-    its content is removed once, at the end.  Terms are visited in
-    descending rank from a heap; ``index`` maps an unknown to its basis
-    entries (row, leader, rep), and the first one whose leader divides a
-    term reduces it.
+    """Fully reduce an integer row over the layout ``keys`` by ``_eliminate``
+    steps; its content is removed once, at the end.  Terms are visited in
+    descending rank from a heap, which takes the keys each step adds;
+    ``index`` maps an unknown to its basis entries (row, leader, rep), and
+    the first one whose leader divides a term reduces it.
 
     ``rep`` bounds the prolongation level at which the element is available
     as a combination of the original equations; every reduction step lifts
@@ -325,38 +349,18 @@ def _normal_form(row, rep, index, keys):
     mask, unknown_shift = keys.mask, keys.unknown_shift
     while heap:
         key = -heappop(heap)
-        coeff = row.get(key)
-        if coeff is None:
+        if key not in row:
             continue
         for g, glead, grep in index.get((key >> unknown_shift) & mask, ()):
             if not (key - glead) & guards:
                 break
         else:
             continue
-        theta = key - glead
-        level = max(level, (theta >> shift) + grep)
-        common = gcd(g[glead], coeff)
-        scale, factor = g[glead] // common, coeff // common
-        if scale != 1:
-            for k in row:
-                row[k] *= scale
-        del row[key]
-        for gkey, gc in g.items():
-            if gkey == glead:
-                continue
-            tkey = gkey + theta
-            val = row.get(tkey)
-            if val is None:
-                row[tkey] = -factor * gc
-                heappush(heap, -tkey)
-            elif val == factor * gc:
-                del row[tkey]
-            else:
-                row[tkey] = val - factor * gc
-    if row:
-        content = gcd(*row.values())
-        row = {k: v // content for k, v in row.items()}
-    return row, level
+        level = max(level, ((key - glead) >> shift) + grep)
+        for tkey in _eliminate(row, key, g, glead):
+            heappush(heap, -tkey)
+    content = gcd(*row.values())
+    return {k: v // content for k, v in row.items()}, level
 
 
 def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
@@ -364,24 +368,30 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
 
     Buchberger completion under the orderly ranking, on primitive integer
     rows over packed keys (``_Keys``), sized by the larger of the system's
-    order and n.  S-pairs exist only between elements whose leaders involve
-    the same unknown.  They wait in a heap keyed by (starting rep, join order,
-    a, b): the starting rep max(rep(a) + ord theta_a, rep(b) + ord theta_b) is
-    the sugar degree of Giovini et al. (ISSAC '91) with the prolongation level
-    in the role of the homogenised degree, so pairs are treated level by
-    level, least join first within a level.  A pair is skipped by the product
-    criterion only when the leader exponents are disjoint and both elements
-    involve no other unknown, which is the case that genuinely reduces to the
-    one-unknown polynomial ring.  It is skipped by Buchberger's chain
-    criterion (Becker and Weispfenning 1993) when another element c of the
-    same unknown has a leader dividing the join and neither (a, c) nor (b, c)
-    is still pending.  Completion raises ResourceLimit once it would reduce
-    more than ``gb_step_cap`` S-pairs.
+    order and n; each element is kept once, as (row, packed leader, rep).
+    S-pairs exist only between elements whose leaders involve the same
+    unknown.  They wait in a heap keyed by (starting rep, join order, a, b),
+    the join's exponents alongside: the starting rep max(rep(a) + ord
+    theta_a, rep(b) + ord theta_b) is the sugar degree of Giovini et al.
+    (ISSAC '91) with the prolongation level in the role of the homogenised
+    degree, so pairs are treated level by level, least join first within a
+    level.  A pair is skipped by the product criterion only when the leader
+    exponents are disjoint (the join order is ord a + ord b) and both
+    elements involve no other unknown, which is the case that genuinely
+    reduces to the one-unknown polynomial ring.  It is skipped by
+    Buchberger's chain criterion (Becker and Weispfenning 1993) when another
+    element c of the same unknown has a leader dividing the join and neither
+    (a, c) nor (b, c) is still pending.  The S-row is theta_a * f with its
+    leader cancelled by g in one ``_eliminate`` step.  Completion raises
+    ResourceLimit once it would reduce more than ``gb_step_cap`` S-pairs.
 
     No term of a reduction outranks the S-row's leader, so keys stay
     within the join orders.  Before an S-pair whose join order would not
     fit a field, every row is re-packed at double width: the leaders'
-    orders fit, so one doubling fits their join.
+    orders fit, so one doubling fits their join.  One pass in ascending
+    leader order then minimalises and tail-reduces: a leader divides only
+    derivatives it does not outrank, so only the survivors before an
+    element can drop it or reduce its terms.
 
     Every element g carries rep(g), a prolongation level at which it is
     reachable from the original equations, and the returned margin is
@@ -393,18 +403,14 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     the module's elements of order <= s.  The argument reads only each kept
     element's own rep, which every reduction keeps honest, so the pair order
     and the criteria can move the margin but not its certificate.
-
-    The basis equations keep the rows; their Fraction terms are built only
-    when read.
     """
     check_cap("gb_step_cap", gb_step_cap)
     keys = _Keys.fitting(system.m, max(system.order, system.n))
     basis: list[tuple[dict, int, int]] = []  # (row, leader, rep)
-    leaders: list[TermKey] = []  # (exponents, unknown) of each basis leader
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     confined: list[bool] = []
-    pairs: list[tuple[int, int, int, int]] = []  # heap of (starting rep, join order, a, b)
+    pairs: list[tuple] = []  # heap of (starting rep, join order, a, b, join)
     pending: set[tuple[int, int]] = set()
 
     def push(row, rep):
@@ -414,11 +420,11 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         k, order = len(basis), sum(xi)
         members = exponents.setdefault(unknown, [])
         for j, jxi in members:
-            join = sum(map(max, jxi, xi))
-            heappush(pairs, (max(join - sum(jxi) + basis[j][2], join - order + rep), join, j, k))
+            join = tuple(map(max, jxi, xi))
+            d = sum(join)
+            heappush(pairs, (max(d - sum(jxi) + basis[j][2], d - order + rep), d, j, k, join))
             pending.add((j, k))
         basis.append(entry)
-        leaders.append((xi, unknown))
         index.setdefault(unknown, []).append(entry)
         members.append((k, xi))
         confined.append(all(keys.unknown(key) == unknown for key in row))
@@ -429,12 +435,12 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
             push(nf, rep)
     steps = 0
     while pairs:
-        start, order, a, b = heappop(pairs)
+        start, order, a, b, join = heappop(pairs)
         pending.remove((a, b))
-        (fxi, unknown), (gxi, _) = leaders[a], leaders[b]
-        if confined[a] and confined[b] and not any(map(min, fxi, gxi)):
+        alead, blead, shift = basis[a][1], basis[b][1], keys.order_shift
+        if confined[a] and confined[b] and order == (alead >> shift) + (blead >> shift):
             continue
-        join = tuple(map(max, fxi, gxi))
+        unknown = keys.unknown(alead)
         if any(
             c != a and c != b and all(map(le, cxi, join))
             and (min(a, c), max(a, c)) not in pending
@@ -450,47 +456,29 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         steps += 1
         if order >= keys.limit:
             wide = _Keys(keys.m, 2 * keys.width)
-            basis[:] = [(_repack(row, keys, wide), wide.pack(*leaders[k]), rep)
-                        for k, (row, _, rep) in enumerate(basis)]
-            index.clear()
-            for entry, (_, u) in zip(basis, leaders):
-                index.setdefault(u, []).append(entry)
+            basis[:] = [(_repack(row, keys, wide), wide.pack(*keys.unpack(lead)), rep)
+                        for row, lead, rep in basis]
+            index.update((u, [basis[k] for k, _ in members]) for u, members in exponents.items())
             keys = wide
         (f, flead, _), (g, glead, _) = basis[a], basis[b]
-        common = gcd(f[flead], g[glead])
-        fscale, gscale = g[glead] // common, f[flead] // common
-        ftheta = keys.pack(tuple(map(sub, join, fxi)), 0)
-        gtheta = keys.pack(tuple(map(sub, join, gxi)), 0)
-        s_row = {k + ftheta: fscale * v for k, v in f.items()}
-        for k, v in g.items():
-            k += gtheta
-            val = s_row.get(k, 0) - gscale * v
-            if val:
-                s_row[k] = val
-            else:
-                s_row.pop(k, None)
+        jkey = keys.pack(join, unknown)
+        s_row = {k + jkey - flead: v for k, v in f.items()}
+        _eliminate(s_row, jkey, g, glead)
         nf, rep = _normal_form(s_row, start, index, keys)
         if nf:
             push(nf, rep)
 
-    # minimalise: drop any element whose lead another element's lead divides
-    kept: list[tuple[dict, int, int]] = []  # ascending leaders
-    for entry in sorted(basis, key=lambda e: e[1]):
-        if all((entry[1] - other[1]) & keys.guards for other in kept):
-            kept.append(entry)
-    # tail-reduce each survivor against the others
+    survivors: dict[int, list] = {}  # unknown -> kept entries, ascending leaders
     reduced, margin = [], 0
-    for entry in kept:
-        others: dict[int, list] = {}
-        for other in kept:
-            if other is not entry:
-                others.setdefault(keys.unknown(other[1]), []).append(other)
-        nf, rep = _normal_form(entry[0], entry[2], others, keys)
-        lead = max(nf)
-        margin = max(margin, rep - (lead >> keys.order_shift))
+    for row, lead, rep in sorted(basis, key=lambda e: e[1]):
+        before = survivors.setdefault(keys.unknown(lead), [])
+        if any(not (lead - other[1]) & keys.guards for other in before):
+            continue
+        nf, level = _normal_form(row, rep, survivors, keys)
+        before.append((row, lead, rep))
+        margin = max(margin, level - (lead >> keys.order_shift))
         reduced.append(LinearEquation._from_row(nf, (1, nf[lead]), keys))
-    reduced.sort(key=lambda eq: eq._lead, reverse=True)
-    return LinearDiffSystem(system.m, system.n, tuple(reduced)), margin
+    return LinearDiffSystem(system.m, system.n, tuple(reversed(reduced))), margin
 
 
 def module_groebner(
@@ -541,10 +529,12 @@ def _pivot_orders(
     a row's pivot is its highest-ranked derivative and d_j of a row is one
     addition per key.  Each new row is reduced once, fraction-free with gcd
     content removal, against the pivot rows so far, and what is left is the
-    new pivot row.  The pivot set is the set of leading derivatives of the
-    row span: it does not depend on row order and only grows with L.  So
-    the pivots of order <= s after level L are the pairs with level <= L
-    and order <= s.
+    new pivot row.  That step is the echelon's own, not ``_eliminate``: it
+    is the arithmetic of ``--check``'s second route, kept apart from the
+    completion it checks, and it needs no list of added keys.  The pivot
+    set is the set of leading derivatives of the row span: it does not
+    depend on row order and only grows with L.  So the pivots of order
+    <= s after level L are the pairs with level <= L and order <= s.
 
     The rows built span all rows.  Let S_L be the span of all rows up to
     level L and T_L that of the rows built; T_L is in S_L.  Suppose

@@ -1,7 +1,8 @@
 """Property tests: the fibre count of ``volume`` equals a plain count over
 every lattice point, the count read off the Hilbert numerator equals the
-fibre count, and the polynomial meets the fibre count exactly from
-``stabilisation_level`` on."""
+fibre count, the polynomial meets the fibre count exactly from
+``stabilisation_level`` on, and ``minimal_elements`` keeps exactly the
+generators that dominate no other."""
 
 import pytest
 
@@ -13,6 +14,8 @@ from diffdim.expsets import (  # noqa: E402
     _numerator,
     _numerator_volume,
     dimension_polynomial,
+    dominates,
+    minimal_elements,
     stabilisation_level,
     volume,
 )
@@ -85,3 +88,13 @@ def test_polynomial_meets_volume_exactly_from_the_level(exp_set):
         assert poly.evaluate(s) == volume(exp_set, s), s
     if level > 0:
         assert poly.evaluate(level - 1) != volume(exp_set, level - 1)
+
+
+@SETTINGS
+@hypothesis.given(raw_sets)
+@hypothesis.example(ExponentSet(2, ((3, 0), (1, 2), (1, 2), (2, 3), (0, 5))))
+@hypothesis.example(ExponentSet(3, ((0, 0, 0), (1, 0, 2))))
+def test_minimal_elements_keeps_the_undominating_generators(exp_set):
+    gens = set(exp_set.generators)
+    expected = sorted(g for g in gens if not any(h != g and dominates(g, h) for h in gens))
+    assert list(minimal_elements(exp_set).generators) == expected

@@ -1,8 +1,11 @@
 """Property tests: the reduced Groebner basis depends only on the submodule
-the equations generate, not on how the equations are written down."""
+the equations generate, not on how the equations are written down, and it
+matches a textbook Buchberger; one elimination step is the fraction-free
+combination it names."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -13,6 +16,8 @@ from diffdim.diffrank import rank_key  # noqa: E402
 from diffdim.lindiff import (  # noqa: E402
     LinearDiffSystem,
     LinearEquation,
+    _eliminate,
+    _Keys,
     module_groebner,
     parse_system,
 )
@@ -168,3 +173,26 @@ def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
         for eq in module_groebner(system).equations
     }
     assert basis == oracle_basis(system)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_elimination_step_is_the_fraction_free_combination(data):
+    # with c the row's coefficient at theta * lead(g) and d = gcd(c, lc g),
+    # the row becomes (lc g / d) * row - (c / d) * theta * g
+    terms = st.dictionaries(
+        st.tuples(exponents, st.integers(1, 2)), st.integers(-6, 6).filter(bool),
+        min_size=1, max_size=4,
+    )
+    g, row, theta = data.draw(terms), data.draw(terms), data.draw(exponents)
+    (gx, gi) = glead = _lead(g)
+    key = (tuple(a + b for a, b in zip(gx, theta)), gi)
+    row[key] = c = data.draw(st.integers(-6, 6).filter(bool))
+    d = gcd(c, g[glead])
+    expected = _add_multiple({k: g[glead] // d * v for k, v in row.items()}, g, theta, -(c // d))
+    keys = _Keys(2, 5)
+    packed = {keys.pack(*k): v for k, v in row.items()}
+    added = _eliminate(packed, keys.pack(*key), {keys.pack(*k): v for k, v in g.items()},
+                       keys.pack(*glead))
+    assert {keys.unpack(k): v for k, v in packed.items()} == expected
+    assert sorted(map(keys.unpack, added)) == sorted(expected.keys() - row.keys())
