@@ -385,6 +385,14 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     leader cancelled by g in one ``_eliminate`` step.  Completion raises
     ResourceLimit once it would reduce more than ``gb_step_cap`` S-pairs.
 
+    Completion stops, with pairs still waiting, once x_u (order 0) is a
+    leader for every unknown u: the module is then the whole free module,
+    as Buchberger's algorithm stops once 1 is in the ideal.  x_u divides
+    every derivative of x_u, so from then on every normal form is zero and
+    no waiting pair would push an element.  The final pass therefore sees
+    the basis that running the pairs out would leave, and returns the same
+    reduced basis and the same margin; the pairs left count against no cap.
+
     No term of a reduction outranks the S-row's leader, so keys stay
     within the join orders.  Before an S-pair whose join order would not
     fit a field, every row is re-packed at double width: the leaders'
@@ -410,6 +418,7 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     confined: list[bool] = []
+    units: set[int] = set()  # unknowns u whose x_u is a leader
     pairs: list[tuple] = []  # heap of (starting rep, join order, a, b, join)
     pending: set[tuple[int, int]] = set()
 
@@ -418,6 +427,8 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         xi, unknown = keys.unpack(lead)
         entry = (row, lead, rep)
         k, order = len(basis), sum(xi)
+        if not order:
+            units.add(unknown)
         members = exponents.setdefault(unknown, [])
         for j, jxi in members:
             join = tuple(map(max, jxi, xi))
@@ -434,7 +445,7 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         if nf:
             push(nf, rep)
     steps = 0
-    while pairs:
+    while pairs and len(units) < system.n:
         start, order, a, b, join = heappop(pairs)
         pending.remove((a, b))
         alead, blead, shift = basis[a][1], basis[b][1], keys.order_shift

@@ -182,6 +182,8 @@ PINNED_BASES = {
     "ode2.sys": (0, ["1*(2,)x1"]),
     "wave.sys": (0, ["1*(2, 0)x1 -1*(0, 2)x1"]),
     "unit-ideal": (4, ["1*(0, 0)x1"]),
+    "unit-x1": (1, ["1*(2, 0)x2 1*(0, 1)x2", "1*(1, 1)x2 1*(0, 0)x2",
+                    "1*(0, 2)x2 -1*(1, 0)x2", "1*(0, 0)x1"]),
 }
 # the unit ideal, reached only two levels past the equations' order
 UNIT_IDEAL = (
@@ -190,18 +192,35 @@ UNIT_IDEAL = (
     "eq: -6*d[0,2]x1 - 3*d[1,1]x1 + 7*d[0,0]x1 - 5*d[0,1]x1\n"
     "eq: -9*d[1,1]x1 + 3*d[2,0]x1 + 1*d[0,1]x1 - 3*d[0,0]x1\n"
 )
+# x1 is a leader from the start, and x2's S-pair adds d[0,2]x2 - d[1,0]x2
+# after it: completion may stop only once every unknown is a leader
+UNIT_X1 = "m = 2\nn = 2\neq: x1\neq: d[2,0]x2 + d[0,1]x2\neq: d[1,1]x2 + x2\n"
+INLINE_SYSTEMS = {"unit-ideal": UNIT_IDEAL, "unit-x1": UNIT_X1}
+
+
+def basis_lines(gb):
+    return [
+        " ".join(f"{c}*{mono.exponents}x{mono.var_index}" for c, mono in eq.terms)
+        for eq in gb.equations
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
 def test_groebner_basis_and_certified_margin_pinned(name):
     # --check takes its prolongation margin from here
-    system = parse_system(UNIT_IDEAL) if name == "unit-ideal" else load(name)
+    system = parse_system(INLINE_SYSTEMS[name]) if name in INLINE_SYSTEMS else load(name)
     gb, margin = _groebner_with_margin(system)
-    lines = [
-        " ".join(f"{c}*{mono.exponents}x{mono.var_index}" for c, mono in eq.terms)
-        for eq in gb.equations
-    ]
-    assert (margin, lines) == PINNED_BASES[name]
+    assert (margin, basis_lines(gb)) == PINNED_BASES[name]
+
+
+def test_completion_stops_once_every_unknown_is_a_leader():
+    # x1 is a leader after the third S-pair reduction; running the pairs
+    # out takes three more, each ending in zero
+    system = parse_system(UNIT_IDEAL)
+    gb, margin = _groebner_with_margin(system, gb_step_cap=3)
+    assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
+        _groebner_with_margin(system, gb_step_cap=2)
 
 
 def _margin_systems():
@@ -209,7 +228,8 @@ def _margin_systems():
     n <= 2 and order <= 3."""
     for path in sorted(DATA.glob("*.sys")):
         yield path.name, parse_system(path.read_text())
-    yield "unit-ideal", parse_system(UNIT_IDEAL)
+    for name, text in INLINE_SYSTEMS.items():
+        yield name, parse_system(text)
     rng = random.Random(1618)
     for k in range(20):
         m, n = rng.randint(1, 3), rng.randint(1, 2)
