@@ -385,6 +385,12 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     leader cancelled by g in one ``_eliminate`` step.  Completion raises
     ResourceLimit once it would reduce more than ``gb_step_cap`` S-pairs.
 
+    No pair of two monomials is made: their S-row theta_a * x_a -
+    theta_b * x_b is identically zero, so it needs no reduction and pushes
+    no element.  Such a pair never waits, so the chain criterion reads it
+    as done, which is sound because a zero S-row has the trivial standard
+    representation; and it counts against no cap.
+
     Completion stops, with pairs still waiting, once x_u (order 0) is a
     leader for every unknown u: the module is then the whole free module,
     as Buchberger's algorithm stops once 1 is in the ideal.  x_u divides
@@ -431,6 +437,8 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
             units.add(unknown)
         members = exponents.setdefault(unknown, [])
         for j, jxi in members:
+            if len(row) == 1 == len(basis[j][0]):
+                continue
             join = tuple(map(max, jxi, xi))
             d = sum(join)
             heappush(pairs, (max(d - sum(jxi) + basis[j][2], d - order + rep), d, j, k, join))

@@ -1,8 +1,12 @@
 """Property tests: the fibre count of ``volume`` equals a plain count over
 every lattice point, the count read off the Hilbert numerator equals the
 fibre count, the polynomial meets the fibre count exactly from
-``stabilisation_level`` on, and ``minimal_elements`` keeps exactly the
-generators that dominate no other."""
+``stabilisation_level`` on, ``minimal_elements`` keeps exactly the
+generators that dominate no other, and the distinct-join sum of
+``volume_ie`` equals the sum over every subset of the antichain."""
+
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -18,6 +22,7 @@ from diffdim.expsets import (  # noqa: E402
     minimal_elements,
     stabilisation_level,
     volume,
+    volume_ie,
 )
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
@@ -98,3 +103,47 @@ def test_minimal_elements_keeps_the_undominating_generators(exp_set):
     gens = set(exp_set.generators)
     expected = sorted(g for g in gens if not any(h != g and dominates(g, h) for h in gens))
     assert list(minimal_elements(exp_set).generators) == expected
+
+
+def _subset_ie(exp_set, s):
+    """Inclusion-exclusion over every subset of the minimal antichain, one
+    join per subset: 2^k terms for k generators."""
+    m = exp_set.m
+    gens = exp_set._antichain
+    total = 0
+    for mask in range(1 << len(gens)):
+        join = (0,) * m
+        sign = 1
+        for idx, g in enumerate(gens):
+            if mask >> idx & 1:
+                join = tuple(max(a, b) for a, b in zip(join, g))
+                sign = -sign
+        d = sum(join)
+        if s >= d:
+            total += sign * comb(s - d + m, m)
+    return total
+
+
+@SETTINGS
+@hypothesis.given(exp_sets, st.data())
+def test_distinct_joins_count_as_every_subset(exp_set, data):
+    s = data.draw(st.integers(0, stabilisation_level(exp_set) + 3))
+    assert volume_ie(exp_set, s) == _subset_ie(exp_set, s) == volume(exp_set, s)
+
+
+@pytest.mark.parametrize(
+    "exp_set",
+    [
+        # 2^400 subsets, 800 joins with a nonzero coefficient
+        pytest.param(ExponentSet(2, tuple((i, 399 - i) for i in range(400))), id="staircase-400"),
+        # 2^18 subsets of order-5 vectors in N^3
+        pytest.param(
+            ExponentSet(3, tuple(xi for xi in product(range(6), repeat=3) if sum(xi) == 5)[:18]),
+            id="same-order-18",
+        ),
+    ],
+)
+def test_volume_ie_on_large_antichains(exp_set):
+    level = stabilisation_level(exp_set)
+    for s in range(level, level + 4):
+        assert volume_ie(exp_set, s) == volume(exp_set, s) == _numerator_volume(exp_set, s), s

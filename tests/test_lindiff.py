@@ -184,6 +184,8 @@ PINNED_BASES = {
     "unit-ideal": (4, ["1*(0, 0)x1"]),
     "unit-x1": (1, ["1*(2, 0)x2 1*(0, 1)x2", "1*(1, 1)x2 1*(0, 0)x2",
                     "1*(0, 2)x2 -1*(1, 0)x2", "1*(0, 0)x1"]),
+    "monomials-6": (0, [f"1*({i}, {5 - i})x1" for i in range(5, -1, -1)]),
+    "monomials-binomial": (2, ["1*(0, 2)x1", "1*(1, 0)x1"]),
 }
 # the unit ideal, reached only two levels past the equations' order
 UNIT_IDEAL = (
@@ -195,7 +197,17 @@ UNIT_IDEAL = (
 # x1 is a leader from the start, and x2's S-pair adds d[0,2]x2 - d[1,0]x2
 # after it: completion may stop only once every unknown is a leader
 UNIT_X1 = "m = 2\nn = 2\neq: x1\neq: d[2,0]x2 + d[0,1]x2\neq: d[1,1]x2 + x2\n"
-INLINE_SYSTEMS = {"unit-ideal": UNIT_IDEAL, "unit-x1": UNIT_X1}
+# six monomials of order 5: none of their 15 S-pairs is made
+MONOMIALS_6 = "m = 2\nn = 1\n" + "".join(f"eq: d[{i},{5 - i}]x1\n" for i in range(6))
+# the pairs of the binomial with each monomial are still made, and they
+# reach d[1,0]x1 only at level 3, two above its order: margin 2
+MONOMIALS_BINOMIAL = "m = 2\nn = 1\neq: d[2,0]x1\neq: d[0,2]x1\neq: d[1,1]x1 + d[1,0]x1\n"
+INLINE_SYSTEMS = {
+    "unit-ideal": UNIT_IDEAL,
+    "unit-x1": UNIT_X1,
+    "monomials-6": MONOMIALS_6,
+    "monomials-binomial": MONOMIALS_BINOMIAL,
+}
 
 
 def basis_lines(gb):
@@ -219,6 +231,17 @@ def test_completion_stops_once_every_unknown_is_a_leader():
     system = parse_system(UNIT_IDEAL)
     gb, margin = _groebner_with_margin(system, gb_step_cap=3)
     assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
+        _groebner_with_margin(system, gb_step_cap=2)
+
+
+def test_completion_makes_no_pair_of_two_monomials():
+    # the chain criterion alone would leave five of the 15 pairs to reduce
+    gb, margin = _groebner_with_margin(parse_system(MONOMIALS_6), gb_step_cap=1)
+    assert (margin, basis_lines(gb)) == PINNED_BASES["monomials-6"]
+    system = parse_system(MONOMIALS_BINOMIAL)
+    gb, margin = _groebner_with_margin(system, gb_step_cap=3)
+    assert (margin, basis_lines(gb)) == PINNED_BASES["monomials-binomial"]
     with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
         _groebner_with_margin(system, gb_step_cap=2)
 
