@@ -368,22 +368,21 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
 
     Buchberger completion under the orderly ranking, on primitive integer
     rows over packed keys (``_Keys``), sized by the larger of the system's
-    order and n; each element is kept once, as (row, packed leader, rep).
-    S-pairs exist only between elements whose leaders involve the same
-    unknown.  They wait in a heap keyed by (starting rep, join order, a, b),
-    the join's exponents alongside: the starting rep max(rep(a) + ord
-    theta_a, rep(b) + ord theta_b) is the sugar degree of Giovini et al.
-    (ISSAC '91) with the prolongation level in the role of the homogenised
-    degree, so pairs are treated level by level, least join first within a
-    level.  A pair is skipped by the product criterion only when the leader
-    exponents are disjoint (the join order is ord a + ord b) and both
-    elements involve no other unknown, which is the case that genuinely
-    reduces to the one-unknown polynomial ring.  It is skipped by
-    Buchberger's chain criterion (Becker and Weispfenning 1993) when another
-    element c of the same unknown has a leader dividing the join and neither
-    (a, c) nor (b, c) is still pending.  The S-row is theta_a * f with its
-    leader cancelled by g in one ``_eliminate`` step.  Completion raises
-    ResourceLimit once it would reduce more than ``gb_step_cap`` S-pairs.
+    order and n.  Each element is one [row, packed leader, rep] list, shared
+    by the basis and the per-unknown index.  S-pairs exist only between
+    elements whose leaders involve the same unknown.  They wait in a heap
+    keyed by (starting rep, join order, a, b), the join's exponents
+    alongside: the starting rep max(rep(a) + ord theta_a, rep(b) + ord
+    theta_b) is the sugar degree of Giovini et al. (ISSAC '91) with the
+    prolongation level in the role of the homogenised degree, so pairs are
+    treated level by level, least join first within a level.  The one pair
+    criterion is Buchberger's chain criterion (Becker and Weispfenning
+    1993): a pair is skipped when another element c of the same unknown has
+    a leader dividing the join and neither (a, c) nor (b, c) is still
+    pending.  The S-row is theta_a * f with its leader cancelled by g in one
+    ``_eliminate`` step.  Completion raises ResourceLimit once it would
+    reduce more than ``gb_step_cap`` S-pairs; a pair whose leaders are
+    coprime is reduced, and counted, like any other.
 
     No pair of two monomials is made: their S-row theta_a * x_a -
     theta_b * x_b is identically zero, so it needs no reduction and pushes
@@ -401,11 +400,11 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
 
     No term of a reduction outranks the S-row's leader, so keys stay
     within the join orders.  Before an S-pair whose join order would not
-    fit a field, every row is re-packed at double width: the leaders'
-    orders fit, so one doubling fits their join.  One pass in ascending
-    leader order then minimalises and tail-reduces: a leader divides only
-    derivatives it does not outrank, so only the survivors before an
-    element can drop it or reduce its terms.
+    fit a field, every element is re-packed in place at double width: the
+    leaders' orders fit, so one doubling fits their join.  One pass in
+    ascending leader order then minimalises and tail-reduces: a leader
+    divides only derivatives it does not outrank, so only the survivors
+    before an element can drop it or reduce its terms.
 
     Every element g carries rep(g), a prolongation level at which it is
     reachable from the original equations, and the returned margin is
@@ -416,14 +415,13 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     span.  So the pivots of order <= s at level s + margin count exactly
     the module's elements of order <= s.  The argument reads only each kept
     element's own rep, which every reduction keeps honest, so the pair order
-    and the criteria can move the margin but not its certificate.
+    and the skipped pairs can move the margin but not its certificate.
     """
     check_cap("gb_step_cap", gb_step_cap)
     keys = _Keys.fitting(system.m, max(system.order, system.n))
-    basis: list[tuple[dict, int, int]] = []  # (row, leader, rep)
+    basis: list[list] = []  # [row, leader, rep], shared with index
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
-    confined: list[bool] = []
     units: set[int] = set()  # unknowns u whose x_u is a leader
     pairs: list[tuple] = []  # heap of (starting rep, join order, a, b, join)
     pending: set[tuple[int, int]] = set()
@@ -431,7 +429,6 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     def push(row, rep):
         lead = max(row)
         xi, unknown = keys.unpack(lead)
-        entry = (row, lead, rep)
         k, order = len(basis), sum(xi)
         if not order:
             units.add(unknown)
@@ -443,10 +440,9 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
             d = sum(join)
             heappush(pairs, (max(d - sum(jxi) + basis[j][2], d - order + rep), d, j, k, join))
             pending.add((j, k))
-        basis.append(entry)
-        index.setdefault(unknown, []).append(entry)
+        basis.append([row, lead, rep])
+        index.setdefault(unknown, []).append(basis[k])
         members.append((k, xi))
-        confined.append(all(keys.unknown(key) == unknown for key in row))
 
     for eq in system.equations:
         nf, rep = _normal_form(_repack(eq._row, eq._keys, keys), eq.order, index, keys)
@@ -456,10 +452,7 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     while pairs and len(units) < system.n:
         start, order, a, b, join = heappop(pairs)
         pending.remove((a, b))
-        alead, blead, shift = basis[a][1], basis[b][1], keys.order_shift
-        if confined[a] and confined[b] and order == (alead >> shift) + (blead >> shift):
-            continue
-        unknown = keys.unknown(alead)
+        unknown = keys.unknown(basis[a][1])
         if any(
             c != a and c != b and all(map(le, cxi, join))
             and (min(a, c), max(a, c)) not in pending
@@ -475,9 +468,8 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         steps += 1
         if order >= keys.limit:
             wide = _Keys(keys.m, 2 * keys.width)
-            basis[:] = [(_repack(row, keys, wide), wide.pack(*keys.unpack(lead)), rep)
-                        for row, lead, rep in basis]
-            index.update((u, [basis[k] for k, _ in members]) for u, members in exponents.items())
+            for entry in basis:
+                entry[:2] = _repack(entry[0], keys, wide), wide.pack(*keys.unpack(entry[1]))
             keys = wide
         (f, flead, _), (g, glead, _) = basis[a], basis[b]
         jkey = keys.pack(join, unknown)
@@ -522,7 +514,7 @@ def kolchin_polynomial(
     system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
 ) -> NumericalPolynomial:
     """Kolchin polynomial via the Groebner route."""
-    return kolchin_from_leaders(leader_profile(_groebner_with_margin(system, gb_step_cap)[0]))
+    return kolchin_from_leaders(leader_profile(module_groebner(system, gb_step_cap)))
 
 
 # ---------------------------------------------------------------------------

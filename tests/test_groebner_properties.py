@@ -17,6 +17,7 @@ from diffdim.lindiff import (  # noqa: E402
     LinearDiffSystem,
     LinearEquation,
     _eliminate,
+    _groebner_with_margin,
     _Keys,
     module_groebner,
     parse_system,
@@ -141,8 +142,8 @@ def oracle_basis(system):
 
 @st.composite
 def small_systems(draw):
-    """m <= 3, n <= 2, order <= 3."""
-    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    """m <= 3, n <= 3, order <= 3."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     vectors = [xi for xi in product(range(4), repeat=m) if sum(xi) <= 3]
     equation = st.dictionaries(
         st.tuples(st.sampled_from(vectors), st.integers(1, n)), coefficients,
@@ -173,6 +174,10 @@ def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
         for eq in module_groebner(system).equations
     }
     assert basis == oracle_basis(system)
+    # that one reduction needs x1 at the new width: found through a stale
+    # leader index, the S-row would stay and push a fourth element
+    gb, margin = _groebner_with_margin(system, gb_step_cap=1)
+    assert (margin, len(gb.equations)) == (0, 3)
 
 
 @SETTINGS

@@ -186,6 +186,8 @@ PINNED_BASES = {
                     "1*(0, 2)x2 -1*(1, 0)x2", "1*(0, 0)x1"]),
     "monomials-6": (0, [f"1*({i}, {5 - i})x1" for i in range(5, -1, -1)]),
     "monomials-binomial": (2, ["1*(0, 2)x1", "1*(1, 0)x1"]),
+    "chain-pending-ac": (3, ["1*(0,)x1"]),
+    "chain-pending-bc": (1, ["1*(0, 3)x1", "1*(2, 0)x1", "1*(1, 1)x1 -1*(0, 2)x1"]),
 }
 # the unit ideal, reached only two levels past the equations' order
 UNIT_IDEAL = (
@@ -202,11 +204,25 @@ MONOMIALS_6 = "m = 2\nn = 1\n" + "".join(f"eq: d[{i},{5 - i}]x1\n" for i in rang
 # the pairs of the binomial with each monomial are still made, and they
 # reach d[1,0]x1 only at level 3, two above its order: margin 2
 MONOMIALS_BINOMIAL = "m = 2\nn = 1\neq: d[2,0]x1\neq: d[0,2]x1\neq: d[1,1]x1 + d[1,0]x1\n"
+# the chain criterion skips a pair (a, b) for an element c whose leader
+# divides the join only if neither (a, c) nor (b, c) is pending; each system
+# below loses a basis element when one of the two conditions goes.  Without
+# the (a, c) condition, the pair (d[3]x1 - 2*x1, d[2]x1) is skipped for
+# d[1]x1 while (d[3]x1 - 2*x1, d[1]x1) waits; that pair is then skipped for
+# d[2]x1, and x1 is never reached
+CHAIN_PENDING_AC = "m = 1\nn = 1\neq: 2*d[0]x1 - d[3]x1\neq: -d[2]x1\neq: -d[1]x1\n"
+# without the (b, c) condition, d[0,3]x1 drops out of the basis
+CHAIN_PENDING_BC = (
+    "m = 2\nn = 1\n"
+    "eq: 3*d[2,0]x1 + 2*d[2,1]x1 - 2*d[0,3]x1\neq: 2*d[1,1]x1 - 2*d[0,2]x1\n"
+)
 INLINE_SYSTEMS = {
     "unit-ideal": UNIT_IDEAL,
     "unit-x1": UNIT_X1,
     "monomials-6": MONOMIALS_6,
     "monomials-binomial": MONOMIALS_BINOMIAL,
+    "chain-pending-ac": CHAIN_PENDING_AC,
+    "chain-pending-bc": CHAIN_PENDING_BC,
 }
 
 
@@ -346,6 +362,21 @@ def test_completion_entries_take_the_step_cap(entry):
 def test_completion_entries_reject_step_cap_that_is_not_positive_int(entry, cap):
     with pytest.raises(ValueError, match="gb_step_cap"):
         COMPLETION_ENTRIES[entry](load("heat.sys"), gb_step_cap=cap)
+
+
+def test_kolchin_polynomial_completes_through_module_groebner(monkeypatch):
+    # the Groebner route's completion is the public one, so a trace of
+    # module_groebner sees every completion that route makes
+    completions = []
+    complete = lindiff.module_groebner
+
+    def counted(system, gb_step_cap):
+        completions.append(system)
+        return complete(system, gb_step_cap)
+
+    monkeypatch.setattr(lindiff, "module_groebner", counted)
+    assert kolchin_polynomial(load("heat.sys")) == HEAT_OMEGA
+    assert len(completions) == 1
 
 
 def test_groebner_handles_redundant_equations():
