@@ -205,9 +205,8 @@ def _cmd_omega_leaders(args):
 def _cmd_kolchin(args):
     system = lindiff.parse_system(_read(args.system))
     if args.check:
-        gb, margin = lindiff._groebner_with_margin(system, args.gb_step_cap)
-        via_gb = diffrank.kolchin_from_leaders(lindiff.leader_profile(gb))
-        via_ranks = lindiff._prolongation_polynomial(system, gb, margin, args.matrix_cell_cap)
+        via_gb = lindiff.kolchin_polynomial(system, args.gb_step_cap)
+        via_ranks = lindiff.kolchin_via_prolongation(system, args.matrix_cell_cap, args.gb_step_cap)
         agree = via_gb == via_ranks
         doc = {"groebner": _poly_doc(via_gb), "prolongation": _poly_doc(via_ranks),
                "agree": agree}

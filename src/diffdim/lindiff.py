@@ -10,7 +10,7 @@ rank computations on prolongation matrices followed by interpolation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
@@ -188,6 +188,7 @@ class LinearDiffSystem:
     m: int
     n: int
     equations: tuple[LinearEquation, ...]
+    _completion: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -359,8 +360,9 @@ def _normal_form(row, rep, index, keys):
         level = max(level, ((key - glead) >> shift) + grep)
         for tkey in _eliminate(row, key, g, glead):
             heappush(heap, -tkey)
-    content = gcd(*row.values())
-    return {k: v // content for k, v in row.items()}, level
+    if (content := gcd(*row.values())) > 1:
+        row = {k: v // content for k, v in row.items()}
+    return row, level
 
 
 def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
@@ -492,11 +494,23 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     return LinearDiffSystem(system.m, system.n, tuple(reversed(reduced))), margin
 
 
+def _completed(system: LinearDiffSystem, gb_step_cap: int):
+    """``_groebner_with_margin(system, gb_step_cap)``, kept on the system
+    object.  One that finished under cap c made at most c reductions, so it
+    serves any cap >= c; a smaller cap completes again, and may raise."""
+    check_cap("gb_step_cap", gb_step_cap)
+    if (done := system._completion) is None or done[2] > gb_step_cap:
+        done = *_groebner_with_margin(system, gb_step_cap), gb_step_cap
+        object.__setattr__(system, "_completion", done)
+    return done[:2]
+
+
 def module_groebner(
     system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
 ) -> LinearDiffSystem:
-    """The reduced Groebner basis of the submodule the equations generate."""
-    return _groebner_with_margin(system, gb_step_cap)[0]
+    """The reduced Groebner basis of the submodule the equations generate,
+    completed once per system object and shared by every route on it."""
+    return _completed(system, gb_step_cap)[0]
 
 
 def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
@@ -513,7 +527,7 @@ def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
 def kolchin_polynomial(
     system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
 ) -> NumericalPolynomial:
-    """Kolchin polynomial via the Groebner route."""
+    """Kolchin polynomial via the Groebner route, on ``module_groebner``."""
     return kolchin_from_leaders(leader_profile(module_groebner(system, gb_step_cap)))
 
 
@@ -596,8 +610,9 @@ def _pivot_orders(
                 lead = max(row)
                 piv = pivots.get(lead)
                 if piv is None:
-                    content = gcd(*row.values())
-                    pivots[lead] = row = {k: v // content for k, v in row.items()}
+                    if (content := gcd(*row.values())) > 1:
+                        row = {k: v // content for k, v in row.items()}
+                    pivots[lead] = row
                     orders.append((level, lead >> shift))
                     parents.append((first, row))
                     break
@@ -649,18 +664,11 @@ def kolchin_via_prolongation(
     fixed window [floor, floor + m] give the polynomial, read from one
     echelon form built to level floor + m + margin + 1; no other window is
     tried.  Each value must be the same at margin + 1, or DiffdimError is
-    raised.
+    raised.  The completion is the one ``module_groebner`` keeps on the
+    system object, made at most once for both routes.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
-    gb, margin = _groebner_with_margin(system, gb_step_cap)
-    return _prolongation_polynomial(system, gb, margin, matrix_cell_cap)
-
-
-def _prolongation_polynomial(
-    system: LinearDiffSystem, gb: LinearDiffSystem, margin: int, matrix_cell_cap: int
-) -> NumericalPolynomial:
-    """``kolchin_via_prolongation`` from a completion already made: ``gb`` and
-    ``margin`` as ``_groebner_with_margin`` returns them for ``system``."""
+    gb, margin = _completed(system, gb_step_cap)
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
     base = floor + margin

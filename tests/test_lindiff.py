@@ -379,6 +379,54 @@ def test_kolchin_polynomial_completes_through_module_groebner(monkeypatch):
     assert len(completions) == 1
 
 
+def test_one_completion_serves_every_route_on_one_system(monkeypatch):
+    completions = []
+    complete = lindiff._groebner_with_margin
+
+    def counted(system, gb_step_cap):
+        completions.append(system)
+        return complete(system, gb_step_cap)
+
+    monkeypatch.setattr(lindiff, "_groebner_with_margin", counted)
+    system = load("heat.sys")
+    assert len(module_groebner(system).equations) == 1
+    assert kolchin_polynomial(system) == HEAT_OMEGA
+    assert kolchin_via_prolongation(system) == HEAT_OMEGA
+    assert omega_at_least(system, HEAT_OMEGA) and omega_equals(system, HEAT_OMEGA)
+    assert completions == [system]
+    # a fresh parse of the same text is another object, completed again
+    assert kolchin_via_prolongation(load("heat.sys")) == HEAT_OMEGA
+    assert len(completions) == 2
+
+
+def test_a_completed_system_equals_a_fresh_parse():
+    system = load("cauchy_riemann.sys")
+    kolchin_polynomial(system)
+    fresh = load("cauchy_riemann.sys")
+    assert repr(system) == repr(fresh)
+    assert system == fresh
+    assert hash(system) == hash(fresh)
+
+
+def test_completed_system_still_checks_the_cap():
+    system = load("heat.sys")
+    kolchin_polynomial(system)
+    with pytest.raises(ValueError, match="gb_step_cap"):
+        kolchin_polynomial(system, gb_step_cap=1.5e9)
+
+
+def test_completed_system_recompletes_under_a_smaller_cap():
+    # the unit ideal takes 3 S-pair reductions: a completion stored under
+    # cap 3 is no answer under cap 2, and is the answer under the default
+    system = parse_system(UNIT_IDEAL)
+    gb, margin = lindiff._completed(system, 3)
+    assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
+        lindiff._completed(system, 2)
+    gb, margin = lindiff._completed(system, DEFAULT_GB_STEP_CAP)
+    assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+
+
 def test_groebner_handles_redundant_equations():
     system = parse_system(
         "m = 2\nn = 1\n"
