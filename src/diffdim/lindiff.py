@@ -104,52 +104,21 @@ def _primitive(terms: dict[TermKey, tuple[int, int]], keys: _Keys):
 class LinearEquation:
     """One homogeneous linear equation, held as a primitive integer row.
 
-    ``_row`` maps the packed key (layout ``_keys``) of each derivative to
-    an integer coefficient, with no common factor, so the leader is
-    ``_lead`` = ``max(_row)``; ``_scale`` = (p, q) turns the row back into
-    the equation's coefficients, row * p / q.  ``terms``, the public form,
-    is the pairs (coefficient, monomial) sorted by descending rank; it is
-    built on first use.  The row is shared, never mutated.
+    ``row`` maps the packed key (layout ``keys``) of each derivative to an
+    integer coefficient, with no common factor, so the leader is
+    ``max(row)``; an empty row raises ValueError.  ``scale`` = (p, q) turns
+    the row back into the equation's coefficients, row * p / q.  Equations
+    are made only by ``parse_system`` and by completion, each from a row it
+    built, so the row is taken as given.  ``terms``, the public form, is the
+    pairs (coefficient, monomial) sorted by descending rank; it is built on
+    first use.  The row is shared, never mutated.
     """
 
     __slots__ = ("_row", "_scale", "_keys", "_lead", "_terms")
 
-    def __init__(self, terms: tuple[tuple[Fraction, DifferentialMonomial], ...]):
-        if not terms:
-            raise ValueError("equation needs at least one term")
-        coeffs: dict[TermKey, tuple[int, int]] = {}
-        width = None
-        for coeff, mono in terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                raise ValueError("zero coefficient in equation")
-            if width is None:
-                width = mono.m
-            elif mono.m != width:
-                raise AmbientMismatch("mixed derivation counts in one equation")
-            key = (mono.exponents, mono.var_index)
-            if key in coeffs:
-                raise ValueError(f"duplicate monomial {key} in equation")
-            coeffs[key] = coeff.numerator, coeff.denominator
-        keys = _Keys.fitting(width, max(max(sum(xi), i) for xi, i in coeffs))
-        self._set(*_primitive(coeffs, keys), keys)
-
-    def _set(self, row: dict[int, int], scale: tuple[int, int], keys: _Keys):
+    def __init__(self, row: dict[int, int], scale: tuple[int, int], keys: _Keys):
         self._row, self._scale, self._keys, self._terms = row, scale, keys, None
         self._lead = max(row)
-        return self
-
-    @classmethod
-    def _from_row(cls, row: dict[int, int], scale: tuple[int, int], keys: _Keys):
-        return object.__new__(cls)._set(row, scale, keys)
-
-    @classmethod
-    def from_terms(cls, mapping: dict[TermKey, Fraction]) -> "LinearEquation":
-        return cls(
-            tuple(
-                (c, DifferentialMonomial(xi, i)) for (xi, i), c in mapping.items()
-            )
-        )
 
     @property
     def terms(self) -> tuple[tuple[Fraction, DifferentialMonomial], ...]:
@@ -254,7 +223,7 @@ def parse_system(text: str) -> LinearDiffSystem:
     # the completion's layout, so that it takes the rows as they are
     keys = _Keys.fitting(m, max([n] + [sum(xi) for terms in parsed for xi, _ in terms]))
     return LinearDiffSystem(
-        m, n, tuple(LinearEquation._from_row(*_primitive(terms, keys), keys) for terms in parsed)
+        m, n, tuple(LinearEquation(*_primitive(terms, keys), keys) for terms in parsed)
     )
 
 
@@ -490,7 +459,7 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         nf, level = _normal_form(row, rep, survivors, keys)
         before.append((row, lead, rep))
         margin = max(margin, level - (lead >> keys.order_shift))
-        reduced.append(LinearEquation._from_row(nf, (1, nf[lead]), keys))
+        reduced.append(LinearEquation(nf, (1, nf[lead]), keys))
     return LinearDiffSystem(system.m, system.n, tuple(reversed(reduced))), margin
 
 

@@ -44,25 +44,19 @@ class NumericalPolynomial:
     """An integer-valued polynomial held by its standard coefficients.
 
     ``degree_bound`` is the length bookkeeping bound m; the true degree may
-    be smaller.  ``standard_coeffs`` lists (a_m, ..., a_0).
+    be smaller.  ``standard_coeffs`` lists (a_m, ..., a_0).  The constructor
+    takes m and a tuple of m + 1 ints as given: it serves the library's own
+    arithmetic (``__add__``, ``padded``, ``zero``, ``dimension_polynomial``).
+    Outside input goes through one of the three readers that check it,
+    ``from_coeffs``, ``from_json_dict`` and ``interpolate``.
     """
 
     degree_bound: int
     standard_coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.degree_bound < 0:
-            raise ValueError("degree bound must be non-negative")
-        coeffs = tuple(_as_int(c) for c in self.standard_coeffs)
-        if len(coeffs) != self.degree_bound + 1:
-            raise ValueError(
-                f"expected {self.degree_bound + 1} coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "standard_coeffs", coeffs)
-
     @classmethod
     def from_coeffs(cls, coeffs) -> "NumericalPolynomial":
-        coeffs = tuple(coeffs)
+        coeffs = tuple(map(_as_int, coeffs))
         if not coeffs:
             raise ValueError("need at least one coefficient")
         return cls(len(coeffs) - 1, coeffs)
@@ -156,9 +150,9 @@ def interpolate(values, start: int, m: int) -> NumericalPolynomial:
 
     ``values`` are p(start), p(start + 1), ..., p(start + m) with start >= 0.
     Recovery runs by repeated differencing: the backward difference
-    p(t) - p(t - 1) drops every basis index by one, so the differenced value
-    list determines (a_m, ..., a_1) one level up and a_0 falls out of the
-    value at ``start``.
+    p(t) - p(t - 1) drops every basis index by one, so the k-th difference
+    of the values, first read at start + k, has the coefficients (a_m, ...,
+    a_k), and a_k is its first value less the terms of a_m, ..., a_(k+1).
     """
     if start < 0:
         raise ValueError("start must be non-negative")
@@ -167,19 +161,16 @@ def interpolate(values, start: int, m: int) -> NumericalPolynomial:
     vals = [_as_int(v) for v in values]
     if len(vals) != m + 1:
         raise ValueError(f"need exactly {m + 1} values, got {len(vals)}")
-    return NumericalPolynomial(m, tuple(_coeffs_from_values(vals, start)))
-
-
-def _coeffs_from_values(vals, start):
-    if len(vals) == 1:
-        return [vals[0]]
-    diffs = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    upper = _coeffs_from_values(diffs, start + 1)  # (a_d, ..., a_1)
-    d = len(vals) - 1
-    a0 = vals[0] - sum(
-        a * comb(start + i, i) for a, i in zip(upper, range(d, 0, -1))
-    )
-    return upper + [a0]
+    firsts = []  # the first value of each difference
+    while vals:
+        firsts.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    coeffs = []  # (a_m, ..., a_(k+1)), then a_k
+    for k in range(m, -1, -1):
+        coeffs.append(firsts[k] - sum(
+            a * comb(start + k + i, i) for a, i in zip(coeffs, range(m - k, 0, -1)) if a
+        ))
+    return NumericalPolynomial(m, tuple(coeffs))
 
 
 def to_json_dict(p: NumericalPolynomial) -> dict:

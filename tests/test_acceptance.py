@@ -21,7 +21,6 @@ from diffdim.expsets import (
 )
 from diffdim.lindiff import (
     LinearDiffSystem,
-    LinearEquation,
     kolchin_polynomial,
     kolchin_via_prolongation,
     leader_profile,
@@ -34,6 +33,7 @@ from diffdim.numpoly import (
     compare_eventual,
     interpolate,
 )
+from parsed import equation
 
 DATA = Path(__file__).parent / "data"
 CORPUS = ("heat.sys", "wave.sys", "laplace.sys", "cauchy_riemann.sys")
@@ -132,7 +132,7 @@ def _random_system(rng):
             if key in terms:
                 continue
             terms[key] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-        equations.append(LinearEquation.from_terms(terms))
+        equations.append(equation(terms))
     return LinearDiffSystem(m, n, tuple(equations))
 
 

@@ -1,14 +1,15 @@
 """Property tests: the system grammar reads back every system it can render,
 whatever whitespace and comments surround the tokens, and reads a monomial
-the way parse_monomial does."""
+the way parse_monomial does.  The expected equations are built from the
+drawn terms alone, with no parse."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from diffdim.diffrank import DifferentialMonomial, parse_monomial  # noqa: E402
-from diffdim.lindiff import LinearDiffSystem, LinearEquation, parse_system  # noqa: E402
+from diffdim.diffrank import DifferentialMonomial, parse_monomial, rank_key  # noqa: E402
+from diffdim.lindiff import parse_system  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
 
@@ -56,21 +57,25 @@ def systems(draw):
             if key not in terms:
                 terms[key] = coeff
                 pieces.append(text)
-        equations.append(LinearEquation.from_terms(terms))
+        # the terms an equation reads back: by descending rank
+        ranked = sorted(terms.items(), key=lambda term: rank_key(term[0]), reverse=True)
+        equations.append(tuple((coeff, DifferentialMonomial(*key)) for key, coeff in ranked))
         body = draw(gaps).join(pieces)
         lines.append(f"{draw(gaps)}eq{draw(gaps)}:{draw(gaps)}{body}{draw(gaps)}")
     noisy = []
     for line in lines:
         noisy.append(line + draw(st.sampled_from(["", " # note", "#x1 = 2"])))
         noisy.extend(draw(st.lists(st.sampled_from(["", "  ", "# comment"]), max_size=2)))
-    return "\n".join(noisy) + "\n", LinearDiffSystem(m, n, tuple(equations))
+    return "\n".join(noisy) + "\n", m, n, equations
 
 
 @SETTINGS
 @hypothesis.given(systems())
 def test_parse_system_reads_back_rendered_systems(case):
-    text, expected = case
-    assert parse_system(text) == expected
+    text, m, n, expected = case
+    system = parse_system(text)
+    assert (system.m, system.n) == (m, n)
+    assert [eq.terms for eq in system.equations] == expected
 
 
 @SETTINGS

@@ -15,13 +15,13 @@ st = hypothesis.strategies
 from diffdim.diffrank import rank_key  # noqa: E402
 from diffdim.lindiff import (  # noqa: E402
     LinearDiffSystem,
-    LinearEquation,
     _eliminate,
     _groebner_with_margin,
     _Keys,
     module_groebner,
     parse_system,
 )
+from parsed import equation  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=30, deadline=None)
 
@@ -29,7 +29,7 @@ exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 coefficients = st.fractions(-6, 6, max_denominator=3).filter(bool)
 equations = st.dictionaries(
     st.tuples(exponents, st.integers(1, 2)), coefficients, min_size=1, max_size=4
-).map(LinearEquation.from_terms)
+).map(equation)
 systems = st.lists(equations, min_size=1, max_size=3).map(
     lambda eqs: LinearDiffSystem(2, 2, tuple(eqs))
 )
@@ -53,7 +53,7 @@ def test_groebner_unchanged_by_scaling_an_equation(system, data):
     k = data.draw(st.integers(0, len(system.equations) - 1))
     factor = data.draw(coefficients)
     eqs = list(system.equations)
-    eqs[k] = LinearEquation(tuple((factor * c, mono) for c, mono in eqs[k].terms))
+    eqs[k] = equation({(mono.exponents, mono.var_index): factor * c for c, mono in eqs[k].terms})
     assert module_groebner(with_equations(system, eqs)) == module_groebner(system)
 
 
@@ -72,7 +72,7 @@ def test_groebner_unchanged_by_appending_derived_equation(system, data):
             derived[key] = derived.get(key, 0) + scale * coeff
     derived = {key: v for key, v in derived.items() if v}
     hypothesis.assume(derived)
-    eqs = system.equations + (LinearEquation.from_terms(derived),)
+    eqs = system.equations + (equation(derived),)
     assert module_groebner(with_equations(system, eqs)) == module_groebner(system)
 
 
@@ -145,11 +145,11 @@ def small_systems(draw):
     """m <= 3, n <= 3, order <= 3."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     vectors = [xi for xi in product(range(4), repeat=m) if sum(xi) <= 3]
-    equation = st.dictionaries(
+    equations = st.dictionaries(
         st.tuples(st.sampled_from(vectors), st.integers(1, n)), coefficients,
         min_size=1, max_size=4,
-    ).map(LinearEquation.from_terms)
-    return LinearDiffSystem(m, n, tuple(draw(st.lists(equation, min_size=1, max_size=3))))
+    ).map(equation)
+    return LinearDiffSystem(m, n, tuple(draw(st.lists(equations, min_size=1, max_size=3))))
 
 
 @SETTINGS

@@ -9,7 +9,7 @@ import pytest
 from diffdim import lindiff
 from diffdim.cli import main
 from diffdim.diffrank import DifferentialMonomial
-from diffdim.errors import DiffdimError, ParseError, ResourceLimit
+from diffdim.errors import AmbientMismatch, DiffdimError, ParseError, ResourceLimit
 from diffdim.expsets import stabilisation_level
 from diffdim.lindiff import (
     DEFAULT_GB_STEP_CAP,
@@ -17,6 +17,7 @@ from diffdim.lindiff import (
     LinearDiffSystem,
     LinearEquation,
     _groebner_with_margin,
+    _Keys,
     _pivot_orders,
     kolchin_polynomial,
     kolchin_via_prolongation,
@@ -28,18 +29,13 @@ from diffdim.lindiff import (
     prolongation_dimension,
 )
 from diffdim.numpoly import NumericalPolynomial
+from parsed import equation
 
 DATA = Path(__file__).parent / "data"
 
 
 def load(name):
     return parse_system((DATA / name).read_text())
-
-
-def equation(*terms):
-    return LinearEquation(
-        tuple((Fraction(c), DifferentialMonomial(xi, i)) for c, xi, i in terms)
-    )
 
 
 # ---------------------------------------------------------------- parsing
@@ -103,7 +99,7 @@ def test_parse_rejects_bad_shapes():
 
 
 def test_equation_sorted_by_descending_rank():
-    eq = equation((1, (1, 0), 1), (2, (0, 2), 1), (3, (0, 0), 1))
+    eq = equation({((1, 0), 1): 1, ((0, 2), 1): 2, ((0, 0), 1): 3})
     ranks = [(mono.order, mono.var_index, mono.exponents) for _, mono in eq.terms]
     assert ranks == sorted(ranks, reverse=True)
     assert eq.leader.exponents == (0, 2)
@@ -137,8 +133,8 @@ def test_groebner_single_component_pair_needs_spair():
         2,
         2,
         (
-            equation((1, (1, 0), 1), (1, (0, 0), 2)),
-            equation((1, (0, 1), 1), (1, (0, 0), 2)),
+            equation({((1, 0), 1): 1, ((0, 0), 2): 1}),
+            equation({((0, 1), 1): 1, ((0, 0), 2): 1}),
         ),
     )
     gb = module_groebner(system)
@@ -281,7 +277,7 @@ def _margin_systems():
                 )
                 for _ in range(rng.randint(1, 4))
             }
-            eqs.append(LinearEquation.from_terms(terms))
+            eqs.append(equation(terms))
         yield f"random-{k}", LinearDiffSystem(m, n, tuple(eqs))
 
 
@@ -453,7 +449,7 @@ def _random_one_unknown_systems(seed, count):
                 )
                 for _ in range(rng.randint(2, 4))
             }
-            eqs.append(LinearEquation.from_terms(terms))
+            eqs.append(equation(terms))
         yield LinearDiffSystem(m, 1, tuple(eqs))
 
 
@@ -611,7 +607,7 @@ def _oracle_systems():
                     coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
                     terms[(xi, rng.randint(1, n))] = coeff
             if terms:
-                eqs.append(LinearEquation.from_terms(terms))
+                eqs.append(equation(terms))
         yield f"random-{k}", LinearDiffSystem(m, n, tuple(eqs))
 
 
@@ -664,7 +660,7 @@ def test_dual_routes_agree_on_random_systems():
                 coeff = rng.choice([-3, -2, -1, 1, 2, 3])
                 terms[(xi, rng.randint(1, n))] = Fraction(coeff)
             if terms:
-                eqs.append(LinearEquation.from_terms(terms))
+                eqs.append(equation(terms))
         system = LinearDiffSystem(m, n, tuple(eqs))
         assert kolchin_polynomial(system) == kolchin_via_prolongation(system)
 
@@ -689,8 +685,13 @@ def test_system_validation():
     with pytest.raises(ValueError):
         LinearDiffSystem(0, 1, ())
     with pytest.raises(ValueError):
-        LinearDiffSystem(
-            1, 1, (equation((1, (1,), 2)),)
-        )  # unknown index past n
+        LinearDiffSystem(1, 1, (equation({((1,), 2): 1}),))  # unknown index past n
     with pytest.raises(ValueError):
-        LinearEquation(())
+        LinearEquation({}, (1, 1), _Keys.fitting(1, 1))
+
+
+def test_system_rejects_an_equation_over_another_m():
+    # equations from separate parses meet only here: one parsed over m = 2
+    # cannot join a system over m = 1, though its unknown fits
+    with pytest.raises(AmbientMismatch):
+        LinearDiffSystem(1, 1, (equation({((1, 0), 1): 1}),))

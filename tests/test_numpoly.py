@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from diffdim.cli import main
 from diffdim.errors import InputNotNumericalPolynomial
 from diffdim.numpoly import (
     EQUAL,
@@ -92,6 +94,18 @@ def test_interpolate_rejects_noninteger_values():
         interpolate([1, Fraction(5, 2), 4], start=0, m=2)
 
 
+@pytest.mark.parametrize("start", [0, 10**9])
+def test_interpolate_takes_1500_values(capsys, start):
+    # s^2 = 2*binom(s+2, 2) - 3*binom(s+1, 1) + 1, recovered from more values
+    # than one call per value could recurse through
+    values = [s * s for s in range(start, start + 1500)]
+    expected = (0,) * 1497 + (2, -3, 1)
+    assert interpolate(values, start, 1499).standard_coeffs == expected
+    argv = ["interpolate", "--values", ",".join(map(str, values)), "--start", str(start)]
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["standard_coeffs"] == list(map(str, expected))
+
+
 def test_interpolate_wrong_count():
     with pytest.raises(ValueError):
         interpolate([1, 2], start=0, m=2)
@@ -106,6 +120,12 @@ def test_interpolate_evaluate_roundtrip_random():
         start = rng.randint(0, 12)
         values = [p.evaluate(s) for s in range(start, start + m + 1)]
         assert interpolate(values, start, m) == p
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 1.5, True, "3"], ids=repr)
+def test_from_coeffs_rejects_non_integers(bad):
+    with pytest.raises(InputNotNumericalPolynomial):
+        NumericalPolynomial.from_coeffs((1, bad))
 
 
 def test_monomial_form_of_basis():

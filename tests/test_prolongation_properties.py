@@ -12,10 +12,10 @@ st = hypothesis.strategies
 from diffdim.lindiff import (  # noqa: E402
     DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
-    LinearEquation,
     _pivot_orders,
 )
 from diffdim.diffrank import rank_key  # noqa: E402
+from parsed import equation  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None)
 
@@ -83,7 +83,7 @@ def systems(draw):
     coefficients = st.fractions(-6, 6, max_denominator=3).filter(bool)
     equations = st.dictionaries(
         st.tuples(exponents, st.integers(1, n)), coefficients, min_size=1, max_size=4
-    ).map(LinearEquation.from_terms)
+    ).map(equation)
     return LinearDiffSystem(m, n, tuple(draw(st.lists(equations, min_size=1, max_size=3))))
 
 
