@@ -19,17 +19,21 @@ import functools
 import re
 from dataclasses import dataclass
 from math import comb
+from operator import ge
 
 from .errors import ParseError, ResourceLimit, check_cap
 from .numpoly import NumericalPolynomial
 
 DEFAULT_ENUMERATION_CAP = 10**7
+# _numerator and _outside recurse once per coordinate: m <= 256 leaves a
+# caller room under the interpreter's default depth limit of 1,000
+MAX_AMBIENT_DIMENSION = 256
 
 ExponentVector = tuple[int, ...]
 
 
 def dominates(a: ExponentVector, b: ExponentVector) -> bool:
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def _check_vector(xi, m) -> ExponentVector:
@@ -66,6 +70,11 @@ class ExponentSet:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("ambient dimension must be at least 1")
+        if self.m > MAX_AMBIENT_DIMENSION:
+            raise ResourceLimit(
+                f"exponent set in N^{self.m}: the recursion allows at most "
+                f"m = {MAX_AMBIENT_DIMENSION}"
+            )
         gens = tuple(_check_vector(g, self.m) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_antichain", _minimalize(gens))

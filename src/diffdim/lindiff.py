@@ -9,11 +9,13 @@ rank computations on prolongation matrices followed by interpolation.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import add, le
 
@@ -47,7 +49,9 @@ class _Keys:
     key exactly when (key - lead) & ``guards`` == 0, where ``guards`` holds
     every guard bit and the whole unknown field.  These are the packed
     exponent vectors of Monagan and Pearce ("Sparse polynomial division using
-    a heap", J. Symbolic Comput. 46, 2011).
+    a heap", J. Symbolic Comput. 46, 2011).  There is one layout object per
+    (m, width), so parse, completion and the echelon share it whenever their
+    bounds fit the same width, and a row moves between them as it is.
     """
 
     __slots__ = ("m", "width", "limit", "mask", "unknown_shift", "order_shift", "guards", "steps")
@@ -63,9 +67,16 @@ class _Keys:
         self.steps = tuple((1 << self.order_shift) + (1 << (width * (m - 1 - j))) for j in range(m))
 
     @classmethod
+    @functools.cache
+    def of(cls, m: int, width: int) -> "_Keys":
+        """The one layout object for (m, width)."""
+        return cls(m, width)
+
+    @classmethod
     def fitting(cls, m: int, bound: int) -> "_Keys":
-        """The narrowest layout whose fields hold 0..bound."""
-        return cls(m, bound.bit_length() + 1)
+        """The shared layout whose fields hold 0..bound, and at least as wide
+        as m + 2 fields in one CPython digit, so small systems share it."""
+        return cls.of(m, max(bound.bit_length() + 1, sys.int_info.bits_per_digit // (m + 2)))
 
     def pack(self, xi: ExponentVector, unknown: int) -> int:
         w = self.width
@@ -158,6 +169,7 @@ class LinearDiffSystem:
     n: int
     equations: tuple[LinearEquation, ...]
     _completion: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _profile: LeaderProfile | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -438,7 +450,7 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
             )
         steps += 1
         if order >= keys.limit:
-            wide = _Keys(keys.m, 2 * keys.width)
+            wide = _Keys.of(keys.m, 2 * keys.width)
             for entry in basis:
                 entry[:2] = _repack(entry[0], keys, wide), wide.pack(*keys.unpack(entry[1]))
             keys = wide
@@ -483,14 +495,16 @@ def module_groebner(
 
 
 def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
-    """Leader exponents of a reduced basis, grouped by unknown."""
-    buckets: list[list[ExponentVector]] = [[] for _ in range(gb.n)]
-    for eq in gb.equations:
-        xi, unknown = eq._keys.unpack(eq._lead)
-        buckets[unknown - 1].append(xi)
-    return LeaderProfile(
-        gb.m, tuple(ExponentSet(gb.m, tuple(b)) for b in buckets)
-    )
+    """Leader exponents of a reduced basis, grouped by unknown, built once per
+    basis object and kept on it, so both routes read one profile."""
+    if gb._profile is None:
+        buckets: list[list[ExponentVector]] = [[] for _ in range(gb.n)]
+        for eq in gb.equations:
+            xi, unknown = eq._keys.unpack(eq._lead)
+            buckets[unknown - 1].append(xi)
+        profile = LeaderProfile(gb.m, tuple(ExponentSet(gb.m, tuple(b)) for b in buckets))
+        object.__setattr__(gb, "_profile", profile)
+    return gb._profile
 
 
 def kolchin_polynomial(
@@ -521,14 +535,18 @@ def _pivot_orders(
     has no children.  Rows are sparse integer dicts over packed rank keys
     (``_Keys``, with fields wide enough for the larger of ``top`` and n), so
     a row's pivot is its highest-ranked derivative and d_j of a row is one
-    addition per key.  Each new row is reduced once, fraction-free with gcd
-    content removal, against the pivot rows so far, and what is left is the
-    new pivot row.  That step is the echelon's own, not ``_eliminate``: it
-    is the arithmetic of ``--check``'s second route, kept apart from the
-    completion it checks, and it needs no list of added keys.  The pivot
-    set is the set of leading derivatives of the row span: it does not
-    depend on row order and only grows with L.  So the pivots of order
-    <= s after level L are the pairs with level <= L and order <= s.
+    addition per key.  Adding one constant to every key keeps their order,
+    so d_j of a row with pivot p has pivot p + steps[j], and a shift of a
+    primitive row is primitive, as every equation row is: a fresh row
+    inherits its pivot, and only a row that a reduction step touched is
+    rescanned for its pivot and its content.  Each new row is reduced once,
+    fraction-free with gcd content removal, against the pivot rows so far,
+    and what is left is the new pivot row.  That step is the echelon's own,
+    not ``_eliminate``: it is the arithmetic of ``--check``'s second route,
+    kept apart from the completion it checks, and it needs no list of added
+    keys.  The pivot set is the set of leading derivatives of the row span:
+    it does not depend on row order and only grows with L.  So the pivots of
+    order <= s after level L are the pairs with level <= L and order <= s.
 
     The rows built span all rows.  Let S_L be the span of all rows up to
     level L and T_L that of the rows built; T_L is in S_L.  Suppose
@@ -562,29 +580,18 @@ def _pivot_orders(
     steps, shift = keys.steps, keys.order_shift
     pivots: dict[int, dict] = {}
     orders: list[tuple[int, int]] = []
-    parents: list[tuple[int, dict]] = []  # (k, reduced row) of the level below
+    parents: list[tuple[int, dict, int]] = []  # (k, reduced row, pivot) of the level below
     start = min((eq.order for eq in system.equations), default=top + 1)
     for level in range(start, top + 1):
-        previous, parents = parents, []
-        new_rows = chain(
-            ((0, _repack(eq._row, eq._keys, keys)) for eq in system.equations if eq.order == level),
-            (
-                (j, {key + steps[j]: c for key, c in row.items()})
-                for first, row in previous
-                for j in range(first, m)
-            ),
-        )
-        for first, row in new_rows:
-            while row:
-                lead = max(row)
-                piv = pivots.get(lead)
-                if piv is None:
-                    if (content := gcd(*row.values())) > 1:
-                        row = {k: v // content for k, v in row.items()}
-                    pivots[lead] = row
-                    orders.append((level, lead >> shift))
-                    parents.append((first, row))
-                    break
+        rows = [(0, row := _repack(eq._row, eq._keys, keys), max(row))
+                for eq in system.equations if eq.order == level]
+        for first, row, lead in parents:
+            for j, step in enumerate(steps[first:], first):
+                rows.append((j, {key + step: c for key, c in row.items()}, lead + step))
+        parents = []
+        for first, row, lead in rows:
+            reduced = False
+            while (piv := pivots.get(lead)) is not None:
                 g = gcd(row[lead], piv[lead])
                 ma, mb = piv[lead] // g, row[lead] // g
                 if ma != 1:
@@ -596,6 +603,15 @@ def _pivot_orders(
                         row[k] = v
                     else:
                         del row[k]
+                if not row:
+                    break
+                lead, reduced = max(row), True
+            else:
+                if reduced and (content := gcd(*row.values())) > 1:
+                    row = {k: v // content for k, v in row.items()}
+                pivots[lead] = row
+                orders.append((level, lead >> shift))
+                parents.append((first, row, lead))
     return orders
 
 

@@ -7,8 +7,9 @@ from diffdim.lindiff import LinearEquation, parse_system
 
 def equation(terms) -> LinearEquation:
     """The equation of {(exponents, unknown): coefficient}, parsed alone with
-    n its largest unknown, so that its row is packed at the narrowest layout
-    that holds it and equations from separate calls may differ in layout."""
+    n its largest unknown, so that its row is packed at the layout that
+    ``_Keys.fitting`` gives its own order and n: equations from separate
+    calls differ in layout once one of them passes the shared width."""
     m = len(next(iter(terms))[0])
     n = max(unknown for _, unknown in terms)
     body = " ".join(

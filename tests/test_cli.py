@@ -108,6 +108,18 @@ def test_volume_cap_exit_code(capsys, tmp_path):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("m, code", [(256, 0), (257, 3), (600, 3)])
+def test_omega_set_on_unit_vectors_answers_or_exits_3(capsys, tmp_path, m, code):
+    # one recursion frame per coordinate: past m = 256 the set is refused
+    # with exit 3, not a RecursionError traceback
+    path = tmp_path / "units.txt"
+    path.write_text("".join(",".join(str(int(i == j)) for j in range(m)) + "\n" for i in range(m)))
+    status, _, err = run(capsys, "omega-set", "--file", str(path))
+    assert status == code
+    if code:
+        assert f"N^{m}: the recursion allows at most m = 256" in err
+
+
 def test_enum_cap_env_override(capsys, tmp_path, monkeypatch):
     path = tmp_path / "e.txt"
     path.write_text("1, 1\n")

@@ -293,3 +293,20 @@ def test_constructor_validation():
         ExponentSet(2, ((1,),))
     with pytest.raises(ValueError):
         ExponentSet(2, ((1, -1),))
+
+
+def _unit_vectors(m):
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
+def test_unit_vectors_of_n_256_answer():
+    # the numerator recursion goes one frame deeper per coordinate; only the
+    # origin lies outside the closure
+    exp_set = ExponentSet(256, _unit_vectors(256))
+    assert dimension_polynomial(exp_set) == NumericalPolynomial.from_coeffs((0,) * 256 + (1,))
+    assert stabilisation_level(exp_set) == 0
+
+
+def test_exponent_sets_past_n_256_are_refused():
+    with pytest.raises(ResourceLimit, match=r"N\^257: .* at most m = 256"):
+        ExponentSet(257, _unit_vectors(257))

@@ -163,21 +163,40 @@ def test_groebner_matches_plain_buchberger(system):
 
 
 def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
-    # order 3 and n = 2 give fields that hold 0..3.  The only pair, of
-    # d[3,0]x2 and d[2,1]x2, joins at order 4, so completion re-packs the
-    # rows first; its S-row's d[3,1]x1 is then reduced by x1 with ord theta = 4
+    # at m = 2 the shared layout's 7-bit fields hold 0..63.  The only pair,
+    # of d[63,0]x2 and d[62,1]x2, joins at order 64, so completion re-packs
+    # the rows at 14 bits first; its S-row's d[63,1]x1 is then reduced by x1
+    # with ord theta = 64
     system = parse_system(
-        "m = 2\nn = 2\neq: d[3,0]x2 + d[3,0]x1\neq: d[2,1]x2 + x1\neq: x1\n"
+        "m = 2\nn = 2\neq: d[63,0]x2 + d[63,0]x1\neq: d[62,1]x2 + x1\neq: x1\n"
     )
+    assert system.equations[0]._keys.width == 7
+    gb = module_groebner(system)
+    assert {eq._keys.width for eq in gb.equations} == {14}
     basis = {
         frozenset(((mono.exponents, mono.var_index), c) for c, mono in eq.terms)
-        for eq in module_groebner(system).equations
+        for eq in gb.equations
     }
     assert basis == oracle_basis(system)
     # that one reduction needs x1 at the new width: found through a stale
     # leader index, the S-row would stay and push a fourth element
     gb, margin = _groebner_with_margin(system, gb_step_cap=1)
     assert (margin, len(gb.equations)) == (0, 3)
+
+
+def test_equations_of_two_layouts_complete_as_one_parse():
+    # parsed alone, d[70,0]x1 + x1 is packed at 8-bit fields and d[0,1]x1 at
+    # the shared 7-bit ones, so completion re-packs the second
+    first, second = equation({((70, 0), 1): 1, ((0, 0), 1): 1}), equation({((0, 1), 1): 1})
+    assert (first._keys.width, second._keys.width) == (8, 7)
+    mixed = LinearDiffSystem(2, 1, (first, second))
+    parsed = parse_system("m = 2\nn = 1\neq: d[70,0]x1 + x1\neq: d[0,1]x1\n")
+    assert _groebner_with_margin(mixed) == _groebner_with_margin(parsed)
+    basis = {
+        frozenset(((mono.exponents, mono.var_index), c) for c, mono in eq.terms)
+        for eq in module_groebner(mixed).equations
+    }
+    assert basis == oracle_basis(mixed)
 
 
 @SETTINGS

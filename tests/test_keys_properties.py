@@ -1,6 +1,8 @@
 """Property tests: packed rank keys order, divide, differentiate and re-pack
 exactly as the (exponents, unknown) pairs they stand for."""
 
+import sys
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -80,3 +82,19 @@ def test_repacking_round_trips(data):
     assert {wide.unpack(k): c for k, c in there.items()} == dict(zip(terms, row.values()))
     assert [there[k] for k in sorted(there)] == [row[k] for k in sorted(row)]
     assert _repack(there, wide, keys) == row
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 6), st.integers(0, 2**12), st.integers(0, 2**12))
+def test_fitting_shares_one_layout_per_width_and_holds_the_bound(m, bound, other):
+    keys, other_keys = _Keys.fitting(m, bound), _Keys.fitting(m, other)
+    assert keys is _Keys.of(m, keys.width)
+    assert (keys is other_keys) == (keys.width == other_keys.width)
+    assert bound < keys.limit
+    xi = (bound,) + (0,) * (m - 1)
+    assert keys.unpack(keys.pack(xi, bound)) == (xi, bound)
+    if (m + 2) * (bound.bit_length() + 1) <= sys.int_info.bits_per_digit:
+        # the largest key, with order and unknown at the fields' limit, is
+        # one CPython digit
+        top = keys.limit - 1
+        assert keys.pack((top,) + (0,) * (m - 1), top) < 2**sys.int_info.bits_per_digit

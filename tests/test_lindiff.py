@@ -423,6 +423,42 @@ def test_completed_system_recompletes_under_a_smaller_cap():
     assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
 
 
+def test_parse_completion_and_echelon_share_one_layout(monkeypatch):
+    # m = 2 and a top below 64: one 7-bit layout object from parse to
+    # echelon, so every row moves between them as it is
+    system = load("cauchy_riemann.sys")
+    keys = system.equations[0]._keys
+    assert keys is _Keys.fitting(2, 63)
+    assert all(eq._keys is keys for eq in module_groebner(system).equations)
+    layouts = []
+    repack = lindiff._repack
+
+    def recorded(row, source, target):
+        layouts.append((source, target))
+        return repack(row, source, target)
+
+    monkeypatch.setattr(lindiff, "_repack", recorded)
+    kolchin_via_prolongation(system)
+    assert layouts and all(source is target is keys for source, target in layouts)
+
+
+def test_one_leader_profile_per_basis(monkeypatch):
+    built = []
+    exponent_set = lindiff.ExponentSet
+
+    def counted(m, generators):
+        built.append(generators)
+        return exponent_set(m, generators)
+
+    monkeypatch.setattr(lindiff, "ExponentSet", counted)
+    system = load("cauchy_riemann.sys")
+    assert kolchin_polynomial(system) == kolchin_via_prolongation(system)
+    assert len(built) == system.n
+    # a fresh parse completes to another basis object, with its own profile
+    kolchin_via_prolongation(load("cauchy_riemann.sys"))
+    assert len(built) == 2 * system.n
+
+
 def test_groebner_handles_redundant_equations():
     system = parse_system(
         "m = 2\nn = 1\n"

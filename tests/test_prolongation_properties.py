@@ -13,6 +13,7 @@ from diffdim.lindiff import (  # noqa: E402
     DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
     _pivot_orders,
+    parse_system,
 )
 from diffdim.diffrank import rank_key  # noqa: E402
 from parsed import equation  # noqa: E402
@@ -99,3 +100,18 @@ def test_janet_parent_echelon_matches_from_scratch_echelon(system, top):
             count = sum(at <= level and order <= s for at, order in pivots)
             assert count == low[level][s], (level, s)
 
+
+
+def test_janet_parent_echelon_past_the_equations_width_matches_from_scratch():
+    # at m = 1 the equations' 10-bit fields hold orders 0..511; top 520 needs
+    # 11 bits, so the echelon re-packs each equation row before shifting it
+    system = parse_system("m = 1\nn = 2\neq: d[2]x1 - 3*x2\neq: 2*d[1]x2 + d[1]x1 - x1\n")
+    top = 520
+    assert system.equations[0]._keys.width == 10
+    pivots = _pivot_orders(system, top, DEFAULT_MATRIX_CELL_CAP)
+    low = from_scratch_low(system, top)
+    by_order = [0] * (top + 1)
+    for level in range(top + 1):
+        for at, order in pivots:
+            by_order[order] += at == level
+        assert tuple(accumulate(by_order[: level + 1])) == low[level], level
