@@ -55,13 +55,13 @@ def _minimalize(gens: tuple[ExponentVector, ...]) -> tuple[ExponentVector, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExponentSet:
     """Finitely many generators of an upward-closed subset of N^m.
 
-    Generators are kept as given; equality and hashing go through the
-    canonical antichain of minimal elements, so two sets compare equal
-    exactly when they generate the same closure.
+    ``generators`` is the canonical antichain of minimal elements, sorted,
+    whatever was given, so two sets compare equal exactly when they
+    generate the same closure.
     """
 
     m: int
@@ -76,21 +76,13 @@ class ExponentSet:
                 f"m = {MAX_AMBIENT_DIMENSION}"
             )
         gens = tuple(_check_vector(g, self.m) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_antichain", _minimalize(gens))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExponentSet):
-            return NotImplemented
-        return self.m == other.m and self._antichain == other._antichain
-
-    def __hash__(self) -> int:
-        return hash((self.m, self._antichain))
+        object.__setattr__(self, "generators", _minimalize(gens))
 
 
 def minimal_elements(exp_set: ExponentSet) -> ExponentSet:
-    """Canonical form: the antichain of minimal generators, sorted."""
-    return ExponentSet(exp_set.m, exp_set._antichain)
+    """Canonical form: the set itself, whose generators are already the
+    sorted antichain of minimal elements."""
+    return exp_set
 
 
 def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -100,8 +92,10 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
     point (p, y, t) is outside exactly when t < h(y), the least g_m of the
     generators whose first m - 1 entries lie below (p, y).  The fibre over
     y holds min(s - |p| - y + 1, h(y)) points, and h is a step function, so
-    each run of y between generator entries is summed in closed form.  The
-    cap still bounds the binom(s+m, m) candidate points, checked first.
+    each run of y between generator entries is summed in closed form.  A
+    slice xi_1 = x whose generator tails include the zero vector is covered,
+    as is every later one, so the walk stops there.  The cap still bounds
+    the binom(s+m, m) candidate points, checked first.
     """
     if s < 0:
         raise ValueError("order cutoff must be non-negative")
@@ -113,7 +107,7 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
             f"volume enumeration needs {candidates} candidates "
             f"(cap {enumeration_cap})"
         )
-    return _outside(m, exp_set._antichain, s)
+    return _outside(m, exp_set.generators, s)
 
 
 def _tri(n: int, h: int) -> int:
@@ -133,12 +127,17 @@ def _outside(m: int, gens, s: int) -> int:
                 total += _tri(s - y0 + 1, h) - _tri(s - a + 1, h)
                 h, y0 = b, a
         return total + _tri(s - y0 + 1, h)
-    # the slice xi_1 = x: N^(m-1) up to order s - x, less the g with g_1 <= x
+    # the slice xi_1 = x: N^(m-1) up to order s - x, less the g with g_1 <= x;
+    # once a tail is all zeros it covers this slice and every later one
     total, active, i = 0, [], 0
     for x in range(s + 1):
+        j = i
         while i < len(gens) and gens[i][0] <= x:
-            active = sorted(active + [gens[i][1:]])
             i += 1
+        if j < i:
+            active = sorted(active + [g[1:] for g in gens[j:i]])
+            if not any(active[0]):
+                break
         total += _outside(m - 1, active, s - x)
     return total
 
@@ -160,7 +159,7 @@ def volume_ie(exp_set: ExponentSet, s: int) -> int:
         raise ValueError("order cutoff must be non-negative")
     m = exp_set.m
     terms = {(0,) * m: 1}  # join -> coefficient, zero coefficients dropped
-    for g in exp_set._antichain:
+    for g in exp_set.generators:
         for join, c in list(terms.items()):
             up = tuple(map(max, join, g))
             c = terms.get(up, 0) - c
@@ -180,7 +179,7 @@ def dimension_polynomial(exp_set: ExponentSet) -> NumericalPolynomial:
     s >= stabilisation_level(exp_set) gives volume(exp_set, s).
     """
     m = exp_set.m
-    num = _numerator(m, exp_set._antichain)
+    num = _numerator(m, exp_set.generators)
     coeffs = ((-1) ** j * sum(c * comb(k, j) for k, c in num) for j in range(m + 1))
     return NumericalPolynomial(m, tuple(coeffs))
 
@@ -232,7 +231,7 @@ def _numerator_volume(exp_set: ExponentSet, s: int) -> int:
     """volume(exp_set, s) read off the Hilbert numerator, with no enumeration:
     sum_{k <= s} N_k * binom(s - k + m, m)."""
     m = exp_set.m
-    num = _numerator(m, exp_set._antichain)
+    num = _numerator(m, exp_set.generators)
     return sum(c * comb(s - k + m, m) for k, c in num if k <= s)
 
 
@@ -247,7 +246,7 @@ def stabilisation_level(exp_set: ExponentSet) -> int:
     k = deg N is left, with binom(m, m) = 1, so the difference there is
     +-N_top, which is not zero.
     """
-    num = _numerator(exp_set.m, exp_set._antichain)
+    num = _numerator(exp_set.m, exp_set.generators)
     return max(0, num[-1][0] - exp_set.m) if num else 0
 
 
@@ -258,7 +257,7 @@ def stability_bound(exp_set: ExponentSet) -> int:
     generators.  An a-priori bound, cheap and valid but not tight;
     stabilisation_level gives the exact level.
     """
-    d = sum(sum(g) for g in exp_set._antichain)
+    d = sum(sum(g) for g in exp_set.generators)
     return max(0, exp_set.m * (d - 1))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import add, le
+from operator import le
 
 from .diffrank import (
     _MONOMIAL,
@@ -648,31 +648,28 @@ def kolchin_via_prolongation(
     ``stabilisation_level`` of the leader sets.  So the m + 1 values on the
     fixed window [floor, floor + m] give the polynomial, read from one
     echelon form built to level floor + m + margin + 1; no other window is
-    tried.  Each value must be the same at margin + 1, or DiffdimError is
-    raised.  The completion is the one ``module_groebner`` keeps on the
-    system object, made at most once for both routes.
+    tried.  The self-check is the certificate's own claim: every pivot made
+    at level ``at`` has order >= at - margin, on every level built, or
+    DiffdimError names the pivot.  That puts each pivot of order <= t at or
+    below level t + margin, so the window counts are a running sum of the
+    pivots by order.  The completion is the one ``module_groebner`` keeps
+    on the system object, made at most once for both routes.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
     gb, margin = _completed(system, gb_step_cap)
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
-    base = floor + margin
-    # one pass over the pivots: low[i][j] counts those of order <= floor + j
-    # after level base + i, for i <= m + 1 and j <= m
-    tally = [[0] * (m + 1) for _ in range(m + 2)]
-    for at, order in _pivot_orders(system, base + m + 1, matrix_cell_cap):
-        if order <= floor + m:
-            tally[max(at - base, 0)][max(order - floor, 0)] += 1
-    low = list(accumulate(
-        (list(accumulate(row)) for row in tally), lambda a, b: list(map(add, a, b))
-    ))
-    for j in range(m + 1):
-        if low[j][j] != low[j + 1][j]:
+    tally = [0] * (m + 1)  # pivots of order floor + j, those below floor at j = 0
+    for at, order in _pivot_orders(system, floor + m + margin + 1, matrix_cell_cap):
+        if order < at - margin:
             raise DiffdimError(
-                f"prolongation self-check failed at t = {floor + j}: {low[j][j]} pivots of "
-                f"order <= t at margin {margin}, {low[j + 1][j]} at margin {margin + 1}"
+                f"prolongation self-check failed: a pivot of order {order} "
+                f"at level {at}, more than margin {margin} above its order"
             )
-    return interpolate([n * comb(m + floor + j, m) - low[j][j] for j in range(m + 1)], floor, m)
+        if order <= floor + m:
+            tally[max(order - floor, 0)] += 1
+    low = list(accumulate(tally))
+    return interpolate([n * comb(m + floor + j, m) - low[j] for j in range(m + 1)], floor, m)
 
 
 def omega_at_least(

@@ -59,6 +59,18 @@ def test_ackermann_digit_cap():
         ackermann(3, 10**6, digit_cap=1000)
 
 
+@pytest.mark.parametrize(
+    "r, n, message",
+    [
+        (1, 3, "order sum bound exceeds 1 decimal digits"),
+        (1, 2, r"comparison level needs D\^2 with D of 5 bits, past 1 decimal digits"),
+    ],
+)
+def test_bound_report_digit_cap_names_the_bound(r, n, message):
+    with pytest.raises(ResourceLimit, match=message):
+        bound_report(r, 2, n, digit_cap=1)
+
+
 def test_char_order_bound_one_derivation():
     # with a single derivation the bound is the order itself
     for r in range(13):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from diffdim.cli import main
 from diffdim.numpoly import NumericalPolynomial
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -118,6 +121,27 @@ def test_omega_set_on_unit_vectors_answers_or_exits_3(capsys, tmp_path, m, code)
     assert status == code
     if code:
         assert f"N^{m}: the recursion allows at most m = 256" in err
+
+
+def test_volume_on_unit_vectors_stops_at_the_covered_slice(tmp_path):
+    # the 256 unit vectors of N^256 at s = 2: a zero tail covers every slice
+    # from x_1 = 1 on, so the walk stops there; a child process under a CPU
+    # limit makes a walk that does not stop fail rather than hang
+    resource = pytest.importorskip("resource")
+    m = 256
+    path = tmp_path / "units.txt"
+    path.write_text("".join(",".join(str(int(i == j)) for j in range(m)) + "\n" for i in range(m)))
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from diffdim.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(SRC), "volume", "--file", str(path), "--s", "2"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (10, 10)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["volume = 1", "numerator = 1"]
 
 
 def test_enum_cap_env_override(capsys, tmp_path, monkeypatch):

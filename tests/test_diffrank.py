@@ -168,3 +168,5 @@ def test_parse_leader_profile_errors():
         parse_leader_profile("5: 1,1\n", n=2)
     with pytest.raises(ParseError):
         parse_leader_profile("1 1,1\n")
+    with pytest.raises(ParseError, match="at least one unknown"):
+        parse_leader_profile("", m=2, n=0)

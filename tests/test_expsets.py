@@ -46,6 +46,12 @@ def test_minimal_elements_drops_dominated():
     assert minimal_elements(exp_set).generators == ((1, 2), (3, 0))
 
 
+def test_an_exponent_set_holds_its_sorted_antichain():
+    exp_set = ExponentSet(2, ((2, 2), (1, 1), (1, 1)))
+    assert exp_set.generators == ((1, 1),)
+    assert minimal_elements(exp_set) is exp_set
+
+
 def test_minimal_elements_idempotent():
     rng = random.Random(5)
     for _ in range(50):
@@ -97,6 +103,12 @@ def test_volume_respects_cap():
 def test_volume_rejects_cap_that_is_not_positive_int(cap):
     with pytest.raises(ValueError, match="enumeration_cap"):
         volume(ExponentSet(2, ((1, 1),)), 3, enumeration_cap=cap)
+
+
+@pytest.mark.parametrize("count", [volume, volume_ie])
+def test_volumes_refuse_a_negative_order(count):
+    with pytest.raises(ValueError, match="order cutoff must be non-negative"):
+        count(ExponentSet(2, ((1, 1),)), -1)
 
 
 @pytest.mark.parametrize("m, s", [(1, 9), (2, 6), (3, 10), (4, 4)])

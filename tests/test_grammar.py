@@ -30,6 +30,7 @@ MALFORMED = [
     (parse_system, "m = ٣\nn = 1\n"),
     (parse_system, "m = 1_0\nn = 1\n"),
     (parse_system, "m = 1\nn = +3\n"),
+    (parse_system, "m = 0\nn = 1\n"),
     # single monomials
     (parse_monomial, "x²"),
     (parse_monomial, "x٣"),

@@ -309,12 +309,36 @@ def test_understated_margin_fails_the_self_check(monkeypatch, tmp_path, capsys):
     system = parse_system(UNIT_IDEAL)
     gb, _ = _groebner_with_margin(system)
     monkeypatch.setattr(lindiff, "_groebner_with_margin", lambda _system, _cap: (gb, 3))
-    with pytest.raises(DiffdimError, match="t = 0: 0 pivots .* 1 at margin 4"):
+    with pytest.raises(DiffdimError, match="pivot of order 0 at level 4, more than margin 3"):
         kolchin_via_prolongation(system)
     path = tmp_path / "unit.sys"
     path.write_text(UNIT_IDEAL)
     assert main(["kolchin", "--system", str(path), "--check"]) == 1
     assert "self-check" in capsys.readouterr().err
+
+
+# instance 128 of the groebner-random benchmark workload at seed 1
+MARGIN_SIX = """m = 2
+n = 2
+eq: 4*d[1,1]x2 + 2*d[2,0]x1 + 2*d[1,0]x1 + 2*d[0,0]x1
+eq: 6*d[0,2]x2 - 1*d[0,1]x2 - 3*d[0,0]x2 + 7*d[1,0]x1
+eq: -8*d[2,0]x1 - 2*d[0,1]x1 + 9*d[1,0]x2 + 7*d[0,2]x1
+eq: 6*d[2,0]x2 - 5*d[1,1]x1 + 3*d[1,0]x2 - 8*d[0,1]x1
+"""
+
+
+def test_self_check_reads_pivots_below_the_window(monkeypatch):
+    # floor = 1; at margin 5 the pivot of order 0 made at level 6 breaks the
+    # claim at s = 0, below the window [1, 3].  Every window value counts it
+    # by level t + 5, so comparing margin with margin + 1 there saw nothing
+    # and returned the right polynomial on a false claim
+    system = parse_system(MARGIN_SIX)
+    gb, margin = _groebner_with_margin(system)
+    assert margin == 6
+    assert kolchin_via_prolongation(system) == NumericalPolynomial.from_coeffs((0, 0, 2))
+    monkeypatch.setattr(lindiff, "_groebner_with_margin", lambda _system, _cap: (gb, 5))
+    with pytest.raises(DiffdimError, match="pivot of order 0 at level 6, more than margin 5"):
+        kolchin_via_prolongation(parse_system(MARGIN_SIX))
 
 
 def test_probe4_both_routes_agree():
@@ -586,6 +610,12 @@ def test_pivot_orders_checks_the_cell_cap_once_at_the_stated_top(name, monkeypat
 def test_prolongation_dimension_rejects_cap_that_is_not_positive_int(cap):
     with pytest.raises(ValueError, match="matrix_cell_cap"):
         prolongation_dimension(load("heat.sys"), 2, 0, matrix_cell_cap=cap)
+
+
+@pytest.mark.parametrize("s, margin", [(-1, 0), (0, -1)])
+def test_prolongation_dimension_refuses_a_negative_level_or_margin(s, margin):
+    with pytest.raises(ValueError, match="level and margin must be non-negative"):
+        prolongation_dimension(load("heat.sys"), s, margin)
 
 
 @pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])

@@ -128,6 +128,26 @@ def test_from_coeffs_rejects_non_integers(bad):
         NumericalPolynomial.from_coeffs((1, bad))
 
 
+def test_from_coeffs_reads_integral_fractions_as_ints():
+    (coeff,) = NumericalPolynomial.from_coeffs((Fraction(4, 2),)).standard_coeffs
+    assert coeff == 2 and type(coeff) is int
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: NumericalPolynomial.from_coeffs(()), "at least one coefficient"),
+        (lambda: NumericalPolynomial.from_coeffs((1, 2)).padded(0), "cannot pad downward"),
+        (lambda: interpolate([1], -1, 0), "start must be non-negative"),
+        (lambda: interpolate([1], 0, -1), "degree bound must be non-negative"),
+    ],
+    ids=["no coefficients", "pad downward", "negative start", "negative degree bound"],
+)
+def test_invalid_shapes_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_monomial_form_of_basis():
     # binomial(t+2, 2) = 1/2 t^2 + 3/2 t + 1
     coeffs = _power_coeffs(NumericalPolynomial.from_coeffs((1, 0, 0)))
