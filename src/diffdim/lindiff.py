@@ -287,85 +287,78 @@ def _parse_equation(
 # Groebner bases for submodules of the free module over the operator ring
 
 
-def _eliminate(row, key, g, glead):
+def _eliminate(row, key, g, glead, heap):
     """Cancel ``row``'s term c at ``key`` against theta * g, theta * glead = key,
     in place and fraction-free: with d = gcd(c, lc g), the row becomes
-    (lc g / d) * row - (c / d) * theta * g.  Returns the keys it added."""
+    (lc g / d) * row - (c / d) * theta * g.  Each key it adds is pushed,
+    negated, on ``heap``."""
     theta = key - glead
     common = gcd(g[glead], row[key])
     scale, factor = g[glead] // common, row[key] // common
     if scale != 1:
         for k in row:
             row[k] *= scale
-    added = []
     for gkey, gc in g.items():
         tkey = gkey + theta
         val = row.get(tkey)
         if val is None:
             row[tkey] = -factor * gc
-            added.append(tkey)
+            heappush(heap, -tkey)
         elif val == factor * gc:
             del row[tkey]
         else:
             row[tkey] = val - factor * gc
-    return added
 
 
-def _normal_form(row, rep, index, keys):
-    """Fully reduce an integer row over the layout ``keys`` by ``_eliminate``
-    steps; its content is removed once, at the end.  Terms are visited in
-    descending rank from a heap, which takes the keys each step adds;
-    ``index`` maps an unknown to its basis entries (row, leader, rep), and
-    the first one whose leader divides a term reduces it.
-
-    ``rep`` bounds the prolongation level at which the element is available
-    as a combination of the original equations; every reduction step lifts
-    it by the reducer's availability, so the returned pair keeps the bound
-    honest.
+def _normal_form(row, index, keys, tail):
+    """Reduce an integer row over the layout ``keys`` in place by
+    ``_eliminate`` steps and return it, its content removed once, at the
+    end.  Terms are visited in descending rank from a heap, which takes the
+    keys each step adds; ``index`` maps an unknown to its basis entries
+    [row, leader], and the first one whose leader divides a term reduces
+    it.  Without ``tail`` the row is only top-reduced: it stops at its first
+    term that no leader divides, so that term is its leader.
     """
-    row = dict(row)
     heap = [-key for key in row]
     heapify(heap)
-    level = rep
-    guards, shift = keys.guards, keys.order_shift
-    mask, unknown_shift = keys.mask, keys.unknown_shift
+    guards, mask, unknown_shift = keys.guards, keys.mask, keys.unknown_shift
     while heap:
         key = -heappop(heap)
         if key not in row:
             continue
-        for g, glead, grep in index.get((key >> unknown_shift) & mask, ()):
+        for g, glead in index.get((key >> unknown_shift) & mask, ()):
             if not (key - glead) & guards:
                 break
         else:
-            continue
-        level = max(level, ((key - glead) >> shift) + grep)
-        for tkey in _eliminate(row, key, g, glead):
-            heappush(heap, -tkey)
+            if tail:
+                continue
+            break
+        _eliminate(row, key, g, glead, heap)
     if (content := gcd(*row.values())) > 1:
         row = {k: v // content for k, v in row.items()}
-    return row, level
+    return row
 
 
-def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
-    """Reduced Groebner basis plus a certified prolongation margin.
+def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
+    """The reduced Groebner basis, by Buchberger completion under the orderly
+    ranking, on primitive integer rows over packed keys (``_Keys``), sized by
+    the larger of the system's order and n.
 
-    Buchberger completion under the orderly ranking, on primitive integer
-    rows over packed keys (``_Keys``), sized by the larger of the system's
-    order and n.  Each element is one [row, packed leader, rep] list, shared
-    by the basis and the per-unknown index.  S-pairs exist only between
-    elements whose leaders involve the same unknown.  They wait in a heap
-    keyed by (starting rep, join order, a, b), the join's exponents
-    alongside: the starting rep max(rep(a) + ord theta_a, rep(b) + ord
-    theta_b) is the sugar degree of Giovini et al. (ISSAC '91) with the
-    prolongation level in the role of the homogenised degree, so pairs are
-    treated level by level, least join first within a level.  The one pair
-    criterion is Buchberger's chain criterion (Becker and Weispfenning
-    1993): a pair is skipped when another element c of the same unknown has
-    a leader dividing the join and neither (a, c) nor (b, c) is still
-    pending.  The S-row is theta_a * f with its leader cancelled by g in one
-    ``_eliminate`` step.  Completion raises ResourceLimit once it would
-    reduce more than ``gb_step_cap`` S-pairs; a pair whose leaders are
-    coprime is reduced, and counted, like any other.
+    Each element is one [row, packed leader] list, shared by the basis and
+    the per-unknown index.  Input equations and S-rows are only top-reduced
+    before they join the basis: only an element's leader drives the pairs,
+    and the final pass tail-reduces every survivor.  S-pairs exist only
+    between elements whose leaders involve the same unknown.  They wait in
+    a heap keyed by (join order, a, b), the join's exponents alongside, so
+    the pair of least join order is taken first: Buchberger's normal
+    strategy, which suits the orderly ranking since it compares orders
+    first.  The one pair criterion is Buchberger's chain criterion (Becker
+    and Weispfenning 1993): a pair is skipped when another element c of the
+    same unknown has a leader dividing the join and neither (a, c) nor
+    (b, c) is still pending.  The S-row is theta_a * f with its leader
+    cancelled by g in one ``_eliminate`` step.  Completion raises
+    ResourceLimit once it would reduce more than ``gb_step_cap`` S-pairs; a
+    pair whose leaders are coprime is reduced, and counted, like any other.
 
     No pair of two monomials is made: their S-row theta_a * x_a -
     theta_b * x_b is identically zero, so it needs no reduction and pushes
@@ -376,10 +369,10 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     Completion stops, with pairs still waiting, once x_u (order 0) is a
     leader for every unknown u: the module is then the whole free module,
     as Buchberger's algorithm stops once 1 is in the ideal.  x_u divides
-    every derivative of x_u, so from then on every normal form is zero and
-    no waiting pair would push an element.  The final pass therefore sees
-    the basis that running the pairs out would leave, and returns the same
-    reduced basis and the same margin; the pairs left count against no cap.
+    every derivative of x_u, so from then on every reduction ends in zero
+    and no waiting pair would push an element.  The final pass therefore
+    sees the basis that running the pairs out would leave, and returns the
+    same reduced basis; the pairs left count against no cap.
 
     No term of a reduction outranks the S-row's leader, so keys stay
     within the join orders.  Before an S-pair whose join order would not
@@ -388,52 +381,39 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
     ascending leader order then minimalises and tail-reduces: a leader
     divides only derivatives it does not outrank, so only the survivors
     before an element can drop it or reduce its terms.
-
-    Every element g carries rep(g), a prolongation level at which it is
-    reachable from the original equations, and the returned margin is
-    max(rep(g) - ord g) over the reduced basis.  It is certified: under the
-    orderly ranking every f in the module with ord f <= s has a standard
-    representation sum c * theta * g with ord(theta * g) <= s, and each
-    theta * g lies in the level rep(g) + ord theta <= s + (rep(g) - ord g)
-    span.  So the pivots of order <= s at level s + margin count exactly
-    the module's elements of order <= s.  The argument reads only each kept
-    element's own rep, which every reduction keeps honest, so the pair order
-    and the skipped pairs can move the margin but not its certificate.
     """
     check_cap("gb_step_cap", gb_step_cap)
     keys = _Keys.fitting(system.m, max(system.order, system.n))
-    basis: list[list] = []  # [row, leader, rep], shared with index
+    basis: list[list] = []  # [row, leader], shared with index
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     units: set[int] = set()  # unknowns u whose x_u is a leader
-    pairs: list[tuple] = []  # heap of (starting rep, join order, a, b, join)
+    pairs: list[tuple] = []  # heap of (join order, a, b, join)
     pending: set[tuple[int, int]] = set()
 
-    def push(row, rep):
+    def push(row):
         lead = max(row)
         xi, unknown = keys.unpack(lead)
-        k, order = len(basis), sum(xi)
-        if not order:
+        k = len(basis)
+        if not any(xi):
             units.add(unknown)
         members = exponents.setdefault(unknown, [])
         for j, jxi in members:
             if len(row) == 1 == len(basis[j][0]):
                 continue
             join = tuple(map(max, jxi, xi))
-            d = sum(join)
-            heappush(pairs, (max(d - sum(jxi) + basis[j][2], d - order + rep), d, j, k, join))
+            heappush(pairs, (sum(join), j, k, join))
             pending.add((j, k))
-        basis.append([row, lead, rep])
+        basis.append([row, lead])
         index.setdefault(unknown, []).append(basis[k])
         members.append((k, xi))
 
     for eq in system.equations:
-        nf, rep = _normal_form(_repack(eq._row, eq._keys, keys), eq.order, index, keys)
-        if nf:
-            push(nf, rep)
+        if nf := _normal_form(_repack(eq._row, eq._keys, keys), index, keys, False):
+            push(nf)
     steps = 0
     while pairs and len(units) < system.n:
-        start, order, a, b, join = heappop(pairs)
+        order, a, b, join = heappop(pairs)
         pending.remove((a, b))
         unknown = keys.unknown(basis[a][1])
         if any(
@@ -452,38 +432,36 @@ def _groebner_with_margin(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_G
         if order >= keys.limit:
             wide = _Keys.of(keys.m, 2 * keys.width)
             for entry in basis:
-                entry[:2] = _repack(entry[0], keys, wide), wide.pack(*keys.unpack(entry[1]))
+                entry[:] = _repack(entry[0], keys, wide), wide.pack(*keys.unpack(entry[1]))
             keys = wide
-        (f, flead, _), (g, glead, _) = basis[a], basis[b]
+        (f, flead), (g, glead) = basis[a], basis[b]
         jkey = keys.pack(join, unknown)
         s_row = {k + jkey - flead: v for k, v in f.items()}
-        _eliminate(s_row, jkey, g, glead)
-        nf, rep = _normal_form(s_row, start, index, keys)
-        if nf:
-            push(nf, rep)
+        _eliminate(s_row, jkey, g, glead, [])
+        if nf := _normal_form(s_row, index, keys, False):
+            push(nf)
 
     survivors: dict[int, list] = {}  # unknown -> kept entries, ascending leaders
-    reduced, margin = [], 0
-    for row, lead, rep in sorted(basis, key=lambda e: e[1]):
+    reduced = []
+    for row, lead in sorted(basis, key=lambda e: e[1]):
         before = survivors.setdefault(keys.unknown(lead), [])
         if any(not (lead - other[1]) & keys.guards for other in before):
             continue
-        nf, level = _normal_form(row, rep, survivors, keys)
-        before.append((row, lead, rep))
-        margin = max(margin, level - (lead >> keys.order_shift))
+        nf = _normal_form(dict(row), survivors, keys, True)
+        before.append((row, lead))
         reduced.append(LinearEquation(nf, (1, nf[lead]), keys))
-    return LinearDiffSystem(system.m, system.n, tuple(reversed(reduced))), margin
+    return LinearDiffSystem(system.m, system.n, tuple(reversed(reduced)))
 
 
-def _completed(system: LinearDiffSystem, gb_step_cap: int):
-    """``_groebner_with_margin(system, gb_step_cap)``, kept on the system
-    object.  One that finished under cap c made at most c reductions, so it
-    serves any cap >= c; a smaller cap completes again, and may raise."""
+def _completed(system: LinearDiffSystem, gb_step_cap: int) -> LinearDiffSystem:
+    """``_groebner(system, gb_step_cap)``, kept on the system object.  One
+    that finished under cap c made at most c reductions, so it serves any
+    cap >= c; a smaller cap completes again, and may raise."""
     check_cap("gb_step_cap", gb_step_cap)
-    if (done := system._completion) is None or done[2] > gb_step_cap:
-        done = *_groebner_with_margin(system, gb_step_cap), gb_step_cap
+    if (done := system._completion) is None or done[1] > gb_step_cap:
+        done = _groebner(system, gb_step_cap), gb_step_cap
         object.__setattr__(system, "_completion", done)
-    return done[:2]
+    return done[0]
 
 
 def module_groebner(
@@ -491,7 +469,7 @@ def module_groebner(
 ) -> LinearDiffSystem:
     """The reduced Groebner basis of the submodule the equations generate,
     completed once per system object and shared by every route on it."""
-    return _completed(system, gb_step_cap)[0]
+    return _completed(system, gb_step_cap)
 
 
 def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
@@ -518,34 +496,71 @@ def kolchin_polynomial(
 # prolongation matrices
 
 
-def _pivot_orders(
-    system: LinearDiffSystem, top: int, matrix_cell_cap: int
-) -> list[tuple[int, int]]:
-    """One echelon form of the prolongation rows, built level by level up
-    to level ``top``.  Returns one (level, order) pair per pivot, in the
-    order the pivots were made.
+def _check_cells(system: LinearDiffSystem, top: int, matrix_cell_cap: int) -> None:
+    """Raise ResourceLimit when the rows theta * equation up to level
+    ``top``, a bound on the rows built, times level top's n * C(m + top, m)
+    columns exceed ``matrix_cell_cap``.  Cells never decrease with the
+    level, so no lower level exceeds the cap when level top does not."""
+    m, n = system.m, system.n
+    rows = sum(comb(top - eq.order + m, m) for eq in system.equations if eq.order <= top)
+    cells = rows * n * comb(m + top, m)
+    if cells > matrix_cell_cap:
+        raise ResourceLimit(
+            f"prolongation matrix at level {top} would hold {cells} cells "
+            f"(cap {matrix_cell_cap})"
+        )
+
+
+def _reduce(row, lead, pivots):
+    """Reduce ``row``, whose pivot ``lead`` is one of ``pivots`` (pivot ->
+    row), for as long as its pivot is one of theirs: in place,
+    fraction-free, one step per pivot met.  Returns (row, pivot), the pivot
+    None once the row is zero, and the row's content removed otherwise."""
+    while (piv := pivots.get(lead)) is not None:
+        g = gcd(row[lead], piv[lead])
+        ma, mb = piv[lead] // g, row[lead] // g
+        if ma != 1:
+            for k in row:
+                row[k] *= ma
+        for k, v in piv.items():
+            v = row.get(k, 0) - mb * v
+            if v:
+                row[k] = v
+            else:
+                del row[k]
+        if not row:
+            return row, None
+        lead = max(row)
+    if (content := gcd(*row.values())) > 1:
+        row = {k: v // content for k, v in row.items()}
+    return row, lead
+
+
+class _Echelon:
+    """One echelon form of the prolongation rows, built one level at a time
+    by ``grow``.  ``orders`` holds one (level, order) pair per pivot, in the
+    order the pivots were made, and ``level`` is the last level built.
 
     Level L spans the rows theta * equation with ord(theta) + ord(equation)
     == L, but builds them from the level below: this is F4's Simplify
     (Faugere 1999) with Janet's choice of parent (Gerdt and Blinkov 1998).
     Level L starts with the equations of order L, unshifted.  Then each row
     of level L - 1 that did not reduce to zero adds d_j of its reduced row
-    for every j >= k, where k (``first``) is the index that row was built
-    with and an equation's own row has k = 0; a row that reduced to zero
-    has no children.  Rows are sparse integer dicts over packed rank keys
-    (``_Keys``, with fields wide enough for the larger of ``top`` and n), so
-    a row's pivot is its highest-ranked derivative and d_j of a row is one
-    addition per key.  Adding one constant to every key keeps their order,
-    so d_j of a row with pivot p has pivot p + steps[j], and a shift of a
-    primitive row is primitive, as every equation row is: a fresh row
-    inherits its pivot, and only a row that a reduction step touched is
-    rescanned for its pivot and its content.  Each new row is reduced once,
-    fraction-free with gcd content removal, against the pivot rows so far,
-    and what is left is the new pivot row.  That step is the echelon's own,
-    not ``_eliminate``: it is the arithmetic of ``--check``'s second route,
-    kept apart from the completion it checks, and it needs no list of added
-    keys.  The pivot set is the set of leading derivatives of the row span:
-    it does not depend on row order and only grows with L.  So the pivots of
+    for every j >= k, where k is the index that row was built with and an
+    equation's own row has k = 0; a row that reduced to zero has no
+    children.  The first level built is the least equation order.  Rows are
+    sparse integer dicts over packed rank keys (``_Keys``), so a row's pivot
+    is its highest-ranked derivative and d_j of a row is one addition per
+    key.  Adding one constant to every key keeps their order, so d_j of a
+    row with pivot p has pivot p + steps[j], and a shift of a primitive row
+    is primitive, as every equation row is: a fresh row inherits its pivot,
+    and only a row that a reduction step touched is rescanned for its pivot
+    and its content.  Each new row is reduced once by ``_reduce`` against
+    the pivot rows so far, and what is left is the new pivot row.  That step
+    is the echelon's own, not ``_eliminate``: it is the arithmetic of
+    ``--check``'s second route, kept apart from the completion it checks.
+    The pivot set is the set of leading derivatives of the row span: it
+    does not depend on row order and only grows with L.  So the pivots of
     order <= s after level L are the pairs with level <= L and order <= s.
 
     The rows built span all rows.  Let S_L be the span of all rows up to
@@ -560,59 +575,96 @@ def _pivot_orders(
     j < k, d_j q = c * d_k (d_j r) - d_j v.  d_j r lies in S_{L-1}, which
     the pivots up to level L - 1 span, so its d_k is covered by the outer
     induction (k > j); d_j v is covered by the inner one, since v uses
-    earlier pivots.
+    earlier pivots.  The pivots are an echelon basis of S_L, so a row lies
+    in S_L exactly when ``_reduce`` against them leaves zero.
 
-    The cap is checked once, at ``top``, before any row is built: raises
-    ResourceLimit when the rows theta * equation up to level top, a bound on
-    the rows built, times level top's n * C(m + top, m) columns exceed
-    ``matrix_cell_cap``.  Cells never decrease with the level, so no lower
-    level can exceed the cap when level top does not.
+    A row put in ``watched`` as (row, pivot, order) before the first level
+    is built has its remainder reduced against the pivots after each level
+    from its own order on; ``grow`` returns the orders of the watched rows
+    whose remainder reached zero at the level it built, which is then the
+    least level whose span holds them.
+
+    The cell cap (``_check_cells``) is checked at ``bound`` when the
+    echelon is made, before any row is built, and again before each level
+    above ``bound``.  The keys fit levels up to ``bound`` and n; before a
+    level that does not fit a field, the pivots, the parents and the
+    watched remainders are re-packed at double width.
     """
-    m, n = system.m, system.n
-    rows = sum(comb(top - eq.order + m, m) for eq in system.equations if eq.order <= top)
-    cells = rows * n * comb(m + top, m)
-    if cells > matrix_cell_cap:
-        raise ResourceLimit(
-            f"prolongation matrix at level {top} would hold {cells} cells "
-            f"(cap {matrix_cell_cap})"
-        )
-    keys = _Keys.fitting(m, max(top, n))
-    steps, shift = keys.steps, keys.order_shift
-    pivots: dict[int, dict] = {}
-    orders: list[tuple[int, int]] = []
-    parents: list[tuple[int, dict, int]] = []  # (k, reduced row, pivot) of the level below
-    start = min((eq.order for eq in system.equations), default=top + 1)
-    for level in range(start, top + 1):
+
+    __slots__ = ("system", "bound", "cap", "keys", "level", "pivots", "orders", "parents",
+                 "watched")
+
+    def __init__(self, system: LinearDiffSystem, bound: int, matrix_cell_cap: int):
+        _check_cells(system, bound, matrix_cell_cap)
+        self.system, self.bound, self.cap = system, bound, matrix_cell_cap
+        self.keys = _Keys.fitting(system.m, max(bound, system.n))
+        self.level = min((eq.order for eq in system.equations), default=bound + 1) - 1
+        self.pivots: dict[int, dict] = {}  # pivot -> its reduced row
+        self.orders: list[tuple[int, int]] = []
+        self.parents: list[tuple] = []  # (k, reduced row, pivot) of the last level built
+        self.watched: list[tuple] = []  # (remainder, its pivot, order) not yet zero
+
+    def build(self, top: int) -> None:
+        while self.level < top:
+            self.grow()
+
+    def grow(self) -> list[int]:
+        level = self.level + 1
+        if level > self.bound:
+            _check_cells(self.system, level, self.cap)
+        while level >= self.keys.limit:
+            self._widen()
+        self.level = level
+        keys, pivots, orders = self.keys, self.pivots, self.orders
+        steps, shift = keys.steps, keys.order_shift
         rows = [(0, row := _repack(eq._row, eq._keys, keys), max(row))
-                for eq in system.equations if eq.order == level]
-        for first, row, lead in parents:
+                for eq in self.system.equations if eq.order == level]
+        for first, row, lead in self.parents:
             for j, step in enumerate(steps[first:], first):
                 rows.append((j, {key + step: c for key, c in row.items()}, lead + step))
-        parents = []
+        self.parents = parents = []
         for first, row, lead in rows:
-            reduced = False
-            while (piv := pivots.get(lead)) is not None:
-                g = gcd(row[lead], piv[lead])
-                ma, mb = piv[lead] // g, row[lead] // g
-                if ma != 1:
-                    for k in row:
-                        row[k] *= ma
-                for k, v in piv.items():
-                    v = row.get(k, 0) - mb * v
-                    if v:
-                        row[k] = v
-                    else:
-                        del row[k]
-                if not row:
-                    break
-                lead, reduced = max(row), True
-            else:
-                if reduced and (content := gcd(*row.values())) > 1:
-                    row = {k: v // content for k, v in row.items()}
-                pivots[lead] = row
-                orders.append((level, lead >> shift))
-                parents.append((first, row, lead))
-    return orders
+            if lead in pivots:
+                row, lead = _reduce(row, lead, pivots)
+                if lead is None:
+                    continue
+            pivots[lead] = row
+            orders.append((level, lead >> shift))
+            parents.append((first, row, lead))
+        waiting, found = [], []
+        for row, lead, order in self.watched:
+            if order <= level and lead in pivots:
+                row, lead = _reduce(row, lead, pivots)
+                if lead is None:
+                    found.append(order)
+                    continue
+            waiting.append((row, lead, order))
+        self.watched = waiting
+        return found
+
+    def _widen(self) -> None:
+        keys = self.keys
+        wide = _Keys.of(keys.m, 2 * keys.width)
+
+        def pack(key):
+            return wide.pack(*keys.unpack(key))
+
+        self.pivots = {pack(lead): _repack(row, keys, wide) for lead, row in self.pivots.items()}
+        self.parents = [(k, self.pivots[pack(lead)], pack(lead)) for k, _, lead in self.parents]
+        self.watched = [(_repack(row, keys, wide), pack(lead), order)
+                        for row, lead, order in self.watched]
+        self.keys = wide
+
+
+def _pivot_orders(
+    system: LinearDiffSystem, top: int, matrix_cell_cap: int
+) -> list[tuple[int, int]]:
+    """The (level, order) pairs of an ``_Echelon`` built up to level
+    ``top``, its cell cap checked once, at ``top``, before any row is
+    built."""
+    echelon = _Echelon(system, top, matrix_cell_cap)
+    echelon.build(top)
+    return echelon.orders
 
 
 def prolongation_dimension(
@@ -635,6 +687,40 @@ def prolongation_dimension(
     return system.n * comb(system.m + s, system.m) - sum(order <= s for _, order in pivots)
 
 
+def _echelon_margin(echelon: _Echelon, gb: LinearDiffSystem, window: int) -> int:
+    """max(L(g) - ord g, 0) over the elements g of ``gb`` of order at most
+    ``window``, where L(g) is the least level whose span holds g, read off
+    ``echelon`` (nothing built yet), which is grown until every such g is
+    found.  A g equal to an input row up to sign has L(g) = ord g and is
+    not reduced.  A g outside the module is never found, so the cell cap
+    checked before each level bounds the search."""
+    keys = echelon.keys
+
+    def packed(eq):  # (row, leader) at the echelon's layout, the row shared if already there
+        if eq._keys is keys:
+            return eq._row, eq._lead
+        row = _repack(eq._row, eq._keys, keys)
+        return row, max(row)
+
+    inputs: dict[int, list] = {}  # leader -> input rows
+    for eq in echelon.system.equations:
+        row, lead = packed(eq)
+        inputs.setdefault(lead, []).append(row)
+    for g in gb.equations:
+        if g.order <= window:
+            row, lead = packed(g)
+            if not any(
+                other == row or all(other.get(k) == -c for k, c in row.items())
+                for other in inputs.get(lead, ())
+            ):
+                echelon.watched.append((dict(row), lead, g.order))
+    margin = 0
+    while echelon.watched:
+        for order in echelon.grow():
+            margin = max(margin, echelon.level - order)
+    return margin
+
+
 def kolchin_via_prolongation(
     system: LinearDiffSystem,
     matrix_cell_cap: int = DEFAULT_MATRIX_CELL_CAP,
@@ -642,25 +728,38 @@ def kolchin_via_prolongation(
 ) -> NumericalPolynomial:
     """Kolchin polynomial from exact prolongation ranks plus interpolation.
 
-    At the certified margin of ``_groebner_with_margin`` the dimension at
-    level t + margin counts the solutions of order <= t exactly, and the
-    leader complements count polynomially from ``floor``, the largest
-    ``stabilisation_level`` of the leader sets.  So the m + 1 values on the
-    fixed window [floor, floor + m] give the polynomial, read from one
-    echelon form built to level floor + m + margin + 1; no other window is
-    tried.  The self-check is the certificate's own claim: every pivot made
-    at level ``at`` has order >= at - margin, on every level built, or
-    DiffdimError names the pivot.  That puts each pivot of order <= t at or
-    below level t + margin, so the window counts are a running sum of the
-    pivots by order.  The completion is the one ``module_groebner`` keeps
-    on the system object, made at most once for both routes.
+    The leader complements of the reduced basis count polynomially from
+    ``floor``, the largest ``stabilisation_level`` of the leader sets, so
+    the m + 1 values on the fixed window [floor, floor + m] give the
+    polynomial.  Under the orderly ranking every f in the module with
+    ord f <= s has a standard representation sum c * theta * g over the
+    basis with ord(theta * g) <= s, so for s <= floor + m only the g of
+    order <= floor + m enter it.  Each such theta * g lies in the level
+    L(g) + ord theta <= s + (L(g) - ord g) span, where L(g) is the least
+    level whose span holds g (``_echelon_margin``).  So with the margin
+    max(L(g) - ord g) the pivots of order <= s at level s + margin count
+    exactly the module's elements of order <= s, for every s in the window.
+
+    One ``_Echelon`` serves the margin and the window: its cell cap is
+    checked up front at floor + m + 1, the least top any margin gives, and
+    before each higher level, so the search for L(g) is bounded.  It is
+    built to level floor + m + margin + 1, and the self-check is the
+    margin's own claim: every pivot made at level ``at`` has order >=
+    at - margin, on every level built, or DiffdimError names the pivot.
+    That puts each pivot of order <= t at or below level t + margin, so the
+    window counts are a running sum of the pivots by order.  The completion
+    is the one ``module_groebner`` keeps on the system object, made at most
+    once for both routes.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
-    gb, margin = _completed(system, gb_step_cap)
+    gb = _completed(system, gb_step_cap)
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
+    echelon = _Echelon(system, floor + m + 1, matrix_cell_cap)
+    margin = _echelon_margin(echelon, gb, floor + m)
+    echelon.build(floor + m + margin + 1)
     tally = [0] * (m + 1)  # pivots of order floor + j, those below floor at j = 0
-    for at, order in _pivot_orders(system, floor + m + margin + 1, matrix_cell_cap):
+    for at, order in echelon.orders:
         if order < at - margin:
             raise DiffdimError(
                 f"prolongation self-check failed: a pivot of order {order} "

@@ -246,13 +246,13 @@ def test_kolchin_check_agrees(capsys):
 
 def test_kolchin_check_runs_completion_once(capsys, monkeypatch):
     completions = []
-    complete = lindiff._groebner_with_margin
+    complete = lindiff._groebner
 
     def counted(system, gb_step_cap):
         completions.append(system)
         return complete(system, gb_step_cap)
 
-    monkeypatch.setattr(lindiff, "_groebner_with_margin", counted)
+    monkeypatch.setattr(lindiff, "_groebner", counted)
     for name in ("heat.sys", "laplace.sys", "cauchy_riemann.sys"):
         completions.clear()
         code, out, _ = run(capsys, "kolchin", "--system", str(DATA / name), "--check")

@@ -16,7 +16,7 @@ from diffdim.diffrank import rank_key  # noqa: E402
 from diffdim.lindiff import (  # noqa: E402
     LinearDiffSystem,
     _eliminate,
-    _groebner_with_margin,
+    _groebner,
     _Keys,
     module_groebner,
     parse_system,
@@ -78,7 +78,7 @@ def test_groebner_unchanged_by_appending_derived_equation(system, data):
 
 # ------------------------------------------------------------------ oracle
 # Textbook Buchberger over Fraction dicts keyed (exponents, unknown): FIFO
-# pairs, no criterion, no rep bookkeeping, nothing shared with lindiff.
+# pairs, no criterion, nothing shared with lindiff.
 
 
 def _lead(f):
@@ -180,8 +180,7 @@ def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
     assert basis == oracle_basis(system)
     # that one reduction needs x1 at the new width: found through a stale
     # leader index, the S-row would stay and push a fourth element
-    gb, margin = _groebner_with_margin(system, gb_step_cap=1)
-    assert (margin, len(gb.equations)) == (0, 3)
+    assert len(_groebner(system, gb_step_cap=1).equations) == 3
 
 
 def test_equations_of_two_layouts_complete_as_one_parse():
@@ -191,7 +190,7 @@ def test_equations_of_two_layouts_complete_as_one_parse():
     assert (first._keys.width, second._keys.width) == (8, 7)
     mixed = LinearDiffSystem(2, 1, (first, second))
     parsed = parse_system("m = 2\nn = 1\neq: d[70,0]x1 + x1\neq: d[0,1]x1\n")
-    assert _groebner_with_margin(mixed) == _groebner_with_margin(parsed)
+    assert _groebner(mixed) == _groebner(parsed)
     basis = {
         frozenset(((mono.exponents, mono.var_index), c) for c, mono in eq.terms)
         for eq in module_groebner(mixed).equations
@@ -216,7 +215,10 @@ def test_elimination_step_is_the_fraction_free_combination(data):
     expected = _add_multiple({k: g[glead] // d * v for k, v in row.items()}, g, theta, -(c // d))
     keys = _Keys(2, 5)
     packed = {keys.pack(*k): v for k, v in row.items()}
-    added = _eliminate(packed, keys.pack(*key), {keys.pack(*k): v for k, v in g.items()},
-                       keys.pack(*glead))
+    heap = []
+    _eliminate(packed, keys.pack(*key), {keys.pack(*k): v for k, v in g.items()},
+               keys.pack(*glead), heap)
     assert {keys.unpack(k): v for k, v in packed.items()} == expected
-    assert sorted(map(keys.unpack, added)) == sorted(expected.keys() - row.keys())
+    assert sorted(keys.unpack(-k) for k in heap) == sorted(expected.keys() - row.keys())
+    # the keys it adds go, negated, onto a valid heap
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))

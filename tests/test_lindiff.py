@@ -16,7 +16,9 @@ from diffdim.lindiff import (
     DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
     LinearEquation,
-    _groebner_with_margin,
+    _Echelon,
+    _echelon_margin,
+    _groebner,
     _Keys,
     _pivot_orders,
     kolchin_polynomial,
@@ -168,7 +170,7 @@ def test_groebner_deterministic_under_input_order():
 
 
 PINNED_BASES = {
-    # system: (margin, basis as "coefficient*exponents x unknown" lines)
+    # system: (echelon margin, basis as "coefficient*exponents x unknown" lines)
     "cauchy_riemann.sys": (0, ["1*(2, 0)x1 1*(0, 2)x1", "1*(1, 0)x2 1*(0, 1)x1",
                                "1*(0, 1)x2 -1*(1, 0)x1"]),
     "free2.sys": (0, []),
@@ -184,6 +186,7 @@ PINNED_BASES = {
     "monomials-binomial": (2, ["1*(0, 2)x1", "1*(1, 0)x1"]),
     "chain-pending-ac": (3, ["1*(0,)x1"]),
     "chain-pending-bc": (1, ["1*(0, 3)x1", "1*(2, 0)x1", "1*(1, 1)x1 -1*(0, 2)x1"]),
+    "chain-pending-ac-m2": (7, ["1*(0, 0)x1"]),
 }
 # the unit ideal, reached only two levels past the equations' order
 UNIT_IDEAL = (
@@ -212,6 +215,12 @@ CHAIN_PENDING_BC = (
     "m = 2\nn = 1\n"
     "eq: 3*d[2,0]x1 + 2*d[2,1]x1 - 2*d[0,3]x1\neq: 2*d[1,1]x1 - 2*d[0,2]x1\n"
 )
+# the unit module; without the (a, c) condition x1 is never reached and the
+# basis holds two elements, with leaders d[1,0]x1 and d[0,1]x1
+CHAIN_PENDING_AC_M2 = (
+    "m = 2\nn = 1\n"
+    "eq: -9*d[3,0]x1 + d[1,0]x1\neq: -3*d[0,3]x1 - 8*d[2,0]x1\neq: d[1,2]x1 - 7*x1\n"
+)
 INLINE_SYSTEMS = {
     "unit-ideal": UNIT_IDEAL,
     "unit-x1": UNIT_X1,
@@ -219,6 +228,7 @@ INLINE_SYSTEMS = {
     "monomials-binomial": MONOMIALS_BINOMIAL,
     "chain-pending-ac": CHAIN_PENDING_AC,
     "chain-pending-bc": CHAIN_PENDING_BC,
+    "chain-pending-ac-m2": CHAIN_PENDING_AC_M2,
 }
 
 
@@ -229,33 +239,39 @@ def basis_lines(gb):
     ]
 
 
+def certified_margin(system, matrix_cell_cap=DEFAULT_MATRIX_CELL_CAP):
+    # the margin the prolongation route reads off its echelon
+    gb = module_groebner(system)
+    window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
+    return _echelon_margin(_Echelon(system, window + 1, matrix_cell_cap), gb, window)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
 def test_groebner_basis_and_certified_margin_pinned(name):
-    # --check takes its prolongation margin from here
     system = parse_system(INLINE_SYSTEMS[name]) if name in INLINE_SYSTEMS else load(name)
-    gb, margin = _groebner_with_margin(system)
-    assert (margin, basis_lines(gb)) == PINNED_BASES[name]
+    assert (certified_margin(system), basis_lines(_groebner(system))) == PINNED_BASES[name]
 
 
 def test_completion_stops_once_every_unknown_is_a_leader():
     # x1 is a leader after the third S-pair reduction; running the pairs
     # out takes three more, each ending in zero
     system = parse_system(UNIT_IDEAL)
-    gb, margin = _groebner_with_margin(system, gb_step_cap=3)
-    assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    gb = _groebner(system, gb_step_cap=3)
+    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["unit-ideal"]
     with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
-        _groebner_with_margin(system, gb_step_cap=2)
+        _groebner(system, gb_step_cap=2)
 
 
 def test_completion_makes_no_pair_of_two_monomials():
     # the chain criterion alone would leave five of the 15 pairs to reduce
-    gb, margin = _groebner_with_margin(parse_system(MONOMIALS_6), gb_step_cap=1)
-    assert (margin, basis_lines(gb)) == PINNED_BASES["monomials-6"]
+    system = parse_system(MONOMIALS_6)
+    gb = _groebner(system, gb_step_cap=1)
+    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["monomials-6"]
     system = parse_system(MONOMIALS_BINOMIAL)
-    gb, margin = _groebner_with_margin(system, gb_step_cap=3)
-    assert (margin, basis_lines(gb)) == PINNED_BASES["monomials-binomial"]
+    gb = _groebner(system, gb_step_cap=3)
+    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["monomials-binomial"]
     with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
-        _groebner_with_margin(system, gb_step_cap=2)
+        _groebner(system, gb_step_cap=2)
 
 
 def _margin_systems():
@@ -285,9 +301,10 @@ def _margin_systems():
     "system", [pytest.param(system, id=name) for name, system in _margin_systems()]
 )
 def test_certified_margin_counts_as_margin_plus_three(system):
-    # the margin max(rep - ord) is meant to be exact: three more levels of
-    # prolongation must not find a single further pivot of order <= s
-    gb, margin = _groebner_with_margin(system)
+    # the margin max(L(g) - ord g) is meant to be exact: three more levels
+    # of prolongation must not find a single further pivot of order <= s
+    margin = certified_margin(system)
+    gb = module_groebner(system)
     top = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
     pivots = _pivot_orders(system, top + margin + 3, DEFAULT_MATRIX_CELL_CAP)
 
@@ -307,8 +324,9 @@ def test_unit_ideal_margin_is_tight():
 
 def test_understated_margin_fails_the_self_check(monkeypatch, tmp_path, capsys):
     system = parse_system(UNIT_IDEAL)
-    gb, _ = _groebner_with_margin(system)
-    monkeypatch.setattr(lindiff, "_groebner_with_margin", lambda _system, _cap: (gb, 3))
+    assert certified_margin(system) == 4
+    margin = lindiff._echelon_margin
+    monkeypatch.setattr(lindiff, "_echelon_margin", lambda *args: margin(*args) - 1)
     with pytest.raises(DiffdimError, match="pivot of order 0 at level 4, more than margin 3"):
         kolchin_via_prolongation(system)
     path = tmp_path / "unit.sys"
@@ -333,12 +351,54 @@ def test_self_check_reads_pivots_below_the_window(monkeypatch):
     # by level t + 5, so comparing margin with margin + 1 there saw nothing
     # and returned the right polynomial on a false claim
     system = parse_system(MARGIN_SIX)
-    gb, margin = _groebner_with_margin(system)
-    assert margin == 6
+    assert certified_margin(system) == 6
     assert kolchin_via_prolongation(system) == NumericalPolynomial.from_coeffs((0, 0, 2))
-    monkeypatch.setattr(lindiff, "_groebner_with_margin", lambda _system, _cap: (gb, 5))
+    margin = lindiff._echelon_margin
+    monkeypatch.setattr(lindiff, "_echelon_margin", lambda *args: margin(*args) - 1)
     with pytest.raises(DiffdimError, match="pivot of order 0 at level 6, more than margin 5"):
         kolchin_via_prolongation(parse_system(MARGIN_SIX))
+
+
+# the unit module, for which completion's own levels gave margin 6
+UNIT_MARGIN_FIVE = (
+    "m = 2\nn = 1\neq: -2*d[1,2]x1\neq: 6*d[2,1]x1 - 7*d[1,0]x1 + 9*d[0,3]x1\n"
+    "eq: -9*d[3,0]x1 + 2*d[1,1]x1\neq: 6*d[2,1]x1 - 7*d[1,0]x1 + 8*d[0,2]x1 + 1*d[0,0]x1\n"
+)
+
+
+def test_echelon_margin_is_the_least_level_that_holds_the_basis():
+    # x1 first lies in the span at level 5, so margin 5 is exact: at margin 4
+    # x1 is still free at s = 0
+    system = parse_system(UNIT_MARGIN_FIVE)
+    assert certified_margin(system) == 5
+    assert prolongation_dimension(system, 0, 4) == 1
+    assert prolongation_dimension(system, 0, 5) == 0
+    assert kolchin_via_prolongation(system) == kolchin_polynomial(system)
+
+
+def test_an_element_outside_the_module_ends_at_the_cell_cap(monkeypatch):
+    # x1 is not in the module heat.sys generates, so no level's span holds it
+    # and the margin search climbs until the cap refuses a level
+    system = load("heat.sys")
+    spurious = parse_system("m = 2\nn = 1\neq: x1\n").equations
+    basis = LinearDiffSystem(2, 1, module_groebner(system).equations + spurious)
+    monkeypatch.setattr(lindiff, "_completed", lambda _system, _cap: basis)
+    with pytest.raises(ResourceLimit, match=r"level 14 would hold 10920 cells \(cap 10000\)"):
+        kolchin_via_prolongation(system, matrix_cell_cap=10_000)
+
+
+def test_the_input_equations_as_a_basis_fail_the_self_check(monkeypatch, tmp_path, capsys):
+    # each equation is an input row, so its least level is its order and the
+    # margin is 0; yet x1 is a pivot made at level 4
+    monkeypatch.setattr(
+        lindiff, "_completed", lambda system, _cap: LinearDiffSystem(2, 1, system.equations)
+    )
+    with pytest.raises(DiffdimError, match="more than margin 0 above its order"):
+        kolchin_via_prolongation(parse_system(UNIT_IDEAL))
+    path = tmp_path / "unit.sys"
+    path.write_text(UNIT_IDEAL)
+    assert main(["kolchin", "--system", str(path), "--check"]) == 1
+    assert "self-check" in capsys.readouterr().err
 
 
 def test_probe4_both_routes_agree():
@@ -355,12 +415,12 @@ def test_groebner_step_cap_names_reductions_and_basis(cap):
     with pytest.raises(
         ResourceLimit, match=rf"after {cap} S-pair reductions with \d+ basis elements \(cap {cap}\)"
     ):
-        _groebner_with_margin(load("probe4.sys"), gb_step_cap=cap)
+        _groebner(load("probe4.sys"), gb_step_cap=cap)
 
 
 HEAT_OMEGA = NumericalPolynomial.from_coeffs((0, 2, -1))
 COMPLETION_ENTRIES = {
-    "_groebner_with_margin": _groebner_with_margin,
+    "_groebner": _groebner,
     "module_groebner": module_groebner,
     "kolchin_polynomial": kolchin_polynomial,
     "kolchin_via_prolongation": kolchin_via_prolongation,
@@ -401,13 +461,13 @@ def test_kolchin_polynomial_completes_through_module_groebner(monkeypatch):
 
 def test_one_completion_serves_every_route_on_one_system(monkeypatch):
     completions = []
-    complete = lindiff._groebner_with_margin
+    complete = lindiff._groebner
 
     def counted(system, gb_step_cap):
         completions.append(system)
         return complete(system, gb_step_cap)
 
-    monkeypatch.setattr(lindiff, "_groebner_with_margin", counted)
+    monkeypatch.setattr(lindiff, "_groebner", counted)
     system = load("heat.sys")
     assert len(module_groebner(system).equations) == 1
     assert kolchin_polynomial(system) == HEAT_OMEGA
@@ -439,12 +499,12 @@ def test_completed_system_recompletes_under_a_smaller_cap():
     # the unit ideal takes 3 S-pair reductions: a completion stored under
     # cap 3 is no answer under cap 2, and is the answer under the default
     system = parse_system(UNIT_IDEAL)
-    gb, margin = lindiff._completed(system, 3)
-    assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    gb = lindiff._completed(system, 3)
+    assert basis_lines(gb) == PINNED_BASES["unit-ideal"][1]
     with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
         lindiff._completed(system, 2)
-    gb, margin = lindiff._completed(system, DEFAULT_GB_STEP_CAP)
-    assert (margin, basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    gb = lindiff._completed(system, DEFAULT_GB_STEP_CAP)
+    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["unit-ideal"]
 
 
 def test_parse_completion_and_echelon_share_one_layout(monkeypatch):

@@ -9,10 +9,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from diffdim.expsets import stabilisation_level  # noqa: E402
 from diffdim.lindiff import (  # noqa: E402
     DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
+    _Echelon,
+    _echelon_margin,
     _pivot_orders,
+    kolchin_polynomial,
+    kolchin_via_prolongation,
+    leader_profile,
+    module_groebner,
     parse_system,
 )
 from diffdim.diffrank import rank_key  # noqa: E402
@@ -115,3 +122,29 @@ def test_janet_parent_echelon_past_the_equations_width_matches_from_scratch():
         for at, order in pivots:
             by_order[order] += at == level
         assert tuple(accumulate(by_order[: level + 1])) == low[level], level
+
+
+# g = d_1^k x1 + x1 times two coprime cofactors: the basis is g alone, and
+# it is reached only levels past the window, across the echelon's field
+# limit (16 at m = 4 for a bound below 16, 512 at m = 1 for one below 512)
+@pytest.mark.parametrize("text, margin", [
+    ("m = 4\nn = 1\neq: d[10,0,0,0]x1 + d[8,0,0,0]x1 + 2*d[2,0,0,0]x1 + 2*x1\n"
+     "eq: d[9,0,0,0]x1 + d[7,0,0,0]x1 + 3*d[2,0,0,0]x1 + 3*x1\n", 14),
+    ("m = 1\nn = 1\neq: d[510]x1 + d[10]x1 + 2*d[500]x1 + 2*x1\n"
+     "eq: d[509]x1 + d[9]x1 + 3*d[500]x1 + 3*x1\n", 18),
+])
+def test_margin_search_past_the_field_limit_matches_from_scratch(text, margin):
+    system = parse_system(text)
+    gb = module_groebner(system)
+    window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
+    echelon = _Echelon(system, window + 1, DEFAULT_MATRIX_CELL_CAP)
+    width = echelon.keys.width
+    assert _echelon_margin(echelon, gb, window) == margin
+    assert echelon.level >= 1 << (width - 1) and echelon.keys.width == 2 * width
+    low = from_scratch_low(system, echelon.level)
+    by_order = [0] * (echelon.level + 1)
+    for level in range(echelon.level + 1):
+        for at, order in echelon.orders:
+            by_order[order] += at == level
+        assert tuple(accumulate(by_order[: level + 1])) == low[level], level
+    assert kolchin_via_prolongation(system) == kolchin_polynomial(system)
