@@ -578,21 +578,14 @@ class _Echelon:
     earlier pivots.  The pivots are an echelon basis of S_L, so a row lies
     in S_L exactly when ``_reduce`` against them leaves zero.
 
-    A row put in ``watched`` as (row, pivot, order) before the first level
-    is built has its remainder reduced against the pivots after each level
-    from its own order on; ``grow`` returns the orders of the watched rows
-    whose remainder reached zero at the level it built, which is then the
-    least level whose span holds them.
-
     The cell cap (``_check_cells``) is checked at ``bound`` when the
     echelon is made, before any row is built, and again before each level
     above ``bound``.  The keys fit levels up to ``bound`` and n; before a
-    level that does not fit a field, the pivots, the parents and the
-    watched remainders are re-packed at double width.
+    level that does not fit a field, the pivots and the parents are
+    re-packed at double width.
     """
 
-    __slots__ = ("system", "bound", "cap", "keys", "level", "pivots", "orders", "parents",
-                 "watched")
+    __slots__ = ("system", "bound", "cap", "keys", "level", "pivots", "orders", "parents")
 
     def __init__(self, system: LinearDiffSystem, bound: int, matrix_cell_cap: int):
         _check_cells(system, bound, matrix_cell_cap)
@@ -602,13 +595,12 @@ class _Echelon:
         self.pivots: dict[int, dict] = {}  # pivot -> its reduced row
         self.orders: list[tuple[int, int]] = []
         self.parents: list[tuple] = []  # (k, reduced row, pivot) of the last level built
-        self.watched: list[tuple] = []  # (remainder, its pivot, order) not yet zero
 
     def build(self, top: int) -> None:
         while self.level < top:
             self.grow()
 
-    def grow(self) -> list[int]:
+    def grow(self) -> None:
         level = self.level + 1
         if level > self.bound:
             _check_cells(self.system, level, self.cap)
@@ -631,16 +623,6 @@ class _Echelon:
             pivots[lead] = row
             orders.append((level, lead >> shift))
             parents.append((first, row, lead))
-        waiting, found = [], []
-        for row, lead, order in self.watched:
-            if order <= level and lead in pivots:
-                row, lead = _reduce(row, lead, pivots)
-                if lead is None:
-                    found.append(order)
-                    continue
-            waiting.append((row, lead, order))
-        self.watched = waiting
-        return found
 
     def _widen(self) -> None:
         keys = self.keys
@@ -651,8 +633,6 @@ class _Echelon:
 
         self.pivots = {pack(lead): _repack(row, keys, wide) for lead, row in self.pivots.items()}
         self.parents = [(k, self.pivots[pack(lead)], pack(lead)) for k, _, lead in self.parents]
-        self.watched = [(_repack(row, keys, wide), pack(lead), order)
-                        for row, lead, order in self.watched]
         self.keys = wide
 
 
@@ -688,36 +668,24 @@ def prolongation_dimension(
 
 
 def _echelon_margin(echelon: _Echelon, gb: LinearDiffSystem, window: int) -> int:
-    """max(L(g) - ord g, 0) over the elements g of ``gb`` of order at most
-    ``window``, where L(g) is the least level whose span holds g, read off
-    ``echelon`` (nothing built yet), which is grown until every such g is
-    found.  A g equal to an input row up to sign has L(g) = ord g and is
-    not reduced.  A g outside the module is never found, so the cell cap
-    checked before each level bounds the search."""
+    """max(L(x) - ord x, 0) over the leaders x of the elements of ``gb`` of
+    order at most ``window``, L(x) the first level at which x is a pivot of
+    ``echelon`` (nothing built yet), grown until every such x is one.  A
+    leader that no element of the module has never becomes a pivot, so the
+    cell cap checked before each level bounds the search."""
     keys = echelon.keys
-
-    def packed(eq):  # (row, leader) at the echelon's layout, the row shared if already there
-        if eq._keys is keys:
-            return eq._row, eq._lead
-        row = _repack(eq._row, eq._keys, keys)
-        return row, max(row)
-
-    inputs: dict[int, list] = {}  # leader -> input rows
-    for eq in echelon.system.equations:
-        row, lead = packed(eq)
-        inputs.setdefault(lead, []).append(row)
-    for g in gb.equations:
-        if g.order <= window:
-            row, lead = packed(g)
-            if not any(
-                other == row or all(other.get(k) == -c for k, c in row.items())
-                for other in inputs.get(lead, ())
-            ):
-                echelon.watched.append((dict(row), lead, g.order))
+    waiting = [(g._lead if g._keys is keys else keys.pack(*g._keys.unpack(g._lead)), g.order)
+               for g in gb.equations if g.order <= window]
     margin = 0
-    while echelon.watched:
-        for order in echelon.grow():
-            margin = max(margin, echelon.level - order)
+    while waiting:
+        echelon.grow()
+        if echelon.keys is not keys:
+            waiting = [(echelon.keys.pack(*keys.unpack(x)), order) for x, order in waiting]
+            keys = echelon.keys
+        pivots = echelon.pivots
+        if found := [order for x, order in waiting if x in pivots]:
+            margin = max(margin, echelon.level - min(found))
+            waiting = [(x, order) for x, order in waiting if x not in pivots]
     return margin
 
 
@@ -728,21 +696,27 @@ def kolchin_via_prolongation(
 ) -> NumericalPolynomial:
     """Kolchin polynomial from exact prolongation ranks plus interpolation.
 
-    The leader complements of the reduced basis count polynomially from
+    The leader complements of the reduced basis B count polynomially from
     ``floor``, the largest ``stabilisation_level`` of the leader sets, so
     the m + 1 values on the fixed window [floor, floor + m] give the
-    polynomial.  Under the orderly ranking every f in the module with
-    ord f <= s has a standard representation sum c * theta * g over the
-    basis with ord(theta * g) <= s, so for s <= floor + m only the g of
-    order <= floor + m enter it.  Each such theta * g lies in the level
-    L(g) + ord theta <= s + (L(g) - ord g) span, where L(g) is the least
-    level whose span holds g (``_echelon_margin``).  So with the margin
-    max(L(g) - ord g) the pivots of order <= s at level s + margin count
+    polynomial.  For a leader x of B, the first pivot row with pivot x is an
+    element p_x of the module, made at level L(x) (``_echelon_margin``).  As
+    B's leaders generate the module's leading terms, the p_x are a Groebner
+    basis too, so under the orderly ranking every f in the module with
+    ord f <= s has a standard representation sum c * theta * p_x with
+    ord(theta * x) <= s.  For s <= floor + m only the x of order
+    <= floor + m enter it, and theta * p_x lies in the level
+    L(x) + ord theta <= s + (L(x) - ord x) span.  So with the margin
+    max(L(x) - ord x) the pivots of order <= s at level s + margin count
     exactly the module's elements of order <= s, for every s in the window.
+    A g of B with leader x lies in no span below level L(x), so the margin
+    is never above one read off B's own rows.  The lookup does not show
+    that g is in the module, so a g with the right leader and a wrong tail
+    passes it; the polynomial reads B only through its leaders.
 
     One ``_Echelon`` serves the margin and the window: its cell cap is
     checked up front at floor + m + 1, the least top any margin gives, and
-    before each higher level, so the search for L(g) is bounded.  It is
+    before each higher level, so the search for L(x) is bounded.  It is
     built to level floor + m + margin + 1, and the self-check is the
     margin's own claim: every pivot made at level ``at`` has order >=
     at - margin, on every level built, or DiffdimError names the pivot.

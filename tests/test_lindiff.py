@@ -301,7 +301,7 @@ def _margin_systems():
     "system", [pytest.param(system, id=name) for name, system in _margin_systems()]
 )
 def test_certified_margin_counts_as_margin_plus_three(system):
-    # the margin max(L(g) - ord g) is meant to be exact: three more levels
+    # the margin max(L(x) - ord x) is meant to be exact: three more levels
     # of prolongation must not find a single further pivot of order <= s
     margin = certified_margin(system)
     gb = module_groebner(system)
@@ -367,8 +367,8 @@ UNIT_MARGIN_FIVE = (
 
 
 def test_echelon_margin_is_the_least_level_that_holds_the_basis():
-    # x1 first lies in the span at level 5, so margin 5 is exact: at margin 4
-    # x1 is still free at s = 0
+    # x1 is first a pivot at level 5, so margin 5 is exact: at margin 4 x1
+    # is still free at s = 0
     system = parse_system(UNIT_MARGIN_FIVE)
     assert certified_margin(system) == 5
     assert prolongation_dimension(system, 0, 4) == 1
@@ -377,8 +377,8 @@ def test_echelon_margin_is_the_least_level_that_holds_the_basis():
 
 
 def test_an_element_outside_the_module_ends_at_the_cell_cap(monkeypatch):
-    # x1 is not in the module heat.sys generates, so no level's span holds it
-    # and the margin search climbs until the cap refuses a level
+    # no element of the module heat.sys generates has leader x1, so x1 is
+    # never a pivot and the margin search climbs until the cap refuses a level
     system = load("heat.sys")
     spurious = parse_system("m = 2\nn = 1\neq: x1\n").equations
     basis = LinearDiffSystem(2, 1, module_groebner(system).equations + spurious)
@@ -388,8 +388,8 @@ def test_an_element_outside_the_module_ends_at_the_cell_cap(monkeypatch):
 
 
 def test_the_input_equations_as_a_basis_fail_the_self_check(monkeypatch, tmp_path, capsys):
-    # each equation is an input row, so its least level is its order and the
-    # margin is 0; yet x1 is a pivot made at level 4
+    # each equation's leader is a pivot at the level of the equation's own
+    # row, its order, so the margin is 0; yet x1 is a pivot made at level 4
     monkeypatch.setattr(
         lindiff, "_completed", lambda system, _cap: LinearDiffSystem(2, 1, system.equations)
     )

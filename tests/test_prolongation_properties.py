@@ -3,6 +3,7 @@ echelon that reduces every prolongation theta * equation from scratch."""
 
 from itertools import accumulate
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from diffdim.lindiff import (  # noqa: E402
 from diffdim.diffrank import rank_key  # noqa: E402
 from parsed import equation  # noqa: E402
 
+DATA = Path(__file__).parent / "data"
+
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None)
 
 
@@ -41,13 +44,15 @@ def _integer_row(eq):
     return {rank_key((mono.exponents, mono.var_index)): int(c * scale) for c, mono in eq.terms}
 
 
-def from_scratch_low(system, top):
-    """``low[L][s]``, the number of pivots of order <= s after level L, for
-    L in range(top + 1): level L reduces every row theta * equation with
-    ord(theta) + ord(equation) == L against the pivot rows so far."""
+def from_scratch(system, top):
+    """(low, first) for levels 0..top: ``low[L][s]`` is the number of
+    pivots of order <= s after level L, and ``first`` maps the rank key of
+    each pivot to the level that made it.  Level L reduces every row
+    theta * equation with ord(theta) + ord(equation) == L against the pivot
+    rows so far."""
     m = system.m
     equations = [(eq.order, _integer_row(eq)) for eq in system.equations]
-    pivots, by_order, low = {}, [], []
+    pivots, by_order, low, first = {}, [], [], {}
     for level in range(top + 1):
         by_order.append(0)
         new_rows = (
@@ -67,6 +72,7 @@ def from_scratch_low(system, top):
                     content = gcd(*row.values())
                     pivots[lead] = {k: v // content for k, v in row.items()}
                     by_order[lead[0]] += 1
+                    first[lead] = level
                     break
                 g = gcd(row[lead], piv[lead])
                 ma, mb = piv[lead] // g, row[lead] // g
@@ -79,7 +85,7 @@ def from_scratch_low(system, top):
                     else:
                         del row[k]
         low.append(tuple(accumulate(by_order)))
-    return low
+    return low, first
 
 
 @st.composite
@@ -101,7 +107,7 @@ def test_janet_parent_echelon_matches_from_scratch_echelon(system, top):
     pivots = _pivot_orders(system, top, DEFAULT_MATRIX_CELL_CAP)
     assert all(order <= level <= top for level, order in pivots)
     assert [level for level, _ in pivots] == sorted(level for level, _ in pivots)
-    low = from_scratch_low(system, top)
+    low = from_scratch(system, top)[0]
     for level in range(top + 1):
         for s in range(level + 1):
             count = sum(at <= level and order <= s for at, order in pivots)
@@ -116,7 +122,7 @@ def test_janet_parent_echelon_past_the_equations_width_matches_from_scratch():
     top = 520
     assert system.equations[0]._keys.width == 10
     pivots = _pivot_orders(system, top, DEFAULT_MATRIX_CELL_CAP)
-    low = from_scratch_low(system, top)
+    low = from_scratch(system, top)[0]
     by_order = [0] * (top + 1)
     for level in range(top + 1):
         for at, order in pivots:
@@ -141,10 +147,35 @@ def test_margin_search_past_the_field_limit_matches_from_scratch(text, margin):
     width = echelon.keys.width
     assert _echelon_margin(echelon, gb, window) == margin
     assert echelon.level >= 1 << (width - 1) and echelon.keys.width == 2 * width
-    low = from_scratch_low(system, echelon.level)
+    low = from_scratch(system, echelon.level)[0]
     by_order = [0] * (echelon.level + 1)
     for level in range(echelon.level + 1):
         for at, order in echelon.orders:
             by_order[order] += at == level
         assert tuple(accumulate(by_order[: level + 1])) == low[level], level
     assert kolchin_via_prolongation(system) == kolchin_polynomial(system)
+
+
+def assert_margin_is_first_pivot_level(system):
+    """The margin is max(first level of x - ord x, 0) over the leaders x of
+    the basis elements of order <= floor + m, read off the from-scratch
+    echelon, which shares no code with ``_Echelon``."""
+    gb = module_groebner(system)
+    window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
+    margin = _echelon_margin(_Echelon(system, window + 1, DEFAULT_MATRIX_CELL_CAP), gb, window)
+    leaders = [(rank_key((g.leader.exponents, g.leader.var_index)), g.order)
+               for g in gb.equations if g.order <= window]
+    first = from_scratch(system, window + margin)[1]
+    assert all(x in first for x, _ in leaders)
+    assert margin == max([first[x] - order for x, order in leaders] + [0])
+
+
+@SETTINGS
+@hypothesis.given(systems())
+def test_echelon_margin_is_each_leaders_first_pivot_level(system):
+    assert_margin_is_first_pivot_level(system)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.sys")))
+def test_echelon_margin_is_each_leaders_first_pivot_level_on_the_fixtures(name):
+    assert_margin_is_first_pivot_level(parse_system((DATA / name).read_text()))
