@@ -4,10 +4,10 @@ An exponent set stands for the upward closure of its generators under the
 componentwise order.  The volume function counts the points *outside* the
 closure of order at most s exactly, walking prefixes over the first m - 2
 coordinates and summing runs of coordinate m - 1 in closed form, under a
-cap on the binom(s+m, m) candidate points.  One recursion computes the
-Hilbert numerator N(z), with sum_{xi outside the closure} z^|xi| =
-N(z) / (1 - z)^m, kept sparse as its nonzero terms, so a generator entry
-of 10^9 costs one term and not 10^9.  The count at s is
+cap on the binom(s + m - 2, m - 2) prefixes it can visit.  One recursion
+computes the Hilbert numerator N(z), with sum_{xi outside the closure}
+z^|xi| = N(z) / (1 - z)^m, kept sparse as its nonzero terms, so a
+generator entry of 10^9 costs one term and not 10^9.  The count at s is
 sum_{k <= s} N_k * binom(s - k + m, m); the Kolchin polynomial is that sum
 over every k, each binomial read as a polynomial in s; the two agree from
 stabilisation_level = max(0, deg N - m) on.
@@ -94,18 +94,22 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
     y holds min(s - |p| - y + 1, h(y)) points, and h is a step function, so
     each run of y between generator entries is summed in closed form.  A
     slice xi_1 = x whose generator tails include the zero vector is covered,
-    as is every later one, so the walk stops there.  The cap still bounds
-    the binom(s+m, m) candidate points, checked first.
+    as is every later one, so the walk stops there.  The cap bounds the
+    binom(s + m - 2, m - 2) prefixes of order <= s it can visit (one at
+    m <= 2), checked first.  A prefix costs one pass over the generators
+    below it: 0.5-0.7 us with one, 1.7 us with 12 and about 50 us with 861
+    (m = 3 to 5, CPython 3.11, one x86-64 core).
     """
     if s < 0:
         raise ValueError("order cutoff must be non-negative")
     check_cap("enumeration_cap", enumeration_cap)
     m = exp_set.m
-    candidates = comb(s + m, m)
-    if candidates > enumeration_cap:
+    k = max(m - 2, 0)
+    prefixes = comb(s + k, k)
+    if prefixes > enumeration_cap:
         raise ResourceLimit(
-            f"volume enumeration needs {candidates} candidates "
-            f"(cap {enumeration_cap})"
+            f"volume walk at order {s} visits up to {prefixes} prefixes "
+            f"over {k} coordinates (cap {enumeration_cap})"
         )
     return _outside(m, exp_set.generators, s)
 

@@ -15,8 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
-from math import comb, gcd, lcm
+from itertools import accumulate, chain
+from math import comb, gcd, inf, lcm
 from operator import le
 
 from .diffrank import (
@@ -31,7 +31,8 @@ from .errors import AmbientMismatch, DiffdimError, ParseError, ResourceLimit, ch
 from .expsets import ExponentSet, ExponentVector, _lines, _naturals, stabilisation_level
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
-DEFAULT_MATRIX_CELL_CAP = 10**8
+# entries held, about 300 bytes each on Killing's equations, m = 7, 8: 1.5 GB
+DEFAULT_MATRIX_CELL_CAP = 5 * 10**6
 DEFAULT_GB_STEP_CAP = 10_000
 
 
@@ -496,21 +497,6 @@ def kolchin_polynomial(
 # prolongation matrices
 
 
-def _check_cells(system: LinearDiffSystem, top: int, matrix_cell_cap: int) -> None:
-    """Raise ResourceLimit when the rows theta * equation up to level
-    ``top``, a bound on the rows built, times level top's n * C(m + top, m)
-    columns exceed ``matrix_cell_cap``.  Cells never decrease with the
-    level, so no lower level exceeds the cap when level top does not."""
-    m, n = system.m, system.n
-    rows = sum(comb(top - eq.order + m, m) for eq in system.equations if eq.order <= top)
-    cells = rows * n * comb(m + top, m)
-    if cells > matrix_cell_cap:
-        raise ResourceLimit(
-            f"prolongation matrix at level {top} would hold {cells} cells "
-            f"(cap {matrix_cell_cap})"
-        )
-
-
 def _reduce(row, lead, pivots):
     """Reduce ``row``, whose pivot ``lead`` is one of ``pivots`` (pivot ->
     row), for as long as its pivot is one of theirs: in place,
@@ -539,7 +525,8 @@ def _reduce(row, lead, pivots):
 class _Echelon:
     """One echelon form of the prolongation rows, built one level at a time
     by ``grow``.  ``orders`` holds one (level, order) pair per pivot, in the
-    order the pivots were made, and ``level`` is the last level built.
+    order the pivots were made, ``level`` is the last level built and
+    ``held`` the entries of the pivot rows.
 
     Level L spans the rows theta * equation with ord(theta) + ord(equation)
     == L, but builds them from the level below: this is F4's Simplify
@@ -578,20 +565,27 @@ class _Echelon:
     earlier pivots.  The pivots are an echelon basis of S_L, so a row lies
     in S_L exactly when ``_reduce`` against them leaves zero.
 
-    The cell cap (``_check_cells``) is checked at ``bound`` when the
-    echelon is made, before any row is built, and again before each level
-    above ``bound``.  The keys fit levels up to ``bound`` and n; before a
-    level that does not fit a field, the pivots and the parents are
-    re-packed at double width.
+    The cap counts ``held``, the entries of the pivot rows, as each pivot
+    row is stored; ResourceLimit names the level, the row and the entries.
+    From the first level on, every level stores a pivot row: the highest
+    pivot row, stored at the level before, is a parent, and its d_j for the
+    last j has a pivot above every earlier one.  So H = ``held`` bounds the
+    work: at most H levels from the first, m * H + (equations) rows built
+    and H steps per row, each lowering its pivot and costing the entries of
+    the two rows it reads.  A row is made only when the loop reaches it, so
+    memory is the pivot rows and one row under reduction, which holds at
+    most its own entries and those of the pivots it met: O(H) entries.
+    With no equations there is no first level: ``level`` is infinite and
+    nothing is built.  The keys start at the system's own layout and are
+    re-packed at double width before a level that does not fit a field.
     """
 
-    __slots__ = ("system", "bound", "cap", "keys", "level", "pivots", "orders", "parents")
+    __slots__ = ("system", "cap", "keys", "level", "held", "pivots", "orders", "parents")
 
-    def __init__(self, system: LinearDiffSystem, bound: int, matrix_cell_cap: int):
-        _check_cells(system, bound, matrix_cell_cap)
-        self.system, self.bound, self.cap = system, bound, matrix_cell_cap
-        self.keys = _Keys.fitting(system.m, max(bound, system.n))
-        self.level = min((eq.order for eq in system.equations), default=bound + 1) - 1
+    def __init__(self, system: LinearDiffSystem, matrix_cell_cap: int):
+        self.system, self.cap, self.held = system, matrix_cell_cap, 0
+        self.keys = _Keys.fitting(system.m, max(system.order, system.n))
+        self.level = min((eq.order for eq in system.equations), default=inf) - 1
         self.pivots: dict[int, dict] = {}  # pivot -> its reduced row
         self.orders: list[tuple[int, int]] = []
         self.parents: list[tuple] = []  # (k, reduced row, pivot) of the last level built
@@ -602,27 +596,33 @@ class _Echelon:
 
     def grow(self) -> None:
         level = self.level + 1
-        if level > self.bound:
-            _check_cells(self.system, level, self.cap)
         while level >= self.keys.limit:
             self._widen()
         self.level = level
-        keys, pivots, orders = self.keys, self.pivots, self.orders
+        keys, pivots, orders, cap, held = self.keys, self.pivots, self.orders, self.cap, self.held
         steps, shift = keys.steps, keys.order_shift
-        rows = [(0, row := _repack(eq._row, eq._keys, keys), max(row))
-                for eq in self.system.equations if eq.order == level]
-        for first, row, lead in self.parents:
-            for j, step in enumerate(steps[first:], first):
-                rows.append((j, {key + step: c for key, c in row.items()}, lead + step))
+        rows = chain(
+            ((0, row := _repack(eq._row, eq._keys, keys), max(row))
+             for eq in self.system.equations if eq.order == level),
+            ((j, {key + step: c for key, c in row.items()}, lead + step)
+             for first, row, lead in self.parents for j, step in enumerate(steps[first:], first)),
+        )
         self.parents = parents = []
         for first, row, lead in rows:
             if lead in pivots:
                 row, lead = _reduce(row, lead, pivots)
                 if lead is None:
                     continue
+            held += len(row)
+            if held > cap:
+                raise ResourceLimit(
+                    f"prolongation echelon at level {level}: pivot row {len(pivots) + 1} "
+                    f"would bring the entries held to {held} (cap {cap})"
+                )
             pivots[lead] = row
             orders.append((level, lead >> shift))
             parents.append((first, row, lead))
+        self.held = held
 
     def _widen(self) -> None:
         keys = self.keys
@@ -636,17 +636,6 @@ class _Echelon:
         self.keys = wide
 
 
-def _pivot_orders(
-    system: LinearDiffSystem, top: int, matrix_cell_cap: int
-) -> list[tuple[int, int]]:
-    """The (level, order) pairs of an ``_Echelon`` built up to level
-    ``top``, its cell cap checked once, at ``top``, before any row is
-    built."""
-    echelon = _Echelon(system, top, matrix_cell_cap)
-    echelon.build(top)
-    return echelon.orders
-
-
 def prolongation_dimension(
     system: LinearDiffSystem,
     s: int,
@@ -658,21 +647,24 @@ def prolongation_dimension(
 
     Rows are all prolongations theta of each equation with
     ord(theta) + ord(equation) <= s + margin; every pivot of order <= s
-    kills one of the n * C(m + s, m) low-order degrees of freedom.
+    kills one of the n * C(m + s, m) low-order degrees of freedom, under
+    the echelon's cap on the entries held (see ``_Echelon``).
     """
     if s < 0 or margin < 0:
         raise ValueError("level and margin must be non-negative")
     check_cap("matrix_cell_cap", matrix_cell_cap)
-    pivots = _pivot_orders(system, s + margin, matrix_cell_cap)
-    return system.n * comb(system.m + s, system.m) - sum(order <= s for _, order in pivots)
+    echelon = _Echelon(system, matrix_cell_cap)
+    echelon.build(s + margin)
+    return system.n * comb(system.m + s, system.m) - sum(order <= s for _, order in echelon.orders)
 
 
 def _echelon_margin(echelon: _Echelon, gb: LinearDiffSystem, window: int) -> int:
     """max(L(x) - ord x, 0) over the leaders x of the elements of ``gb`` of
     order at most ``window``, L(x) the first level at which x is a pivot of
     ``echelon`` (nothing built yet), grown until every such x is one.  A
-    leader that no element of the module has never becomes a pivot, so the
-    cell cap checked before each level bounds the search."""
+    leader that no element of the module has never becomes a pivot, but
+    each level stores at least one pivot row, so the echelon's cap on the
+    entries held ends the search within cap levels."""
     keys = echelon.keys
     waiting = [(g._lead if g._keys is keys else keys.pack(*g._keys.unpack(g._lead)), g.order)
                for g in gb.equations if g.order <= window]
@@ -714,22 +706,20 @@ def kolchin_via_prolongation(
     that g is in the module, so a g with the right leader and a wrong tail
     passes it; the polynomial reads B only through its leaders.
 
-    One ``_Echelon`` serves the margin and the window: its cell cap is
-    checked up front at floor + m + 1, the least top any margin gives, and
-    before each higher level, so the search for L(x) is bounded.  It is
-    built to level floor + m + margin + 1, and the self-check is the
-    margin's own claim: every pivot made at level ``at`` has order >=
-    at - margin, on every level built, or DiffdimError names the pivot.
-    That puts each pivot of order <= t at or below level t + margin, so the
-    window counts are a running sum of the pivots by order.  The completion
-    is the one ``module_groebner`` keeps on the system object, made at most
-    once for both routes.
+    One ``_Echelon`` serves the margin and the window, its cap on the
+    entries held bounding both (see ``_Echelon``).  It is built to level
+    floor + m + margin + 1, and the self-check is the margin's own claim:
+    every pivot made at level ``at`` has order >= at - margin, on every
+    level built, or DiffdimError names the pivot.  That puts each pivot of order <= t at or below level
+    t + margin, so the window counts are a running sum of the pivots by
+    order.  The completion is the one ``module_groebner`` keeps on the
+    system object, made at most once for both routes.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
     gb = _completed(system, gb_step_cap)
     floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
     m, n = system.m, system.n
-    echelon = _Echelon(system, floor + m + 1, matrix_cell_cap)
+    echelon = _Echelon(system, matrix_cell_cap)
     margin = _echelon_margin(echelon, gb, floor + m)
     echelon.build(floor + m + margin + 1)
     tally = [0] * (m + 1)  # pivots of order floor + j, those below floor at j = 0

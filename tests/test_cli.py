@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from diffdim import expsets, from_json_dict, lindiff
 from diffdim.cli import main
 from diffdim.numpoly import NumericalPolynomial
+from test_classical import killing
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -22,7 +25,7 @@ def run(capsys, *argv):
 # placeholders an argv may name: files the test writes, and *.sys files
 # under tests/data
 FILES = {
-    "HEAT": "0, 2\n", "CORNER": "1, 1\n", "FIVE": "5\n",
+    "HEAT": "0, 2\n", "CORNER": "1, 1\n", "CORNER3": "1, 1, 1\n", "FIVE": "5\n",
     "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n",
 }
 
@@ -102,13 +105,33 @@ def test_volume_on_a_long_staircase(capsys, tmp_path):
 
 
 def test_volume_cap_exit_code(capsys, tmp_path):
+    # at m = 3 the walk has the 51 prefixes 0..50 of the first coordinate
     path = tmp_path / "e.txt"
-    path.write_text("1, 1\n")
+    path.write_text("1, 1, 1\n")
     code, _, err = run(
-        capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "5"
+        capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "50"
     )
     assert code == 3
-    assert "resource limit" in err
+    assert "resource limit: volume walk at order 50 visits up to 51 prefixes" in err
+    code, _, _ = run(capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "51")
+    assert code == 0
+
+
+# outside (5, 1): the columns x < 5 and the row y = 0; outside (0, 0, 3):
+# the layers z < 3
+@pytest.mark.parametrize("generator, s, volume", [
+    ("5,1", 5000, sum(5001 - x for x in range(5)) + 4996),
+    ("0,0,3", 400, sum(comb(402 - z, 2) for z in range(3))),
+])
+def test_volume_at_a_high_order_answers_under_the_default_cap(
+    capsys, tmp_path, generator, s, volume
+):
+    # 1 and 401 prefixes, against the 12,507,501 and 10,827,401 points of
+    # order <= s
+    path = tmp_path / "e.txt"
+    path.write_text(generator + "\n")
+    code, out, _ = run(capsys, "volume", "--file", str(path), "--s", str(s))
+    assert (code, out) == (0, f"volume = {volume}\nnumerator = {volume}\n")
 
 
 @pytest.mark.parametrize("m, code", [(256, 0), (257, 3), (600, 3)])
@@ -144,15 +167,52 @@ def test_volume_on_unit_vectors_stops_at_the_covered_slice(tmp_path):
     assert done.stdout.splitlines() == ["volume = 1", "numerator = 1"]
 
 
+def test_kolchin_check_stops_at_the_cell_cap_within_its_memory(tmp_path):
+    # Killing's equations for m = 8: the whole echelon holds 624,511 entries,
+    # about 200 MB.  Under a cap of the 345,167 entries held after level 9,
+    # about 105 MB, the route stops at the first pivot row of level 10.  A
+    # child under a 170 MB address-space limit (the interpreter itself takes
+    # about 21 MB) exits 3 only if the entries are counted as each pivot row
+    # is stored: counted when a level ends, they run out of memory first
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("RLIMIT_AS is enforced on Linux")
+    text = killing(8)
+    below = lindiff._Echelon(lindiff.parse_system(text), lindiff.DEFAULT_MATRIX_CELL_CAP)
+    below.build(9)
+    cap, rows = sum(map(len, below.pivots.values())), len(below.pivots)
+    del below
+    path = tmp_path / "killing8.sys"
+    path.write_text(text)
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from diffdim.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    limit = 170 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(SRC), "kolchin", "--system", str(path), "--check",
+         "--matrix-cell-cap", str(cap)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 3, done.stderr[-2000:]
+    assert re.fullmatch(
+        rf"resource limit: prolongation echelon at level 10: pivot row {rows + 1} would bring "
+        rf"the entries held to \d+ \(cap {cap}\)\n", done.stderr
+    ), done.stderr[-2000:]
+
+
 def test_enum_cap_env_override(capsys, tmp_path, monkeypatch):
+    # 51 prefixes, as in test_volume_cap_exit_code
     path = tmp_path / "e.txt"
-    path.write_text("1, 1\n")
-    monkeypatch.setenv("KOLCHIN_ENUM_CAP", "5")
+    path.write_text("1, 1, 1\n")
+    monkeypatch.setenv("KOLCHIN_ENUM_CAP", "50")
     code, _, err = run(capsys, "volume", "--file", str(path), "--s", "50")
     assert code == 3
+    assert "(cap 50)" in err
     # the flag would win over the environment
     code, out, _ = run(
-        capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "100000"
+        capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "51"
     )
     assert code == 0
 
@@ -277,13 +337,38 @@ def test_kolchin_check_json(capsys):
     assert from_json_dict(doc["prolongation"]) == from_json_dict(doc["groebner"])
 
 
-def test_kolchin_check_cell_cap(capsys):
-    laplace = str(DATA / "laplace.sys")
-    code, _, err = run(capsys, "kolchin", "--system", laplace, "--check",
-                       "--matrix-cell-cap", "10")
+def route_echelon(monkeypatch, system):
+    """The echelon that ``kolchin_via_prolongation`` builds on ``system``
+    under the default cap."""
+    built = []
+    margin = lindiff._echelon_margin
+    with monkeypatch.context() as patch:
+        patch.setattr(lindiff, "_echelon_margin",
+                      lambda echelon, *rest: built.append(echelon) or margin(echelon, *rest))
+        lindiff.kolchin_via_prolongation(system)
+    return built[0]
+
+
+def assert_cell_cap_is_the_entries_held(capsys, monkeypatch, path):
+    """``kolchin --check`` answers under a cap of the entries the route's
+    echelon holds, and one short stops at the last pivot row, at its top
+    level."""
+    echelon = route_echelon(monkeypatch, lindiff.parse_system(path.read_text()))
+    held, rows = echelon.held, len(echelon.pivots)
+    code, out, _ = run(capsys, "kolchin", "--system", str(path), "--check",
+                       "--matrix-cell-cap", str(held))
+    assert (code, out.splitlines()[-1]) == (0, "AGREE")
+    code, _, err = run(capsys, "kolchin", "--system", str(path), "--check",
+                       "--matrix-cell-cap", str(held - 1))
     assert code == 3
-    assert "resource limit" in err
-    code, out, _ = run(capsys, "kolchin", "--system", laplace, "--check")
+    assert err == (f"resource limit: prolongation echelon at level {echelon.level}: pivot row "
+                   f"{rows} would bring the entries held to {held} (cap {held - 1})\n")
+
+
+def test_kolchin_check_cell_cap(capsys, monkeypatch):
+    laplace = DATA / "laplace.sys"
+    assert_cell_cap_is_the_entries_held(capsys, monkeypatch, laplace)
+    code, out, _ = run(capsys, "kolchin", "--system", str(laplace), "--check")
     assert code == 0
     assert out.splitlines()[-1] == "AGREE"
 
@@ -300,15 +385,15 @@ def test_kolchin_on_a_big_exponent(capsys, tmp_path):
     assert out.splitlines()[1] == "standard coefficients: [0, 1000000000, -499999999500000000]"
 
 
-def test_kolchin_check_on_a_big_exponent_stops_at_the_stated_level(capsys, tmp_path):
-    # the prolongation route would read level floor + m + margin + 1 = 10^9 + 1;
-    # the cell cap is checked there before level 0 is built, not after 10^9
-    # empty levels
+def test_kolchin_check_on_a_big_exponent_stops_at_the_stated_level(capsys, monkeypatch, tmp_path):
+    # the route builds from level 10^9, the equation's order, to level
+    # floor + m + margin + 1 = 10^9 + 1: two levels and six entries, so it
+    # answers under the default cap and a cap of five stops at level 10^9 + 1
     path = tmp_path / "big.sys"
     path.write_text(BIG_EXPONENT)
-    code, _, err = run(capsys, "kolchin", "--system", str(path), "--check")
-    assert code == 3
-    assert "prolongation matrix at level 1000000001 would hold" in err
+    code, out, _ = run(capsys, "kolchin", "--system", str(path), "--check")
+    assert (code, out.splitlines()[-1]) == (0, "AGREE")
+    assert_cell_cap_is_the_entries_held(capsys, monkeypatch, path)
 
 
 def test_kolchin_check_on_a_high_order_ode_keeps_one_record_per_pivot(capsys, tmp_path):
@@ -525,7 +610,7 @@ PINNED = [
     (("volume", "--file", "HEAT", "--s", "3"), 0,
      "volume = 7\nnumerator = 7\n",
      '{"s": 3, "volume": 7, "numerator": 7, "agree": true}\n'),
-    (("volume", "--file", "CORNER", "--s", "50", "--enum-cap", "5"), 3, "", ""),
+    (("volume", "--file", "CORNER3", "--s", "50", "--enum-cap", "50"), 3, "", ""),
     (("volume", "--file", "FIVE", "--s", str(10**20), "--enum-cap", str(10**30)), 0,
      "volume = 5\nnumerator = 5\n",
      '{"s": 100000000000000000000, "volume": 5, "numerator": 5, "agree": true}\n'),
@@ -546,7 +631,8 @@ PINNED = [
      "groebner: 2*t + 1  [0, 2, -1]\nprolongation: 2*t + 1  [0, 2, -1]\nAGREE\n",
      '{"groebner": ' + POLY_2T_1[:-1] + ', "prolongation": ' + POLY_2T_1[:-1]
      + ', "agree": true}\n'),
-    (("kolchin", "--system", "laplace.sys", "--check", "--matrix-cell-cap", "10"), 3, "", ""),
+    # the first pivot row, Laplace's equation, holds two entries
+    (("kolchin", "--system", "laplace.sys", "--check", "--matrix-cell-cap", "1"), 3, "", ""),
     (("kolchin", "--system", "probe4.sys", "--gb-step-cap", "5"), 3, "", ""),
     (("kolchin", "--system", "heat.sys", "--type"), 0, "1\n", '{"differential_type": 1}\n'),
     (("kolchin", "--system", "heat.sys", "--at-least", "0,1,5"), 0,

@@ -94,9 +94,10 @@ def test_volume_free_case():
 
 
 def test_volume_respects_cap():
-    exp_set = ExponentSet(2, ((1, 1),))
+    # the walk over the first coordinate has 101 prefixes of order <= 100
+    exp_set = ExponentSet(3, ((1, 1, 1),))
     with pytest.raises(ResourceLimit):
-        volume(exp_set, 100, enumeration_cap=10)
+        volume(exp_set, 100, enumeration_cap=100)
 
 
 @pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])
@@ -111,15 +112,24 @@ def test_volumes_refuse_a_negative_order(count):
         count(ExponentSet(2, ((1, 1),)), -1)
 
 
-@pytest.mark.parametrize("m, s", [(1, 9), (2, 6), (3, 10), (4, 4)])
-def test_enumeration_cap_counts_order_s_candidates(m, s):
-    # the cap bounds the binom(s+m, m) points of order <= s, not the
-    # fewer prefixes the fibre count walks
+@pytest.mark.parametrize("m, s", [(3, 10), (4, 4), (5, 3), (6, 2)])
+def test_enumeration_cap_counts_the_prefixes_walked(m, s):
+    # the cap bounds the binom(s + m - 2, m - 2) prefixes of order <= s over
+    # the first m - 2 coordinates, not the binom(s + m, m) points
     exp_set = ExponentSet(m, ((1,) * m,))
-    candidates = comb(s + m, m)
-    assert volume(exp_set, s, enumeration_cap=candidates) == brute_volume(exp_set.generators, m, s)
-    with pytest.raises(ResourceLimit, match=rf"needs {candidates} candidates \(cap {candidates - 1}\)"):
-        volume(exp_set, s, enumeration_cap=candidates - 1)
+    prefixes = comb(s + m - 2, m - 2)
+    assert volume(exp_set, s, enumeration_cap=prefixes) == brute_volume(exp_set.generators, m, s)
+    with pytest.raises(
+        ResourceLimit, match=rf"order {s} visits up to {prefixes} prefixes over {m - 2} "
+        rf"coordinates \(cap {prefixes - 1}\)"
+    ):
+        volume(exp_set, s, enumeration_cap=prefixes - 1)
+
+
+@pytest.mark.parametrize("m, s", [(1, 9), (2, 6)])
+def test_volume_walks_one_prefix_below_m_3(m, s):
+    exp_set = ExponentSet(m, ((1,) * m,))
+    assert volume(exp_set, s, enumeration_cap=1) == brute_volume(exp_set.generators, m, s)
 
 
 def test_volume_on_a_3_variable_staircase_at_s_150():

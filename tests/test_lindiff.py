@@ -20,7 +20,6 @@ from diffdim.lindiff import (
     _echelon_margin,
     _groebner,
     _Keys,
-    _pivot_orders,
     kolchin_polynomial,
     kolchin_via_prolongation,
     leader_profile,
@@ -38,6 +37,12 @@ DATA = Path(__file__).parent / "data"
 
 def load(name):
     return parse_system((DATA / name).read_text())
+
+
+def echelon_to(system, top, matrix_cell_cap=DEFAULT_MATRIX_CELL_CAP):
+    echelon = _Echelon(system, matrix_cell_cap)
+    echelon.build(top)
+    return echelon
 
 
 # ---------------------------------------------------------------- parsing
@@ -243,7 +248,7 @@ def certified_margin(system, matrix_cell_cap=DEFAULT_MATRIX_CELL_CAP):
     # the margin the prolongation route reads off its echelon
     gb = module_groebner(system)
     window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
-    return _echelon_margin(_Echelon(system, window + 1, matrix_cell_cap), gb, window)
+    return _echelon_margin(_Echelon(system, matrix_cell_cap), gb, window)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
@@ -306,7 +311,7 @@ def test_certified_margin_counts_as_margin_plus_three(system):
     margin = certified_margin(system)
     gb = module_groebner(system)
     top = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
-    pivots = _pivot_orders(system, top + margin + 3, DEFAULT_MATRIX_CELL_CAP)
+    pivots = echelon_to(system, top + margin + 3).orders
 
     def low(level, s):  # pivots of order <= s after level
         return sum(at <= level and order <= s for at, order in pivots)
@@ -378,13 +383,20 @@ def test_echelon_margin_is_the_least_level_that_holds_the_basis():
 
 def test_an_element_outside_the_module_ends_at_the_cell_cap(monkeypatch):
     # no element of the module heat.sys generates has leader x1, so x1 is
-    # never a pivot and the margin search climbs until the cap refuses a level
+    # never a pivot and the margin search climbs, at least one pivot row a
+    # level, until the entries held pass the cap: under the entries of
+    # levels up to 14, the first pivot row of level 15 is refused
     system = load("heat.sys")
+    below = echelon_to(system, 14)
     spurious = parse_system("m = 2\nn = 1\neq: x1\n").equations
     basis = LinearDiffSystem(2, 1, module_groebner(system).equations + spurious)
     monkeypatch.setattr(lindiff, "_completed", lambda _system, _cap: basis)
-    with pytest.raises(ResourceLimit, match=r"level 14 would hold 10920 cells \(cap 10000\)"):
-        kolchin_via_prolongation(system, matrix_cell_cap=10_000)
+    with pytest.raises(
+        ResourceLimit,
+        match=rf"at level 15: pivot row {len(below.pivots) + 1} would bring the entries held "
+        rf"to \d+ \(cap {below.held}\)",
+    ):
+        kolchin_via_prolongation(system, matrix_cell_cap=below.held)
 
 
 def test_the_input_equations_as_a_basis_fail_the_self_check(monkeypatch, tmp_path, capsys):
@@ -630,6 +642,8 @@ def test_prolongation_dimension_free_system():
     system = load("free2.sys")
     for s in range(4):
         assert prolongation_dimension(system, s, 0) == 2 * (s + 1)
+    # no equation, so no level is built, however high
+    assert prolongation_dimension(system, 10**9, 0) == 2 * (10**9 + 1)
 
 
 def test_prolongation_dimension_monotone_in_margin():
@@ -646,24 +660,24 @@ def test_prolongation_respects_cell_cap():
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.sys")))
-def test_pivot_orders_checks_the_cell_cap_once_at_the_stated_top(name, monkeypatch):
-    # the cap is met exactly by level top's rows times its columns, and a
-    # cap one short raises before any row is built
+def test_echelon_cap_counts_the_entries_held(name):
+    # the cap is met exactly by the entries of the pivot rows up to level
+    # top, and a cap one short stops at the last pivot row, made at top
     system, top = load(name), 4
-    m, n = system.m, system.n
-    rows = sum(comb(top - eq.order + m, m) for eq in system.equations if eq.order <= top)
-    cells = rows * n * comb(m + top, m)
-    higher = _pivot_orders(system, top + 2, DEFAULT_MATRIX_CELL_CAP)
-    assert _pivot_orders(system, top, cells) == [
-        (level, order) for level, order in higher if level <= top
-    ]
-
-    def no_row_is_built(*args):
-        raise AssertionError("a row was built past the cap")
-
-    monkeypatch.setattr(lindiff, "_repack", no_row_is_built)
-    with pytest.raises(ResourceLimit, match=rf"level {top} would hold {cells} cells"):
-        _pivot_orders(system, top, cells - 1)
+    echelon = echelon_to(system, top)
+    held = sum(map(len, echelon.pivots.values()))
+    assert echelon.held == held
+    if not system.equations:
+        # no first level: nothing is built at any level, under any cap
+        assert held == 0 and echelon_to(system, 10**9, 1).orders == []
+        return
+    assert echelon_to(system, top, held).orders == echelon.orders
+    with pytest.raises(
+        ResourceLimit,
+        match=rf"at level {top}: pivot row {len(echelon.pivots)} would bring the entries held "
+        rf"to {held} \(cap {held - 1}\)",
+    ):
+        echelon_to(system, top, held - 1)
 
 
 @pytest.mark.parametrize("cap", [0, -5, 2.5, "10", True, None])

@@ -16,7 +16,6 @@ from diffdim.lindiff import (  # noqa: E402
     LinearDiffSystem,
     _Echelon,
     _echelon_margin,
-    _pivot_orders,
     kolchin_polynomial,
     kolchin_via_prolongation,
     leader_profile,
@@ -101,10 +100,16 @@ def systems(draw):
     return LinearDiffSystem(m, n, tuple(draw(st.lists(equations, min_size=1, max_size=3))))
 
 
+def echelon_to(system, top):
+    echelon = _Echelon(system, DEFAULT_MATRIX_CELL_CAP)
+    echelon.build(top)
+    return echelon
+
+
 @SETTINGS
 @hypothesis.given(systems(), st.integers(0, 6))
 def test_janet_parent_echelon_matches_from_scratch_echelon(system, top):
-    pivots = _pivot_orders(system, top, DEFAULT_MATRIX_CELL_CAP)
+    pivots = echelon_to(system, top).orders
     assert all(order <= level <= top for level, order in pivots)
     assert [level for level, _ in pivots] == sorted(level for level, _ in pivots)
     low = from_scratch(system, top)[0]
@@ -114,14 +119,33 @@ def test_janet_parent_echelon_matches_from_scratch_echelon(system, top):
             assert count == low[level][s], (level, s)
 
 
+def assert_every_level_stores_a_pivot_row(system, top):
+    """Every level from the least equation order to ``top`` makes a pivot:
+    the shift by the last derivation of the highest pivot row is a pivot
+    above every earlier one, so the entries held also bound the levels."""
+    first = min((eq.order for eq in system.equations), default=top + 1)
+    assert {at for at, _ in echelon_to(system, top).orders} == set(range(first, top + 1))
+
+
+@SETTINGS
+@hypothesis.given(systems(), st.integers(0, 6))
+def test_every_level_from_the_first_stores_a_pivot_row(system, top):
+    assert_every_level_stores_a_pivot_row(system, top)
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.sys")))
+def test_every_level_from_the_first_stores_a_pivot_row_on_the_fixtures(name):
+    assert_every_level_stores_a_pivot_row(parse_system((DATA / name).read_text()), 6)
+
 
 def test_janet_parent_echelon_past_the_equations_width_matches_from_scratch():
-    # at m = 1 the equations' 10-bit fields hold orders 0..511; top 520 needs
-    # 11 bits, so the echelon re-packs each equation row before shifting it
+    # at m = 1 the equations' 10-bit fields hold orders 0..511, and the
+    # echelon starts at their layout; top 520 needs 11 bits, so it re-packs
+    # its rows before level 512
     system = parse_system("m = 1\nn = 2\neq: d[2]x1 - 3*x2\neq: 2*d[1]x2 + d[1]x1 - x1\n")
     top = 520
     assert system.equations[0]._keys.width == 10
-    pivots = _pivot_orders(system, top, DEFAULT_MATRIX_CELL_CAP)
+    pivots = echelon_to(system, top).orders
     low = from_scratch(system, top)[0]
     by_order = [0] * (top + 1)
     for level in range(top + 1):
@@ -143,7 +167,7 @@ def test_margin_search_past_the_field_limit_matches_from_scratch(text, margin):
     system = parse_system(text)
     gb = module_groebner(system)
     window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
-    echelon = _Echelon(system, window + 1, DEFAULT_MATRIX_CELL_CAP)
+    echelon = _Echelon(system, DEFAULT_MATRIX_CELL_CAP)
     width = echelon.keys.width
     assert _echelon_margin(echelon, gb, window) == margin
     assert echelon.level >= 1 << (width - 1) and echelon.keys.width == 2 * width
@@ -162,7 +186,7 @@ def assert_margin_is_first_pivot_level(system):
     echelon, which shares no code with ``_Echelon``."""
     gb = module_groebner(system)
     window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
-    margin = _echelon_margin(_Echelon(system, window + 1, DEFAULT_MATRIX_CELL_CAP), gb, window)
+    margin = _echelon_margin(_Echelon(system, DEFAULT_MATRIX_CELL_CAP), gb, window)
     leaders = [(rank_key((g.leader.exponents, g.leader.var_index)), g.order)
                for g in gb.equations if g.order <= window]
     first = from_scratch(system, window + margin)[1]
