@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 domain error (bad input data, failed --check),
 2 usage error, 3 resource limit.  A cap is a flag, or an environment
 variable when the flag is absent, on the subcommands that read it:
---enum-cap (KOLCHIN_ENUM_CAP, prefixes walked) on volume, --bound-digit-cap
-(KOLCHIN_BOUND_MAGNITUDE_CAP) on bounds, and --gb-step-cap
+--enum-cap (KOLCHIN_ENUM_CAP, prefixes walked times generators) on volume,
+--bound-digit-cap (KOLCHIN_BOUND_MAGNITUDE_CAP) on bounds, and --gb-step-cap
 (KOLCHIN_GB_STEP_CAP) and --matrix-cell-cap (KOLCHIN_MATRIX_CELL_CAP,
 echelon entries held, read under --check) on kolchin.  A subcommand
 rejects a cap flag it does not read and ignores that cap's variable; a cap
@@ -30,9 +30,9 @@ EXIT_RESOURCE = 3
 # args name -> (flag, environment variable, library default, help)
 _CAPS = {
     "enum_cap": ("--enum-cap", "KOLCHIN_ENUM_CAP", expsets.DEFAULT_ENUMERATION_CAP,
-                 "cap on the C(s + m - 2, m - 2) prefixes the volume walk can visit, "
-                 "each a pass over the generators below it: 0.5 us with one, about "
-                 "50 us with 861 (default 10^7)"),
+                 "cap on the C(s + m - 2, m - 2) prefixes the volume walk can visit "
+                 "times the generators, one pass over them per prefix: 0.5 us with one, "
+                 "about 50 us with 861 (default 10^7)"),
     "matrix_cell_cap": ("--matrix-cell-cap", "KOLCHIN_MATRIX_CELL_CAP",
                         lindiff.DEFAULT_MATRIX_CELL_CAP,
                         "cap on the entries held in the prolongation echelon's pivot rows, "

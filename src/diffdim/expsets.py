@@ -94,24 +94,24 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
     y holds min(s - |p| - y + 1, h(y)) points, and h is a step function, so
     each run of y between generator entries is summed in closed form.  A
     slice xi_1 = x whose generator tails include the zero vector is covered,
-    as is every later one, so the walk stops there.  The cap bounds the
-    binom(s + m - 2, m - 2) prefixes of order <= s it can visit (one at
-    m <= 2), checked first.  A prefix costs one pass over the generators
-    below it: 0.5-0.7 us with one, 1.7 us with 12 and about 50 us with 861
-    (m = 3 to 5, CPython 3.11, one x86-64 core).
+    as is every later one, so the walk stops there.  A prefix costs one pass
+    over the generators below it: 0.5-0.7 us with one, 1.7 us with 12 and
+    about 50 us with 861 (m = 3 to 5, CPython 3.11, one x86-64 core).  So
+    the cap bounds the binom(s + m - 2, m - 2) prefixes of order <= s it can
+    visit (one at m <= 2) times the generators (at least one), checked first.
     """
     if s < 0:
         raise ValueError("order cutoff must be non-negative")
     check_cap("enumeration_cap", enumeration_cap)
-    m = exp_set.m
+    m, gens = exp_set.m, exp_set.generators
     k = max(m - 2, 0)
     prefixes = comb(s + k, k)
-    if prefixes > enumeration_cap:
+    if (steps := prefixes * max(1, len(gens))) > enumeration_cap:
         raise ResourceLimit(
-            f"volume walk at order {s} visits up to {prefixes} prefixes "
-            f"over {k} coordinates (cap {enumeration_cap})"
+            f"volume walk at order {s} visits up to {prefixes} prefixes over {k} coordinates, "
+            f"each a pass over {len(gens)} generators: {steps} steps (cap {enumeration_cap})"
         )
-    return _outside(m, exp_set.generators, s)
+    return _outside(m, gens, s)
 
 
 def _tri(n: int, h: int) -> int:

@@ -29,6 +29,7 @@ from .diffrank import (
 )
 from .errors import AmbientMismatch, DiffdimError, ParseError, ResourceLimit, check_cap
 from .expsets import ExponentSet, ExponentVector, _lines, _naturals, stabilisation_level
+from .expsets import dimension_polynomial
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
 # entries held, about 300 bytes each on Killing's equations, m = 7, 8: 1.5 GB
@@ -689,50 +690,56 @@ def kolchin_via_prolongation(
     """Kolchin polynomial from exact prolongation ranks plus interpolation.
 
     The leader complements of the reduced basis B count polynomially from
-    ``floor``, the largest ``stabilisation_level`` of the leader sets, so
-    the m + 1 values on the fixed window [floor, floor + m] give the
-    polynomial.  For a leader x of B, the first pivot row with pivot x is an
-    element p_x of the module, made at level L(x) (``_echelon_margin``).  As
-    B's leaders generate the module's leading terms, the p_x are a Groebner
-    basis too, so under the orderly ranking every f in the module with
-    ord f <= s has a standard representation sum c * theta * p_x with
-    ord(theta * x) <= s.  For s <= floor + m only the x of order
-    <= floor + m enter it, and theta * p_x lies in the level
-    L(x) + ord theta <= s + (L(x) - ord x) span.  So with the margin
-    max(L(x) - ord x) the pivots of order <= s at level s + margin count
-    exactly the module's elements of order <= s, for every s in the window.
-    A g of B with leader x lies in no span below level L(x), so the margin
-    is never above one read off B's own rows.  The lookup does not show
-    that g is in the module, so a g with the right leader and a wrong tail
-    passes it; the polynomial reads B only through its leaders.
+    ``floor``, the largest ``stabilisation_level`` of the leader sets, in
+    degree at most d, their largest differential type, so the d + 1 values
+    on [floor, floor + d] give the polynomial, returned padded to m.  For a
+    leader x of B, the first pivot row with pivot x is an element p_x of
+    the module, made at level L(x) (``_echelon_margin``).  As B's leaders
+    generate the module's leading terms, the p_x are a Groebner basis too,
+    so every f in the module with ord f <= s has a standard representation
+    sum c * theta * p_x with ord(theta * x) <= s.  For s <= top =
+    floor + d + 1 only the x of order <= top enter it, and theta * p_x lies
+    in the level L(x) + ord theta <= s + L(x) - ord x span.  So with margin
+    max(L(x) - ord x) over them the pivots of order <= s at level s + margin
+    count the module's elements of order <= s, for every s <= top: the
+    margin goes one level past the window so that the guard's value at top
+    is exact too.  A g of B lies in no span below level L(x), so the margin
+    is never above one read off B's rows; the lookup does not show that g
+    is in the module, so the polynomial reads B only through its leaders.
 
-    One ``_Echelon`` serves the margin and the window, its cap on the
-    entries held bounding both (see ``_Echelon``).  It is built to level
-    floor + m + margin + 1, and the self-check is the margin's own claim:
-    every pivot made at level ``at`` has order >= at - margin, on every
-    level built, or DiffdimError names the pivot.  That puts each pivot of order <= t at or below level
-    t + margin, so the window counts are a running sum of the pivots by
-    order.  The completion is the one ``module_groebner`` keeps on the
-    system object, made at most once for both routes.
+    One ``_Echelon``, built to level top + margin, serves the margin and the
+    values, its cap on the entries held bounding both.  The self-check is
+    the margin's own claim: a pivot made at level ``at`` has order
+    >= at - margin, on every level, or DiffdimError names it.  So the values
+    are a running sum of the pivots by order.  The guard: the value at top
+    must be the interpolated polynomial's, or DiffdimError.  It catches a d
+    or floor read too low whose next value leaves the polynomial, not one
+    whose d + 2 values happen to fit.  The completion is the one
+    ``module_groebner`` keeps on the system object.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
     gb = _completed(system, gb_step_cap)
-    floor = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets)
-    m, n = system.m, system.n
+    sets = leader_profile(gb).variable_sets
+    floor = max(stabilisation_level(es) for es in sets)
+    d = max(dimension_polynomial(es).differential_type() for es in sets)
+    m, n, top = system.m, system.n, floor + d + 1
     echelon = _Echelon(system, matrix_cell_cap)
-    margin = _echelon_margin(echelon, gb, floor + m)
-    echelon.build(floor + m + margin + 1)
-    tally = [0] * (m + 1)  # pivots of order floor + j, those below floor at j = 0
+    margin = _echelon_margin(echelon, gb, top)
+    echelon.build(top + margin)
+    tally = [0] * (d + 2)  # pivots of order floor + j, those below floor at j = 0
     for at, order in echelon.orders:
         if order < at - margin:
             raise DiffdimError(
                 f"prolongation self-check failed: a pivot of order {order} "
                 f"at level {at}, more than margin {margin} above its order"
             )
-        if order <= floor + m:
+        if order <= top:
             tally[max(order - floor, 0)] += 1
-    low = list(accumulate(tally))
-    return interpolate([n * comb(m + floor + j, m) - low[j] for j in range(m + 1)], floor, m)
+    *values, last = (n * comb(m + floor + j, m) - low for j, low in enumerate(accumulate(tally)))
+    omega = interpolate(values, floor, d)
+    if (want := omega.evaluate(top)) != last:
+        raise DiffdimError(f"prolongation self-check failed: value at {top} is {last}, not {want}")
+    return omega.padded(m)
 
 
 def omega_at_least(

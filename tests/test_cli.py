@@ -10,7 +10,6 @@ import pytest
 from diffdim import expsets, from_json_dict, lindiff
 from diffdim.cli import main
 from diffdim.numpoly import NumericalPolynomial
-from test_classical import killing
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,6 +116,28 @@ def test_volume_cap_exit_code(capsys, tmp_path):
     assert code == 0
 
 
+def test_volume_cap_counts_the_generators_each_prefix_passes(capsys, tmp_path):
+    # the 861 generators (i, j, 41 - i - j) of N^3 with i + j <= 40 cover no
+    # slice, and each prefix costs a pass over all of them, about 50 us: at
+    # s = 1,000 the walk makes 1,001 * 861 steps, and at s = 9,999,999 the
+    # 10^7 prefixes alone would fit the default cap, but the walk would take
+    # about 8 minutes
+    path = tmp_path / "e.txt"
+    path.write_text("".join(f"{i},{j},{41 - i - j}\n" for i in range(41) for j in range(41 - i)))
+    code, _, err = run(capsys, "volume", "--file", str(path), "--s", "1000",
+                       "--enum-cap", "861860")
+    assert (code, err) == (3, (
+        "resource limit: volume walk at order 1000 visits up to 1001 prefixes over 1 "
+        "coordinates, each a pass over 861 generators: 861861 steps (cap 861860)\n"
+    ))
+    code, out, _ = run(capsys, "volume", "--file", str(path), "--s", "1000",
+                       "--enum-cap", "861861")
+    assert (code, out) == (0, "volume = 512981\nnumerator = 512981\n")
+    code, _, err = run(capsys, "volume", "--file", str(path), "--s", "9999999")
+    assert code == 3
+    assert "10000000 prefixes over 1 coordinates, each a pass over 861 generators" in err
+
+
 # outside (5, 1): the columns x < 5 and the row y = 0; outside (0, 0, 3):
 # the layers z < 3
 @pytest.mark.parametrize("generator, s, volume", [
@@ -168,27 +189,32 @@ def test_volume_on_unit_vectors_stops_at_the_covered_slice(tmp_path):
 
 
 def test_kolchin_check_stops_at_the_cell_cap_within_its_memory(tmp_path):
-    # Killing's equations for m = 8: the whole echelon holds 624,511 entries,
-    # about 200 MB.  Under a cap of the 345,167 entries held after level 9,
-    # about 105 MB, the route stops at the first pivot row of level 10.  A
-    # child under a 170 MB address-space limit (the interpreter itself takes
-    # about 21 MB) exits 3 only if the entries are counted as each pivot row
-    # is stored: counted when a level ends, they run out of memory first
+    # Laplace's equation in R^11: floor 0, type 10 and margin 0, so the route
+    # builds to level 11, where the echelon holds 1,847,560 entries and the
+    # process peaks near 240 MB.  Under a cap of the 831,402 entries held
+    # after level 10 it peaks near 120 MB and stops at the first pivot row
+    # of level 11.  A child under a 180 MB address-space limit (the
+    # interpreter itself takes about 21 MB) exits 3 only if the entries are
+    # counted as each pivot row is stored: counted when a level ends, they
+    # run out of memory first
     resource = pytest.importorskip("resource")
     if not sys.platform.startswith("linux"):
         pytest.skip("RLIMIT_AS is enforced on Linux")
-    text = killing(8)
+    m = 11
+    text = f"m = {m}\nn = 1\neq: " + " + ".join(
+        "d[" + ",".join(str(2 * (j == i)) for j in range(m)) + "]x1" for i in range(m)
+    ) + "\n"
     below = lindiff._Echelon(lindiff.parse_system(text), lindiff.DEFAULT_MATRIX_CELL_CAP)
-    below.build(9)
+    below.build(10)
     cap, rows = sum(map(len, below.pivots.values())), len(below.pivots)
     del below
-    path = tmp_path / "killing8.sys"
+    path = tmp_path / "laplace11.sys"
     path.write_text(text)
     child = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "from diffdim.cli import main; sys.exit(main(sys.argv[2:]))"
     )
-    limit = 170 * 2**20
+    limit = 180 * 2**20
     done = subprocess.run(
         [sys.executable, "-c", child, str(SRC), "kolchin", "--system", str(path), "--check",
          "--matrix-cell-cap", str(cap)],
@@ -197,7 +223,7 @@ def test_kolchin_check_stops_at_the_cell_cap_within_its_memory(tmp_path):
     )
     assert done.returncode == 3, done.stderr[-2000:]
     assert re.fullmatch(
-        rf"resource limit: prolongation echelon at level 10: pivot row {rows + 1} would bring "
+        rf"resource limit: prolongation echelon at level 11: pivot row {rows + 1} would bring "
         rf"the entries held to \d+ \(cap {cap}\)\n", done.stderr
     ), done.stderr[-2000:]
 
@@ -387,8 +413,8 @@ def test_kolchin_on_a_big_exponent(capsys, tmp_path):
 
 def test_kolchin_check_on_a_big_exponent_stops_at_the_stated_level(capsys, monkeypatch, tmp_path):
     # the route builds from level 10^9, the equation's order, to level
-    # floor + m + margin + 1 = 10^9 + 1: two levels and six entries, so it
-    # answers under the default cap and a cap of five stops at level 10^9 + 1
+    # floor + d + margin + 1 = 10^9: one level and two entries, so it answers
+    # under the default cap and a cap of one stops at level 10^9
     path = tmp_path / "big.sys"
     path.write_text(BIG_EXPONENT)
     code, out, _ = run(capsys, "kolchin", "--system", str(path), "--check")
@@ -397,7 +423,7 @@ def test_kolchin_check_on_a_big_exponent_stops_at_the_stated_level(capsys, monke
 
 
 def test_kolchin_check_on_a_high_order_ode_keeps_one_record_per_pivot(capsys, tmp_path):
-    # the route reads levels 20000 and 20001; nothing below the equation's
+    # the route reads level 20000 alone; nothing below the equation's
     # order is walked, and no per-level history as long as its level is kept
     path = tmp_path / "ode.sys"
     path.write_text("m = 1\nn = 1\neq: d[20000]x1\n")

@@ -115,15 +115,16 @@ def test_volumes_refuse_a_negative_order(count):
 @pytest.mark.parametrize("m, s", [(3, 10), (4, 4), (5, 3), (6, 2)])
 def test_enumeration_cap_counts_the_prefixes_walked(m, s):
     # the cap bounds the binom(s + m - 2, m - 2) prefixes of order <= s over
-    # the first m - 2 coordinates, not the binom(s + m, m) points
-    exp_set = ExponentSet(m, ((1,) * m,))
-    prefixes = comb(s + m - 2, m - 2)
-    assert volume(exp_set, s, enumeration_cap=prefixes) == brute_volume(exp_set.generators, m, s)
+    # the first m - 2 coordinates, not the binom(s + m, m) points, times the
+    # two generators each prefix passes over
+    exp_set = ExponentSet(m, ((1,) * m, (2,) + (0,) * (m - 1)))
+    steps = 2 * (prefixes := comb(s + m - 2, m - 2))
+    assert volume(exp_set, s, enumeration_cap=steps) == brute_volume(exp_set.generators, m, s)
     with pytest.raises(
         ResourceLimit, match=rf"order {s} visits up to {prefixes} prefixes over {m - 2} "
-        rf"coordinates \(cap {prefixes - 1}\)"
+        rf"coordinates, each a pass over 2 generators: {steps} steps \(cap {steps - 1}\)"
     ):
-        volume(exp_set, s, enumeration_cap=prefixes - 1)
+        volume(exp_set, s, enumeration_cap=steps - 1)
 
 
 @pytest.mark.parametrize("m, s", [(1, 9), (2, 6)])

@@ -364,6 +364,28 @@ def test_self_check_reads_pivots_below_the_window(monkeypatch):
         kolchin_via_prolongation(parse_system(MARGIN_SIX))
 
 
+# instance 23 of the check-random benchmark workload at seed 1
+ONE_PAST_THE_WINDOW = """m = 3
+n = 1
+eq: 9*d[1,1,0]x1 + 7*d[0,2,0]x1 - 7*d[0,0,1]x1 + 5*d[0,0,0]x1
+eq: -8*d[0,1,1]x1 + 6*d[0,0,0]x1 - 1*d[0,2,0]x1 - 6*d[0,1,0]x1
+"""
+
+
+def test_margin_reaches_one_level_past_the_window():
+    # floor = 0 and d = 1: the window is [0, 1] and the guard reads s = 2.
+    # The basis leader d[0,1,1]x1 has order 2 and is first a pivot at level
+    # 3, so a margin searched only to floor + d is 0, not 1; built to level
+    # 2, the value at s = 2 counts 8 where the polynomial has 7, and the
+    # guard raises on the right answer
+    system = parse_system(ONE_PAST_THE_WINDOW)
+    gb = module_groebner(system)
+    assert [_echelon_margin(_Echelon(system, DEFAULT_MATRIX_CELL_CAP), gb, top)
+            for top in (1, 2)] == [0, 1]
+    omega = NumericalPolynomial.from_coeffs((0, 0, 3, -2))
+    assert kolchin_via_prolongation(system) == omega == kolchin_polynomial(system)
+
+
 # the unit module, for which completion's own levels gave margin 6
 UNIT_MARGIN_FIVE = (
     "m = 2\nn = 1\neq: -2*d[1,2]x1\neq: 6*d[2,1]x1 - 7*d[1,0]x1 + 9*d[0,3]x1\n"
