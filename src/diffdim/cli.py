@@ -39,10 +39,11 @@ _CAPS = {
                         "about 300 bytes each (default 5*10^6, about 1.5 GB); read under "
                         "--check"),
     "gb_step_cap": ("--gb-step-cap", "KOLCHIN_GB_STEP_CAP", lindiff.DEFAULT_GB_STEP_CAP,
-                    "S-pair reduction cap for Groebner completion"),
+                    "cap on Groebner completion's S-pair reductions, counted in its pair "
+                    "order, least join under the ranking first (default 10^4)"),
     "bound_digit_cap": ("--bound-digit-cap", "KOLCHIN_BOUND_MAGNITUDE_CAP",
                         bounds_mod.DEFAULT_DIGIT_CAP,
-                        "decimal digit cap for bound evaluation"),
+                        "cap on the decimal digits of a bound's evaluation (default 10^5)"),
 }
 
 

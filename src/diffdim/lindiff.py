@@ -351,16 +351,16 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     before they join the basis: only an element's leader drives the pairs,
     and the final pass tail-reduces every survivor.  S-pairs exist only
     between elements whose leaders involve the same unknown.  They wait in
-    a heap keyed by (join order, a, b), the join's exponents alongside, so
-    the pair of least join order is taken first: Buchberger's normal
-    strategy, which suits the orderly ranking since it compares orders
-    first.  The one pair criterion is Buchberger's chain criterion (Becker
-    and Weispfenning 1993): a pair is skipped when another element c of the
-    same unknown has a leader dividing the join and neither (a, c) nor
-    (b, c) is still pending.  The S-row is theta_a * f with its leader
-    cancelled by g in one ``_eliminate`` step.  Completion raises
-    ResourceLimit once it would reduce more than ``gb_step_cap`` S-pairs; a
-    pair whose leaders are coprime is reduced, and counted, like any other.
+    a heap keyed by (join order, unknown, join exponents, a, b), the join's
+    ``rank_key`` and then the pair, so the pair of least join under the
+    ranking is taken first: Buchberger's normal strategy.  The one pair
+    criterion is Buchberger's chain criterion (Becker and Weispfenning
+    1993): a pair is skipped when another element c of the same unknown has
+    a leader dividing the join and neither (a, c) nor (b, c) is still
+    pending.  The S-row is theta_a * f with its leader cancelled by g in one
+    ``_eliminate`` step.  Completion raises ResourceLimit once it would
+    reduce more than ``gb_step_cap`` S-pairs; a pair whose leaders are
+    coprime is reduced, and counted, like any other.
 
     No pair of two monomials is made: their S-row theta_a * x_a -
     theta_b * x_b is identically zero, so it needs no reduction and pushes
@@ -372,9 +372,9 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     leader for every unknown u: the module is then the whole free module,
     as Buchberger's algorithm stops once 1 is in the ideal.  x_u divides
     every derivative of x_u, so from then on every reduction ends in zero
-    and no waiting pair would push an element.  The final pass therefore
-    sees the basis that running the pairs out would leave, and returns the
-    same reduced basis; the pairs left count against no cap.
+    and no waiting pair would push an element; the pairs left count against
+    no cap.  The reduced basis of the whole free module is x_1, ..., x_n,
+    so it is returned as it stands, with no final pass.
 
     No term of a reduction outranks the S-row's leader, so keys stay
     within the join orders.  Before an S-pair whose join order would not
@@ -390,7 +390,7 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     units: set[int] = set()  # unknowns u whose x_u is a leader
-    pairs: list[tuple] = []  # heap of (join order, a, b, join)
+    pairs: list[tuple] = []  # heap of (join order, unknown, join, a, b)
     pending: set[tuple[int, int]] = set()
 
     def push(row):
@@ -404,7 +404,7 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
             if len(row) == 1 == len(basis[j][0]):
                 continue
             join = tuple(map(max, jxi, xi))
-            heappush(pairs, (sum(join), j, k, join))
+            heappush(pairs, (sum(join), unknown, join, j, k))
             pending.add((j, k))
         basis.append([row, lead])
         index.setdefault(unknown, []).append(basis[k])
@@ -415,9 +415,8 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
             push(nf)
     steps = 0
     while pairs and len(units) < system.n:
-        order, a, b, join = heappop(pairs)
+        order, unknown, join, a, b = heappop(pairs)
         pending.remove((a, b))
-        unknown = keys.unknown(basis[a][1])
         if any(
             c != a and c != b and all(map(le, cxi, join))
             and (min(a, c), max(a, c)) not in pending
@@ -443,6 +442,11 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
         if nf := _normal_form(s_row, index, keys, False):
             push(nf)
 
+    if len(units) == system.n:
+        unit = (0,) * system.m
+        return LinearDiffSystem(system.m, system.n, tuple(
+            LinearEquation({keys.pack(unit, u): 1}, (1, 1), keys) for u in range(system.n, 0, -1)
+        ))
     survivors: dict[int, list] = {}  # unknown -> kept entries, ascending leaders
     reduced = []
     for row, lead in sorted(basis, key=lambda e: e[1]):

@@ -205,23 +205,27 @@ UNIT_IDEAL = (
 UNIT_X1 = "m = 2\nn = 2\neq: x1\neq: d[2,0]x2 + d[0,1]x2\neq: d[1,1]x2 + x2\n"
 # six monomials of order 5: none of their 15 S-pairs is made
 MONOMIALS_6 = "m = 2\nn = 1\n" + "".join(f"eq: d[{i},{5 - i}]x1\n" for i in range(6))
-# the pairs of the binomial with each monomial are still made, and they
-# reach d[1,0]x1 only at level 3, two above its order: margin 2
+# the pairs of the binomial with each monomial are still made.  The one
+# with d[0,2]x1 (join d[1,2]x1) reaches d[1,0]x1, whose pair with the
+# binomial reduces to zero, and the chain criterion skips the one with
+# d[2,0]x1 (join d[2,1]x1).  d[1,0]x1 is a pivot only at level 3, two above
+# its order: margin 2
 MONOMIALS_BINOMIAL = "m = 2\nn = 1\neq: d[2,0]x1\neq: d[0,2]x1\neq: d[1,1]x1 + d[1,0]x1\n"
 # the chain criterion skips a pair (a, b) for an element c whose leader
-# divides the join only if neither (a, c) nor (b, c) is pending; each system
-# below loses a basis element when one of the two conditions goes.  Without
-# the (a, c) condition, the pair (d[3]x1 - 2*x1, d[2]x1) is skipped for
-# d[1]x1 while (d[3]x1 - 2*x1, d[1]x1) waits; that pair is then skipped for
-# d[2]x1, and x1 is never reached
+# divides the join only if neither (a, c) nor (b, c) is pending; each of the
+# next two systems loses a basis element when one of the two conditions
+# goes.  Without the (a, c) condition, the pair (d[3]x1 - 2*x1, d[2]x1) is
+# skipped for d[1]x1 while (d[3]x1 - 2*x1, d[1]x1) waits; that pair is then
+# skipped for d[2]x1, and x1 is never reached
 CHAIN_PENDING_AC = "m = 1\nn = 1\neq: 2*d[0]x1 - d[3]x1\neq: -d[2]x1\neq: -d[1]x1\n"
 # without the (b, c) condition, d[0,3]x1 drops out of the basis
 CHAIN_PENDING_BC = (
     "m = 2\nn = 1\n"
     "eq: 3*d[2,0]x1 + 2*d[2,1]x1 - 2*d[0,3]x1\neq: 2*d[1,1]x1 - 2*d[0,2]x1\n"
 )
-# the unit module; without the (a, c) condition x1 is never reached and the
-# basis holds two elements, with leaders d[1,0]x1 and d[0,1]x1
+# the unit module, reached after 4 S-pair reductions when the pairs are
+# taken by the rank of their join and after 5 when they are taken by join
+# order, then by pair index
 CHAIN_PENDING_AC_M2 = (
     "m = 2\nn = 1\n"
     "eq: -9*d[3,0]x1 + d[1,0]x1\neq: -3*d[0,3]x1 - 8*d[2,0]x1\neq: d[1,2]x1 - 7*x1\n"
@@ -259,7 +263,7 @@ def test_groebner_basis_and_certified_margin_pinned(name):
 
 def test_completion_stops_once_every_unknown_is_a_leader():
     # x1 is a leader after the third S-pair reduction; running the pairs
-    # out takes three more, each ending in zero
+    # out takes four more, each ending in zero
     system = parse_system(UNIT_IDEAL)
     gb = _groebner(system, gb_step_cap=3)
     assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["unit-ideal"]
@@ -272,11 +276,48 @@ def test_completion_makes_no_pair_of_two_monomials():
     system = parse_system(MONOMIALS_6)
     gb = _groebner(system, gb_step_cap=1)
     assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["monomials-6"]
+    # 2 S-pair reductions; taken by join order, then pair index, the pair
+    # with d[2,0]x1 comes first and reduces to zero, a third
     system = parse_system(MONOMIALS_BINOMIAL)
-    gb = _groebner(system, gb_step_cap=3)
+    gb = _groebner(system, gb_step_cap=2)
     assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["monomials-binomial"]
-    with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
-        _groebner(system, gb_step_cap=2)
+    with pytest.raises(ResourceLimit, match=r"after 1 S-pair reductions"):
+        _groebner(system, gb_step_cap=1)
+
+
+def test_completion_takes_the_pair_of_least_join_rank_first():
+    # once d[1,0]x1 is a leader, its pairs with d[3,0]x1 and d[1,2]x1 both
+    # have joins of order 3.  The rank takes the join d[1,2]x1 first and
+    # reaches x1 after 4 reductions; join order, then pair index takes the
+    # one with d[3,0]x1 first and needs 5
+    system = parse_system(CHAIN_PENDING_AC_M2)
+    gb = _groebner(system, gb_step_cap=4)
+    assert basis_lines(gb) == PINNED_BASES["chain-pending-ac-m2"][1]
+    with pytest.raises(ResourceLimit, match=r"after 3 S-pair reductions"):
+        _groebner(system, gb_step_cap=3)
+
+
+# x2 is a leader once the second equation is top-reduced, and x1 after the
+# one S-pair
+TWO_UNITS = "m = 1\nn = 2\neq: d[1]x2 + x2 - x1\neq: d[1]x2 + 2*x2 - x1\n"
+
+
+@pytest.mark.parametrize("text", [UNIT_IDEAL, TWO_UNITS])
+def test_completion_returns_the_unit_basis_at_the_unit_stop(monkeypatch, text):
+    # once every x_u is a leader the reduced basis is x_1..x_n, so no
+    # survivor is tail-reduced
+    tails = []
+    normal_form = lindiff._normal_form
+
+    def spy(row, index, keys, tail):
+        tails.append(tail)
+        return normal_form(row, index, keys, tail)
+
+    monkeypatch.setattr(lindiff, "_normal_form", spy)
+    system = parse_system(text)
+    unit = (0,) * system.m
+    assert basis_lines(_groebner(system)) == [f"1*{unit}x{u}" for u in range(system.n, 0, -1)]
+    assert tails and not any(tails)
 
 
 def _margin_systems():
