@@ -9,7 +9,7 @@ with applying further derivations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AmbientMismatch, ParseError
 from .expsets import ExponentSet, ExponentVector, _NATURALS, _lines, _naturals, dimension_polynomial
@@ -69,10 +69,12 @@ def compare_rank(a: DifferentialMonomial, b: DifferentialMonomial) -> int:
 
 @dataclass(frozen=True)
 class LeaderProfile:
-    """Per-unknown exponent sets harvested from the leaders of a basis."""
+    """Per-unknown exponent sets harvested from the leaders of a basis.  The
+    Kolchin polynomial is kept on it once ``kolchin_from_leaders`` sums it."""
 
     m: int
     variable_sets: tuple[ExponentSet, ...]
+    _kolchin: NumericalPolynomial | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sets = tuple(self.variable_sets)
@@ -91,11 +93,13 @@ class LeaderProfile:
 
 
 def kolchin_from_leaders(profile: LeaderProfile) -> NumericalPolynomial:
-    """Sum of the component Kolchin polynomials."""
-    total = NumericalPolynomial.zero(profile.m)
-    for es in profile.variable_sets:
-        total = total + dimension_polynomial(es)
-    return total
+    """Sum of the component Kolchin polynomials, summed once per profile."""
+    if profile._kolchin is None:
+        total = NumericalPolynomial.zero(profile.m)
+        for es in profile.variable_sets:
+            total = total + dimension_polynomial(es)
+        object.__setattr__(profile, "_kolchin", total)
+    return profile._kolchin
 
 
 # 'd[u1,...,um]x<i>' or the order-zero shorthand 'x<i>'; whitespace only

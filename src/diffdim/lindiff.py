@@ -171,7 +171,6 @@ class LinearDiffSystem:
     n: int
     equations: tuple[LinearEquation, ...]
     _completion: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _profile: LeaderProfile | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -479,16 +478,19 @@ def module_groebner(
 
 
 def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
-    """Leader exponents of a reduced basis, grouped by unknown, built once per
-    basis object and kept on it, so both routes read one profile."""
-    if gb._profile is None:
-        buckets: list[list[ExponentVector]] = [[] for _ in range(gb.n)]
-        for eq in gb.equations:
-            xi, unknown = eq._keys.unpack(eq._lead)
-            buckets[unknown - 1].append(xi)
-        profile = LeaderProfile(gb.m, tuple(ExponentSet(gb.m, tuple(b)) for b in buckets))
-        object.__setattr__(gb, "_profile", profile)
-    return gb._profile
+    """Leader exponents of a reduced basis, grouped by unknown.  One profile
+    is built per (m, n, leaders), each packed leader keyed with its own
+    layout, in a bounded lookup, and shared by every basis with that key."""
+    return _shared_profile(gb.m, gb.n, tuple((eq._lead, eq._keys) for eq in gb.equations))
+
+
+@functools.lru_cache(maxsize=4096)
+def _shared_profile(m: int, n: int, leaders: tuple[tuple[int, _Keys], ...]) -> LeaderProfile:
+    buckets: list[list[ExponentVector]] = [[] for _ in range(n)]
+    for lead, keys in leaders:
+        xi, unknown = keys.unpack(lead)
+        buckets[unknown - 1].append(xi)
+    return LeaderProfile(m, tuple(ExponentSet(m, tuple(b)) for b in buckets))
 
 
 def kolchin_polynomial(

@@ -13,6 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from diffdim.diffrank import LeaderProfile, kolchin_from_leaders  # noqa: E402
 from diffdim.expsets import (  # noqa: E402
     ExponentSet,
     _numerator,
@@ -24,6 +25,7 @@ from diffdim.expsets import (  # noqa: E402
     volume,
     volume_ie,
 )
+from diffdim.numpoly import NumericalPolynomial  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
 
@@ -152,3 +154,35 @@ def test_volume_ie_on_large_antichains(exp_set):
     level = stabilisation_level(exp_set)
     for s in range(level, level + 4):
         assert volume_ie(exp_set, s) == volume(exp_set, s) == _numerator_volume(exp_set, s), s
+
+
+profiles = st.integers(1, 4).flatmap(
+    lambda m: st.lists(
+        st.lists(st.tuples(*[st.integers(0, 6)] * m), max_size=8).map(
+            lambda gens: ExponentSet(m, tuple(gens))
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(lambda sets: LeaderProfile(m, tuple(sets)))
+)
+
+
+@SETTINGS
+@hypothesis.given(profiles)
+@hypothesis.example(LeaderProfile(2, (ExponentSet(2, ((2, 0), (1, 1), (0, 3))), ExponentSet(2, ()))))
+def test_shared_polynomials_equal_fresh_ones(profile):
+    kept = kolchin_from_leaders(profile)
+    warm = [dimension_polynomial(es) for es in profile.variable_sets]
+    assert warm == [dimension_polynomial(es) for es in profile.variable_sets]
+    dimension_polynomial.cache_clear()
+    fresh = [dimension_polynomial(es) for es in profile.variable_sets]
+    assert warm == fresh
+    assert kolchin_from_leaders(profile) is kept
+    assert kept == sum(fresh, NumericalPolynomial.zero(profile.m))
+
+
+def test_shared_polynomial_is_one_per_ambient_dimension():
+    # the empty antichain has the same generators in every N^m
+    polys = [dimension_polynomial(ExponentSet(m, ())) for m in (3, 2, 3)]
+    n3, n2 = NumericalPolynomial(3, (1, 0, 0, 0)), NumericalPolynomial(2, (1, 0, 0))
+    assert polys == [n3, n2, n3]

@@ -10,7 +10,7 @@ from diffdim import lindiff
 from diffdim.cli import main
 from diffdim.diffrank import DifferentialMonomial
 from diffdim.errors import AmbientMismatch, DiffdimError, ParseError, ResourceLimit
-from diffdim.expsets import stabilisation_level
+from diffdim.expsets import ExponentSet, stabilisation_level
 from diffdim.lindiff import (
     DEFAULT_GB_STEP_CAP,
     DEFAULT_MATRIX_CELL_CAP,
@@ -248,17 +248,29 @@ def basis_lines(gb):
     ]
 
 
-def certified_margin(system, matrix_cell_cap=DEFAULT_MATRIX_CELL_CAP):
+# the margin searches below hold at most 5,696 entries (probe4.sys), so a
+# wrong basis ends at this cap, not climbing towards the default 5 * 10^6
+MARGIN_CELL_CAP = 10**5
+
+
+def certified_margin(system, matrix_cell_cap=MARGIN_CELL_CAP):
     # the margin the prolongation route reads off its echelon
     gb = module_groebner(system)
     window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
     return _echelon_margin(_Echelon(system, matrix_cell_cap), gb, window)
 
 
+def assert_pinned(system, gb, name):
+    # the basis before the margin, whose search on a wrong basis runs to the cap
+    margin, lines = PINNED_BASES[name]
+    assert basis_lines(gb) == lines
+    assert certified_margin(system) == margin
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_BASES))
 def test_groebner_basis_and_certified_margin_pinned(name):
     system = parse_system(INLINE_SYSTEMS[name]) if name in INLINE_SYSTEMS else load(name)
-    assert (certified_margin(system), basis_lines(_groebner(system))) == PINNED_BASES[name]
+    assert_pinned(system, _groebner(system), name)
 
 
 def test_completion_stops_once_every_unknown_is_a_leader():
@@ -266,7 +278,7 @@ def test_completion_stops_once_every_unknown_is_a_leader():
     # out takes four more, each ending in zero
     system = parse_system(UNIT_IDEAL)
     gb = _groebner(system, gb_step_cap=3)
-    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    assert_pinned(system, gb, "unit-ideal")
     with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
         _groebner(system, gb_step_cap=2)
 
@@ -275,12 +287,12 @@ def test_completion_makes_no_pair_of_two_monomials():
     # the chain criterion alone would leave five of the 15 pairs to reduce
     system = parse_system(MONOMIALS_6)
     gb = _groebner(system, gb_step_cap=1)
-    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["monomials-6"]
+    assert_pinned(system, gb, "monomials-6")
     # 2 S-pair reductions; taken by join order, then pair index, the pair
     # with d[2,0]x1 comes first and reduces to zero, a third
     system = parse_system(MONOMIALS_BINOMIAL)
     gb = _groebner(system, gb_step_cap=2)
-    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["monomials-binomial"]
+    assert_pinned(system, gb, "monomials-binomial")
     with pytest.raises(ResourceLimit, match=r"after 1 S-pair reductions"):
         _groebner(system, gb_step_cap=1)
 
@@ -579,7 +591,7 @@ def test_completed_system_recompletes_under_a_smaller_cap():
     with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
         lindiff._completed(system, 2)
     gb = lindiff._completed(system, DEFAULT_GB_STEP_CAP)
-    assert (certified_margin(system), basis_lines(gb)) == PINNED_BASES["unit-ideal"]
+    assert_pinned(system, gb, "unit-ideal")
 
 
 def test_parse_completion_and_echelon_share_one_layout(monkeypatch):
@@ -601,7 +613,8 @@ def test_parse_completion_and_echelon_share_one_layout(monkeypatch):
     assert layouts and all(source is target is keys for source, target in layouts)
 
 
-def test_one_leader_profile_per_basis(monkeypatch):
+def test_one_leader_profile_per_leader_set(monkeypatch):
+    lindiff._shared_profile.cache_clear()
     built = []
     exponent_set = lindiff.ExponentSet
 
@@ -612,10 +625,30 @@ def test_one_leader_profile_per_basis(monkeypatch):
     monkeypatch.setattr(lindiff, "ExponentSet", counted)
     system = load("cauchy_riemann.sys")
     assert kolchin_polynomial(system) == kolchin_via_prolongation(system)
+    # a fresh parse completes to another basis object with the same leaders,
+    # so both routes on it read the profile already built
+    again = load("cauchy_riemann.sys")
+    assert kolchin_polynomial(again) == kolchin_via_prolongation(again)
     assert len(built) == system.n
-    # a fresh parse completes to another basis object, with its own profile
-    kolchin_via_prolongation(load("cauchy_riemann.sys"))
-    assert len(built) == 2 * system.n
+    assert leader_profile(module_groebner(again)) is leader_profile(module_groebner(system))
+
+
+def test_a_shared_profile_reads_each_leader_at_its_own_layout_and_shape():
+    # orders 1 and 64 over m = 2 parse at widths 7 and 8, and one basis may
+    # hold rows of both: each packed leader unpacks at its own layout
+    low = parse_system("m = 2\nn = 2\neq: d[0,1]x1 + x2\n").equations
+    high = parse_system("m = 2\nn = 2\neq: d[64,0]x2 + d[0,1]x1\n").equations
+    assert (low[0]._keys.width, high[0]._keys.width) == (7, 8)
+    system = LinearDiffSystem(2, 2, low + high)
+    want = tuple(
+        ExponentSet(2, tuple(eq.leader.exponents for eq in system.equations if eq.leader.var_index == u))
+        for u in (1, 2)
+    )
+    assert want == (ExponentSet(2, ((0, 1),)), ExponentSet(2, ((64, 0),)))
+    assert leader_profile(system).variable_sets == want
+    # the same leaders over three unknowns get their own profile, of three sets
+    wider = leader_profile(LinearDiffSystem(2, 3, low + high))
+    assert wider.variable_sets == want + (ExponentSet(2, ()),)
 
 
 def test_groebner_handles_redundant_equations():
