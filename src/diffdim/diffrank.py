@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import AmbientMismatch, ParseError
-from .expsets import ExponentSet, ExponentVector, _NATURALS, _lines, _naturals, dimension_polynomial
+from .expsets import ExponentSet, ExponentVector, _NATURALS, _check_vector, _lines, _naturals
+from .expsets import dimension_polynomial
 from .numpoly import NumericalPolynomial
 
 TermKey = tuple[ExponentVector, int]
@@ -36,9 +37,7 @@ class DifferentialMonomial:
         exps = tuple(self.exponents)
         if not exps:
             raise ValueError("need at least one derivation")
-        for e in exps:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"exponents must be naturals, got {exps}")
+        _check_vector(exps, len(exps))
         if self.var_index < 1:
             raise ValueError("unknown index is 1-based")
         object.__setattr__(self, "exponents", exps)

@@ -29,7 +29,6 @@ from .diffrank import (
 )
 from .errors import AmbientMismatch, DiffdimError, ParseError, ResourceLimit, check_cap
 from .expsets import ExponentSet, ExponentVector, _lines, _naturals, stabilisation_level
-from .expsets import dimension_polynomial
 from .numpoly import NumericalPolynomial, compare_eventual, interpolate
 
 # entries held, about 300 bytes each on Killing's equations, m = 7, 8: 1.5 GB
@@ -458,8 +457,11 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     return LinearDiffSystem(system.m, system.n, tuple(reversed(reduced)))
 
 
-def _completed(system: LinearDiffSystem, gb_step_cap: int) -> LinearDiffSystem:
-    """``_groebner(system, gb_step_cap)``, kept on the system object.  One
+def module_groebner(
+    system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
+) -> LinearDiffSystem:
+    """The reduced Groebner basis of the submodule the equations generate,
+    completed once per system object and shared by every route on it.  One
     that finished under cap c made at most c reductions, so it serves any
     cap >= c; a smaller cap completes again, and may raise."""
     check_cap("gb_step_cap", gb_step_cap)
@@ -467,14 +469,6 @@ def _completed(system: LinearDiffSystem, gb_step_cap: int) -> LinearDiffSystem:
         done = _groebner(system, gb_step_cap), gb_step_cap
         object.__setattr__(system, "_completion", done)
     return done[0]
-
-
-def module_groebner(
-    system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP
-) -> LinearDiffSystem:
-    """The reduced Groebner basis of the submodule the equations generate,
-    completed once per system object and shared by every route on it."""
-    return _completed(system, gb_step_cap)
 
 
 def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
@@ -697,7 +691,7 @@ def kolchin_via_prolongation(
 
     The leader complements of the reduced basis B count polynomially from
     ``floor``, the largest ``stabilisation_level`` of the leader sets, in
-    degree at most d, their largest differential type, so the d + 1 values
+    degree d, their sum's type (each leads positively), so the d + 1 values
     on [floor, floor + d] give the polynomial, returned padded to m.  For a
     leader x of B, the first pivot row with pivot x is an element p_x of
     the module, made at level L(x) (``_echelon_margin``).  As B's leaders
@@ -720,14 +714,13 @@ def kolchin_via_prolongation(
     are a running sum of the pivots by order.  The guard: the value at top
     must be the interpolated polynomial's, or DiffdimError.  It catches a d
     or floor read too low whose next value leaves the polynomial, not one
-    whose d + 2 values happen to fit.  The completion is the one
-    ``module_groebner`` keeps on the system object.
+    whose d + 2 values happen to fit.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
-    gb = _completed(system, gb_step_cap)
-    sets = leader_profile(gb).variable_sets
-    floor = max(stabilisation_level(es) for es in sets)
-    d = max(dimension_polynomial(es).differential_type() for es in sets)
+    gb = module_groebner(system, gb_step_cap)
+    profile = leader_profile(gb)
+    floor = max(stabilisation_level(es) for es in profile.variable_sets)
+    d = kolchin_from_leaders(profile).differential_type()
     m, n, top = system.m, system.n, floor + d + 1
     echelon = _Echelon(system, matrix_cell_cap)
     margin = _echelon_margin(echelon, gb, top)
@@ -758,4 +751,5 @@ def omega_at_least(
 def omega_equals(
     system: LinearDiffSystem, p: NumericalPolynomial, gb_step_cap: int = DEFAULT_GB_STEP_CAP
 ) -> bool:
+    """Is the system's Kolchin polynomial p, by eventual comparison?"""
     return compare_eventual(kolchin_polynomial(system, gb_step_cap), p) == 0

@@ -38,6 +38,9 @@ from parsed import equation
 DATA = Path(__file__).parent / "data"
 CORPUS = ("heat.sys", "wave.sys", "laplace.sys", "cauchy_riemann.sys")
 FULL_CORPUS = CORPUS + ("ode2.sys", "free2.sys")
+# the prolongation route holds at most 55 entries on criterion 3's systems,
+# so a wrong basis ends at this cap, not climbing towards the default 5 * 10^6
+CELL_CAP = 10**4
 
 
 def _report(number, name, body):
@@ -148,13 +151,13 @@ def test_criterion_3_dual_pipelines_agree():
         for name in CORPUS:
             system = _load(name)
             via_gb = kolchin_polynomial(system)
-            via_ranks = kolchin_via_prolongation(system)
+            via_ranks = kolchin_via_prolongation(system, CELL_CAP)
             assert via_gb == via_ranks
             assert via_gb.standard_coeffs == expected[name]
         rng = random.Random(77001)
         for _ in range(100):
             system = _random_system(rng)
-            assert kolchin_polynomial(system) == kolchin_via_prolongation(system)
+            assert kolchin_polynomial(system) == kolchin_via_prolongation(system, CELL_CAP)
         elapsed = time.perf_counter() - started
         assert elapsed < 60, f"took {elapsed:.1f}s"
 

@@ -86,6 +86,10 @@ def test_monomial_validation():
         DifferentialMonomial((-1,), 1)
     with pytest.raises(ValueError):
         DifferentialMonomial((1,), 0)
+    with pytest.raises(ValueError):
+        DifferentialMonomial((True, 0), 1)
+    with pytest.raises(ValueError):
+        DifferentialMonomial((1, 2.0), 1)
 
 
 def test_parse_monomial():

@@ -181,6 +181,15 @@ def test_shared_polynomials_equal_fresh_ones(profile):
     assert kept == sum(fresh, NumericalPolynomial.zero(profile.m))
 
 
+@SETTINGS
+@hypothesis.given(profiles)
+def test_kept_polynomial_has_the_largest_type_of_a_set(profile):
+    # each set's polynomial counts points, so it leads positively and no two
+    # leading terms cancel: the prolongation route reads d off the sum alone
+    types = [dimension_polynomial(es).differential_type() for es in profile.variable_sets]
+    assert kolchin_from_leaders(profile).differential_type() == max(types)
+
+
 def test_shared_polynomial_is_one_per_ambient_dimension():
     # the empty antichain has the same generators in every N^m
     polys = [dimension_polynomial(ExponentSet(m, ())) for m in (3, 2, 3)]

@@ -13,7 +13,6 @@ from diffdim.errors import AmbientMismatch, DiffdimError, ParseError, ResourceLi
 from diffdim.expsets import ExponentSet, stabilisation_level
 from diffdim.lindiff import (
     DEFAULT_GB_STEP_CAP,
-    DEFAULT_MATRIX_CELL_CAP,
     LinearDiffSystem,
     LinearEquation,
     _Echelon,
@@ -39,7 +38,13 @@ def load(name):
     return parse_system((DATA / name).read_text())
 
 
-def echelon_to(system, top, matrix_cell_cap=DEFAULT_MATRIX_CELL_CAP):
+# every echelon these tests build holds at most 20,060 entries (probe4.sys,
+# built three levels past its margin) and every margin search at most 5,696,
+# so a wrong basis ends at this cap, not climbing towards the default 5 * 10^6
+CELL_CAP = 10**5
+
+
+def echelon_to(system, top, matrix_cell_cap=CELL_CAP):
     echelon = _Echelon(system, matrix_cell_cap)
     echelon.build(top)
     return echelon
@@ -248,12 +253,7 @@ def basis_lines(gb):
     ]
 
 
-# the margin searches below hold at most 5,696 entries (probe4.sys), so a
-# wrong basis ends at this cap, not climbing towards the default 5 * 10^6
-MARGIN_CELL_CAP = 10**5
-
-
-def certified_margin(system, matrix_cell_cap=MARGIN_CELL_CAP):
+def certified_margin(system, matrix_cell_cap=CELL_CAP):
     # the margin the prolongation route reads off its echelon
     gb = module_groebner(system)
     window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
@@ -433,7 +433,7 @@ def test_margin_reaches_one_level_past_the_window():
     # guard raises on the right answer
     system = parse_system(ONE_PAST_THE_WINDOW)
     gb = module_groebner(system)
-    assert [_echelon_margin(_Echelon(system, DEFAULT_MATRIX_CELL_CAP), gb, top)
+    assert [_echelon_margin(_Echelon(system, CELL_CAP), gb, top)
             for top in (1, 2)] == [0, 1]
     omega = NumericalPolynomial.from_coeffs((0, 0, 3, -2))
     assert kolchin_via_prolongation(system) == omega == kolchin_polynomial(system)
@@ -465,7 +465,7 @@ def test_an_element_outside_the_module_ends_at_the_cell_cap(monkeypatch):
     below = echelon_to(system, 14)
     spurious = parse_system("m = 2\nn = 1\neq: x1\n").equations
     basis = LinearDiffSystem(2, 1, module_groebner(system).equations + spurious)
-    monkeypatch.setattr(lindiff, "_completed", lambda _system, _cap: basis)
+    monkeypatch.setattr(lindiff, "module_groebner", lambda _system, _cap: basis)
     with pytest.raises(
         ResourceLimit,
         match=rf"at level 15: pivot row {len(below.pivots) + 1} would bring the entries held "
@@ -478,7 +478,7 @@ def test_the_input_equations_as_a_basis_fail_the_self_check(monkeypatch, tmp_pat
     # each equation's leader is a pivot at the level of the equation's own
     # row, its order, so the margin is 0; yet x1 is a pivot made at level 4
     monkeypatch.setattr(
-        lindiff, "_completed", lambda system, _cap: LinearDiffSystem(2, 1, system.equations)
+        lindiff, "module_groebner", lambda system, _cap: LinearDiffSystem(2, 1, system.equations)
     )
     with pytest.raises(DiffdimError, match="more than margin 0 above its order"):
         kolchin_via_prolongation(parse_system(UNIT_IDEAL))
@@ -586,11 +586,11 @@ def test_completed_system_recompletes_under_a_smaller_cap():
     # the unit ideal takes 3 S-pair reductions: a completion stored under
     # cap 3 is no answer under cap 2, and is the answer under the default
     system = parse_system(UNIT_IDEAL)
-    gb = lindiff._completed(system, 3)
+    gb = module_groebner(system, 3)
     assert basis_lines(gb) == PINNED_BASES["unit-ideal"][1]
     with pytest.raises(ResourceLimit, match=r"after 2 S-pair reductions"):
-        lindiff._completed(system, 2)
-    gb = lindiff._completed(system, DEFAULT_GB_STEP_CAP)
+        module_groebner(system, 2)
+    gb = module_groebner(system, DEFAULT_GB_STEP_CAP)
     assert_pinned(system, gb, "unit-ideal")
 
 
@@ -898,7 +898,7 @@ def test_dual_routes_agree_on_random_systems():
             if terms:
                 eqs.append(equation(terms))
         system = LinearDiffSystem(m, n, tuple(eqs))
-        assert kolchin_polynomial(system) == kolchin_via_prolongation(system)
+        assert kolchin_polynomial(system) == kolchin_via_prolongation(system, CELL_CAP)
 
 
 def test_omega_predicates():
