@@ -106,12 +106,12 @@ def kolchin_from_leaders(profile: LeaderProfile) -> NumericalPolynomial:
 _MONOMIAL = re.compile(rf"(?:d\[(?P<exps>{_NATURALS.pattern})\])?x(?P<idx>[0-9]+)")
 
 
-def _monomial_key(match: re.Match, width: int) -> TermKey:
-    """(exponents, unknown index) of a ``_MONOMIAL`` match; the shorthand
-    'x<i>' stands for order zero over ``width`` derivations."""
-    exps = match["exps"]
+def _monomial_key(exps: str | None, idx: str, width: int) -> TermKey:
+    """(exponents, unknown index) of a ``_MONOMIAL`` match's groups 'exps'
+    and 'idx'; the shorthand 'x<i>' stands for order zero over ``width``
+    derivations."""
     xi = tuple(map(int, exps.split(","))) if exps else (0,) * width
-    return xi, int(match["idx"])
+    return xi, int(idx)
 
 
 def parse_monomial(text: str) -> DifferentialMonomial:
@@ -124,7 +124,7 @@ def parse_monomial(text: str) -> DifferentialMonomial:
     if not match:
         raise ParseError(f"expected 'd[u1,...,um]x<i>' or 'x<i>', got {text!r}", line=1)
     try:
-        return DifferentialMonomial(*_monomial_key(match, 1))
+        return DifferentialMonomial(*_monomial_key(*match.group("exps", "idx"), 1))
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from None
 

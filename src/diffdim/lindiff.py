@@ -108,9 +108,13 @@ def _primitive(terms: dict[TermKey, tuple[int, int]], keys: _Keys):
     primitive integer row packed at ``keys``, and p / q, the factor that
     turns it back into the terms."""
     q = lcm(*(den for _, den in terms.values()))
-    row = {keys.pack(xi, i): num * (q // den) for (xi, i), (num, den) in terms.items()}
-    p = gcd(*row.values())
-    return {key: c // p for key, c in row.items()}, (p, q)
+    if q == 1:
+        row = {keys.pack(xi, i): num for (xi, i), (num, _) in terms.items()}
+    else:
+        row = {keys.pack(xi, i): num * (q // den) for (xi, i), (num, den) in terms.items()}
+    if (p := gcd(*row.values())) > 1:
+        row = {key: c // p for key, c in row.items()}
+    return row, (p, q)
 
 
 class LinearEquation:
@@ -250,35 +254,36 @@ def _parse_equation(
         raise ParseError("empty equation", line=lineno, column=len(line) + 1)
     while pos < len(line):
         term = _TERM.match(line, pos)
-        if not term["sign"] and terms:
+        sign, num, den, star, mono, exps, idx = term.groups()
+        if not sign and terms:
             at = term.start("sign")
             raise ParseError(f"expected '+' or '-', got {line[at]!r}", line=lineno, column=at + 1)
-        num, den = 1, 1
-        if term["num"]:
-            num, den = int(term["num"]), int(term["den"] or 1)
+        if num:
+            num, den = int(num), int(den or 1)
             if den == 0:
                 raise ParseError("zero denominator", line=lineno, column=term.start("num") + 1)
             if num == 0:
                 raise ParseError("zero coefficient", line=lineno, column=term.start("num") + 1)
-            if not term["star"]:
+            if not star:
                 raise ParseError(
                     "constant terms are not allowed; expected '*' and a monomial",
                     line=lineno,
                     column=term.start("star") + 1,
                 )
-        if not term["mono"]:
+        else:
+            num = den = 1
+        if not mono:
             raise ParseError("expected a monomial", line=lineno, column=term.end() + 1)
-        column = term.start("mono") + 1
-        xi, idx = _monomial_key(term, m)
-        if len(xi) != m:
-            raise ParseError(
-                f"exponent list has {len(xi)} entries, expected {m}", line=lineno, column=column
-            )
-        if not 1 <= idx <= n:
-            raise ParseError(f"unknown x{idx} outside 1..{n}", line=lineno, column=column)
-        if (xi, idx) in terms:
-            raise ParseError("duplicate monomial in equation", line=lineno, column=column)
-        terms[xi, idx] = (-num if term["sign"] == "-" else num), den
+        xi, idx = _monomial_key(exps, idx, m)
+        error = (
+            f"exponent list has {len(xi)} entries, expected {m}" if len(xi) != m
+            else f"unknown x{idx} outside 1..{n}" if not 1 <= idx <= n
+            else "duplicate monomial in equation" if (xi, idx) in terms
+            else None
+        )
+        if error:
+            raise ParseError(error, line=lineno, column=term.start("mono") + 1)
+        terms[xi, idx] = (-num if sign == "-" else num), den
         pos = term.end()
     return terms
 
@@ -371,8 +376,10 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     as Buchberger's algorithm stops once 1 is in the ideal.  x_u divides
     every derivative of x_u, so from then on every reduction ends in zero
     and no waiting pair would push an element; the pairs left count against
-    no cap.  The reduced basis of the whole free module is x_1, ..., x_n,
-    so it is returned as it stands, with no final pass.
+    no cap.  The element whose push makes every x_u a leader makes no pairs,
+    since the loop ends before it would pop one.  The reduced basis of the
+    whole free module is x_1, ..., x_n, so it is returned as it stands, with
+    no final pass.
 
     No term of a reduction outranks the S-row's leader, so keys stay
     within the join orders.  Before an S-pair whose join order would not
@@ -398,7 +405,7 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
         if not any(xi):
             units.add(unknown)
         members = exponents.setdefault(unknown, [])
-        for j, jxi in members:
+        for j, jxi in members if len(units) < system.n else ():
             if len(row) == 1 == len(basis[j][0]):
                 continue
             join = tuple(map(max, jxi, xi))
@@ -715,6 +722,14 @@ def kolchin_via_prolongation(
     must be the interpolated polynomial's, or DiffdimError.  It catches a d
     or floor read too low whose next value leaves the polynomial, not one
     whose d + 2 values happen to fit.
+
+    The route stops once the margin's echelon has x_u (order 0) as a pivot
+    for every unknown u, and answers 0 with no further level, self-check or
+    interpolation.  A pivot row with pivot x_u has below it only terms x_v
+    with v < u, so by induction on u every x_u lies in the module: it is
+    the whole free module and counts 0 at every s.  That rests on the
+    echelon's own rows alone: floor, d and the margin are not read, and B's
+    leaders only say how far the search grows.
     """
     check_cap("matrix_cell_cap", matrix_cell_cap)
     gb = module_groebner(system, gb_step_cap)
@@ -724,6 +739,9 @@ def kolchin_via_prolongation(
     m, n, top = system.m, system.n, floor + d + 1
     echelon = _Echelon(system, matrix_cell_cap)
     margin = _echelon_margin(echelon, gb, top)
+    unit = (0,) * m
+    if all(echelon.keys.pack(unit, u) in echelon.pivots for u in range(1, n + 1)):
+        return NumericalPolynomial.zero(m)
     echelon.build(top + margin)
     tally = [0] * (d + 2)  # pivots of order floor + j, those below floor at j = 0
     for at, order in echelon.orders:

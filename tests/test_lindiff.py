@@ -314,6 +314,23 @@ def test_completion_takes_the_pair_of_least_join_rank_first():
 TWO_UNITS = "m = 1\nn = 2\neq: d[1]x2 + x2 - x1\neq: d[1]x2 + 2*x2 - x1\n"
 
 
+def test_completion_makes_no_pair_it_will_never_pop(monkeypatch):
+    # every pair of the first five elements is made; the sixth, x1, makes
+    # every x_u a leader and ends the loop, so its five pairs are not
+    made = []
+    push = lindiff.heappush
+
+    def spy(heap, item):
+        if isinstance(item, tuple):  # an S-pair, not a normal form's key
+            made.append(item[3:])
+        push(heap, item)
+
+    monkeypatch.setattr(lindiff, "heappush", spy)
+    gb = _groebner(parse_system(UNIT_IDEAL))
+    assert basis_lines(gb) == PINNED_BASES["unit-ideal"][1]
+    assert sorted(made) == [(a, b) for a in range(5) for b in range(a + 1, 5)]
+
+
 @pytest.mark.parametrize("text", [UNIT_IDEAL, TWO_UNITS])
 def test_completion_returns_the_unit_basis_at_the_unit_stop(monkeypatch, text):
     # once every x_u is a leader the reduced basis is x_1..x_n, so no
@@ -380,17 +397,37 @@ def test_unit_ideal_margin_is_tight():
     assert prolongation_dimension(system, 0, 4) == 0
 
 
-def test_understated_margin_fails_the_self_check(monkeypatch, tmp_path, capsys):
-    system = parse_system(UNIT_IDEAL)
-    assert certified_margin(system) == 4
+def test_route_stops_once_every_unit_is_a_pivot(monkeypatch):
+    # x1 is first a pivot at level 4, where the margin search ends: the
+    # route answers 0 there and builds no level top + margin = 5
+    levels = []
+    grow = _Echelon.grow
+
+    def recorded(echelon):
+        grow(echelon)
+        levels.append(echelon.level)
+
+    monkeypatch.setattr(_Echelon, "grow", recorded)
+    assert kolchin_via_prolongation(parse_system(UNIT_IDEAL)) == NumericalPolynomial.zero(2)
+    assert levels == [2, 3, 4]
+    # the stop reads no margin, so one understated by one, which the
+    # self-check would refuse, changes nothing
     margin = lindiff._echelon_margin
     monkeypatch.setattr(lindiff, "_echelon_margin", lambda *args: margin(*args) - 1)
-    with pytest.raises(DiffdimError, match="pivot of order 0 at level 4, more than margin 3"):
-        kolchin_via_prolongation(system)
-    path = tmp_path / "unit.sys"
-    path.write_text(UNIT_IDEAL)
-    assert main(["kolchin", "--system", str(path), "--check"]) == 1
-    assert "self-check" in capsys.readouterr().err
+    assert kolchin_via_prolongation(parse_system(UNIT_IDEAL)) == NumericalPolynomial.zero(2)
+
+
+# UNIT_X1 with x1 and x2 swapped: x2 is a unit, x1 is not
+UNIT_X2 = "m = 2\nn = 2\neq: x2\neq: d[2,0]x1 + d[0,1]x1\neq: d[1,1]x1 + x1\n"
+
+
+@pytest.mark.parametrize("text", [UNIT_X1, UNIT_X2], ids=["unit-x1", "unit-x2"])
+def test_route_does_not_stop_while_some_unit_is_free(text):
+    # one x_u a pivot is not the whole module: the route must stop only
+    # once every x_u is one, and test each u, not just the first or last
+    system = parse_system(text)
+    omega = NumericalPolynomial.from_coeffs((0, 0, 3))
+    assert kolchin_via_prolongation(system) == omega == kolchin_polynomial(system)
 
 
 # instance 128 of the groebner-random benchmark workload at seed 1
@@ -415,6 +452,21 @@ def test_self_check_reads_pivots_below_the_window(monkeypatch):
     monkeypatch.setattr(lindiff, "_echelon_margin", lambda *args: margin(*args) - 1)
     with pytest.raises(DiffdimError, match="pivot of order 0 at level 6, more than margin 5"):
         kolchin_via_prolongation(parse_system(MARGIN_SIX))
+
+
+def test_understated_margin_fails_the_self_check(monkeypatch, tmp_path, capsys):
+    # a whole module stops before the self-check, so the mistake is made on
+    # a system whose values the route must count
+    system = parse_system(MARGIN_SIX)
+    assert certified_margin(system) == 6
+    margin = lindiff._echelon_margin
+    monkeypatch.setattr(lindiff, "_echelon_margin", lambda *args: margin(*args) - 1)
+    with pytest.raises(DiffdimError, match="pivot of order 0 at level 6, more than margin 5"):
+        kolchin_via_prolongation(system)
+    path = tmp_path / "margin6.sys"
+    path.write_text(MARGIN_SIX)
+    assert main(["kolchin", "--system", str(path), "--check"]) == 1
+    assert "self-check" in capsys.readouterr().err
 
 
 # instance 23 of the check-random benchmark workload at seed 1

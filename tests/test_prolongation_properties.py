@@ -99,9 +99,8 @@ def systems(draw, m=None, n=None):
     derivations and n <= 2 unknowns, each drawn unless given."""
     m = draw(st.integers(1, 3)) if m is None else m
     n = draw(st.integers(1, 2)) if n is None else n
-    exponents = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(
-        lambda xi: sum(xi) <= 3
-    ).map(tuple)
+    # an order, then a vector of that order: no draw is rejected
+    exponents = st.integers(0, 3).flatmap(lambda k: st.sampled_from(_exponents_of_order(m, k)))
     coefficients = st.fractions(-6, 6, max_denominator=3).filter(bool)
     equations = st.dictionaries(
         st.tuples(exponents, st.integers(1, n)), coefficients, min_size=1, max_size=4
