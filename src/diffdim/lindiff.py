@@ -344,12 +344,14 @@ def _normal_form(row, index, keys, tail):
     return row
 
 
-def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
+def _groebner(
+    system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP, keys: _Keys | None = None
+):
     """The reduced Groebner basis, by Buchberger completion under the orderly
-    ranking, on primitive integer rows over packed keys (``_Keys``), sized by
-    the larger of the system's order and n.
+    ranking, on primitive integer rows over packed keys ``keys`` (``_Keys``),
+    by default sized by the larger of the system's order and n.
 
-    Each element is one [row, packed leader] list, shared by the basis and
+    Each element is one (row, packed leader) pair, shared by the basis and
     the per-unknown index.  Input equations and S-rows are only top-reduced
     before they join the basis: only an element's leader drives the pairs,
     and the final pass tail-reduces every survivor.  S-pairs exist only
@@ -382,16 +384,21 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
     no final pass.
 
     No term of a reduction outranks the S-row's leader, so keys stay
-    within the join orders.  Before an S-pair whose join order would not
-    fit a field, every element is re-packed in place at double width: the
-    leaders' orders fit, so one doubling fits their join.  One pass in
-    ascending leader order then minimalises and tail-reduces: a leader
-    divides only derivatives it does not outrank, so only the survivors
-    before an element can drop it or reduce its terms.
+    within the join orders.  At a join order that does not fit a field,
+    completion starts over at double width, which fits the join of two
+    fitting leaders; the width doubles on each restart.  Packed order is
+    rank order at every width, so the new attempt makes the same pairs and
+    rows in the same order and ends in the same basis.  The cap counts the
+    reductions of one attempt: the attempt that finishes or raises reduces
+    the pairs of a run that never restarted, and an abandoned one costs at
+    most a cap's worth.  One pass in ascending leader order then
+    minimalises and tail-reduces: a leader divides only derivatives it does
+    not outrank, so only the survivors before an element can drop it or
+    reduce its terms.
     """
     check_cap("gb_step_cap", gb_step_cap)
-    keys = _Keys.fitting(system.m, max(system.order, system.n))
-    basis: list[list] = []  # [row, leader], shared with index
+    keys = keys or _Keys.fitting(system.m, max(system.order, system.n))
+    basis: list[tuple] = []  # (row, leader), shared with index
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     units: set[int] = set()  # unknowns u whose x_u is a leader
@@ -411,7 +418,7 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
             join = tuple(map(max, jxi, xi))
             heappush(pairs, (sum(join), unknown, join, j, k))
             pending.add((j, k))
-        basis.append([row, lead])
+        basis.append((row, lead))
         index.setdefault(unknown, []).append(basis[k])
         members.append((k, xi))
 
@@ -436,10 +443,7 @@ def _groebner(system: LinearDiffSystem, gb_step_cap: int = DEFAULT_GB_STEP_CAP):
             )
         steps += 1
         if order >= keys.limit:
-            wide = _Keys.of(keys.m, 2 * keys.width)
-            for entry in basis:
-                entry[:] = _repack(entry[0], keys, wide), wide.pack(*keys.unpack(entry[1]))
-            keys = wide
+            return _groebner(system, gb_step_cap, _Keys.of(keys.m, 2 * keys.width))
         (f, flead), (g, glead) = basis[a], basis[b]
         jkey = keys.pack(join, unknown)
         s_row = {k + jkey - flead: v for k, v in f.items()}
@@ -584,15 +588,19 @@ class _Echelon:
     memory is the pivot rows and one row under reduction, which holds at
     most its own entries and those of the pivots it met: O(H) entries.
     With no equations there is no first level: ``level`` is infinite and
-    nothing is built.  The keys start at the system's own layout and are
-    re-packed at double width before a level that does not fit a field.
+    nothing is built.  The keys start at ``keys`` or the system's own
+    layout.  A level that does not fit a field starts the echelon over at
+    double width, rebuilt to the level below: packed order is rank order at
+    every width, so it makes the same rows and pivots in the same order,
+    with the same ``orders`` and ``held`` under the same cap.  One doubling
+    fits the level, and a rebuild at most doubles the work done so far.
     """
 
     __slots__ = ("system", "cap", "keys", "level", "held", "pivots", "orders", "parents")
 
-    def __init__(self, system: LinearDiffSystem, matrix_cell_cap: int):
+    def __init__(self, system: LinearDiffSystem, matrix_cell_cap: int, keys: _Keys | None = None):
         self.system, self.cap, self.held = system, matrix_cell_cap, 0
-        self.keys = _Keys.fitting(system.m, max(system.order, system.n))
+        self.keys = keys or _Keys.fitting(system.m, max(system.order, system.n))
         self.level = min((eq.order for eq in system.equations), default=inf) - 1
         self.pivots: dict[int, dict] = {}  # pivot -> its reduced row
         self.orders: list[tuple[int, int]] = []
@@ -604,8 +612,9 @@ class _Echelon:
 
     def grow(self) -> None:
         level = self.level + 1
-        while level >= self.keys.limit:
-            self._widen()
+        if level >= self.keys.limit:
+            self.__init__(self.system, self.cap, _Keys.of(self.keys.m, 2 * self.keys.width))
+            self.build(level - 1)
         self.level = level
         keys, pivots, orders, cap, held = self.keys, self.pivots, self.orders, self.cap, self.held
         steps, shift = keys.steps, keys.order_shift
@@ -631,17 +640,6 @@ class _Echelon:
             orders.append((level, lead >> shift))
             parents.append((first, row, lead))
         self.held = held
-
-    def _widen(self) -> None:
-        keys = self.keys
-        wide = _Keys.of(keys.m, 2 * keys.width)
-
-        def pack(key):
-            return wide.pack(*keys.unpack(key))
-
-        self.pivots = {pack(lead): _repack(row, keys, wide) for lead, row in self.pivots.items()}
-        self.parents = [(k, self.pivots[pack(lead)], pack(lead)) for k, _, lead in self.parents]
-        self.keys = wide
 
 
 def prolongation_dimension(

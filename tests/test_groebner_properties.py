@@ -164,9 +164,9 @@ def test_groebner_matches_plain_buchberger(system):
 
 def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
     # at m = 2 the shared layout's 7-bit fields hold 0..63.  The only pair,
-    # of d[63,0]x2 and d[62,1]x2, joins at order 64, so completion re-packs
-    # the rows at 14 bits first; its S-row's d[63,1]x1 is then reduced by x1
-    # with ord theta = 64
+    # of d[63,0]x2 and d[62,1]x2, joins at order 64, so completion starts
+    # over at 14 bits and reaches that pair again; its S-row's d[63,1]x1 is
+    # then reduced by x1 with ord theta = 64
     system = parse_system(
         "m = 2\nn = 2\neq: d[63,0]x2 + d[63,0]x1\neq: d[62,1]x2 + x1\neq: x1\n"
     )
@@ -178,8 +178,9 @@ def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
         for eq in gb.equations
     }
     assert basis == oracle_basis(system)
-    # that one reduction needs x1 at the new width: found through a stale
-    # leader index, the S-row would stay and push a fourth element
+    # the attempt that finishes counts only its own reduction, and that
+    # reduction needs x1 packed at the new width: an S-row built at 14 bits
+    # against leaders still packed at 7 would stay and push a fourth element
     assert len(_groebner(system, gb_step_cap=1).equations) == 3
 
 

@@ -469,6 +469,36 @@ def test_understated_margin_fails_the_self_check(monkeypatch, tmp_path, capsys):
     assert "self-check" in capsys.readouterr().err
 
 
+# floor 1, type 1, margin 0: the route reads the values at 1 and 2 and
+# guards with the value at 3
+FLOOR_ONE = "m = 2\nn = 1\neq: d[0,3]x1 + x1\n"
+
+
+def test_floor_read_too_low_fails_the_guard(monkeypatch, tmp_path, capsys):
+    # with floor 0 the route interpolates the values 1 and 3 at 0 and 1 to
+    # 2s + 1, and the value 6 at 2 leaves it.  No pivot lies below level 3,
+    # so the per-pivot check has nothing to say and only the guard catches it
+    system = parse_system(FLOOR_ONE)
+    assert kolchin_via_prolongation(system) == NumericalPolynomial.from_coeffs((0, 3, -3))
+    floor = lindiff.stabilisation_level
+    monkeypatch.setattr(lindiff, "stabilisation_level", lambda es: floor(es) - 1)
+    with pytest.raises(DiffdimError, match="value at 2 is 6, not 5"):
+        kolchin_via_prolongation(parse_system(FLOOR_ONE))
+    path = tmp_path / "floor1.sys"
+    path.write_text(FLOOR_ONE)
+    assert main(["kolchin", "--system", str(path), "--check"]) == 1
+    assert "value at 2 is 6, not 5" in capsys.readouterr().err
+
+
+def test_type_read_too_low_fails_the_guard(monkeypatch):
+    # heat.sys counts 2s + 1 from floor 0; read as type 0, the one value 1 at
+    # 0 is taken for the constant 1, and the value 3 at 1 leaves it
+    typed = NumericalPolynomial.differential_type
+    monkeypatch.setattr(NumericalPolynomial, "differential_type", lambda p: typed(p) - 1)
+    with pytest.raises(DiffdimError, match="value at 1 is 3, not 1"):
+        kolchin_via_prolongation(load("heat.sys"))
+
+
 # instance 23 of the check-random benchmark workload at seed 1
 ONE_PAST_THE_WINDOW = """m = 3
 n = 1

@@ -1,6 +1,7 @@
 """Property tests: the echelon built from Janet parents has the pivots of the
 echelon that reduces every prolongation theta * equation from scratch."""
 
+from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from pathlib import Path
@@ -101,7 +102,11 @@ def systems(draw, m=None, n=None):
     n = draw(st.integers(1, 2)) if n is None else n
     # an order, then a vector of that order: no draw is rejected
     exponents = st.integers(0, 3).flatmap(lambda k: st.sampled_from(_exponents_of_order(m, k)))
-    coefficients = st.fractions(-6, 6, max_denominator=3).filter(bool)
+    # a denominator q <= 3, then a magnitude in (0, 6] and a sign: the nonzero
+    # fractions of st.fractions(-6, 6, max_denominator=3), none rejected
+    coefficients = st.integers(1, 3).flatmap(lambda q: st.builds(
+        lambda p, sign: Fraction(sign * p, q), st.integers(1, 6 * q), st.sampled_from((1, -1))
+    ))
     equations = st.dictionaries(
         st.tuples(exponents, st.integers(1, n)), coefficients, min_size=1, max_size=4
     ).map(equation)
@@ -148,8 +153,8 @@ def test_every_level_from_the_first_stores_a_pivot_row_on_the_fixtures(name):
 
 def test_janet_parent_echelon_past_the_equations_width_matches_from_scratch():
     # at m = 1 the equations' 10-bit fields hold orders 0..511, and the
-    # echelon starts at their layout; top 520 needs 11 bits, so it re-packs
-    # its rows before level 512
+    # echelon starts at their layout; top 520 needs 11 bits, so at level 512
+    # it starts over at 20 bits, rebuilds levels up to 511 and goes on
     system = parse_system("m = 1\nn = 2\neq: d[2]x1 - 3*x2\neq: 2*d[1]x2 + d[1]x1 - x1\n")
     top = 520
     assert system.equations[0]._keys.width == 10
