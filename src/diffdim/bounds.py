@@ -158,7 +158,11 @@ def bound_report(r: int, m: int, n: int, *, digit_cap: int = DEFAULT_DIGIT_CAP) 
     """Compute every bound for the given shape of system.
 
     The comparison level is n * 2^(m+1) * m! * D^m + 1 and the coefficient
-    bound is n * D^m, with D the order sum bound.
+    bound is n * max(D, 1)^m, with D the order sum bound.  At r = 0 each
+    equation is a linear form in x_1..x_n, so C = 0, the count is
+    (n - rank) * C(s + m, m), polynomial from level 0, and its coefficients
+    are at most n, which the free module attains; level 1 decides, since two
+    such counts differ by a multiple of C(s + m, m).
     """
     c = char_order_bound(r, m, n, digit_cap=digit_cap)
     big_d = _order_sum_bound(c, m, digit_cap)
@@ -168,7 +172,7 @@ def bound_report(r: int, m: int, n: int, *, digit_cap: int = DEFAULT_DIGIT_CAP) 
             f"{big_d.bit_length()} bits, past {digit_cap} decimal digits"
         )
     d_pow = big_d**m
-    coeff = n * d_pow
+    coeff = n * max(big_d, 1) ** m
     comparison = n * 2 ** (m + 1) * factorial(m) * d_pow + 1
     _guard_digits(comparison, digit_cap, "comparison level")
     return BoundReport(

@@ -6,7 +6,8 @@ here read them off computed answers: the fixtures, the classical corpus of
 ``tests/test_classical.py`` and systems drawn by the property tests' own
 strategy, wherever ``bound_report`` answers under its digit cap and step
 budget.  On the corpus that leaves out probe4.sys, Killing's and the
-conformal Killing equations for m >= 4, Cauchy-Riemann in C^2 and Maxwell.
+conformal Killing equations for m >= 4, Laplace's equation in R^6,
+Cauchy-Riemann in C^2 and Maxwell.
 
 The bounds on orders speak of a characteristic set, and the tests read the
 reduced Groebner basis.  For a linear module the two have the same leaders:
@@ -94,7 +95,7 @@ def assert_floor_within_regularity(system, bounds):
 
 def assert_coefficients_within_bound(system, bounds):
     """The paper's coefficient bound: the Kolchin polynomial's coefficients
-    are at most ``coeff_bound`` = n * D^m in absolute value.  The ones
+    are at most ``coeff_bound`` = n * max(D, 1)^m in absolute value.  The ones
     checked are the standard coefficients a_i of sum a_i * C(s + i, i).
     The polynomial is read off the reduced basis's leaders, a characteristic
     set's (see the module docstring)."""
@@ -119,16 +120,10 @@ STATEMENTS = {
     "regularity": assert_floor_within_regularity,
     "coefficients": assert_coefficients_within_bound,
 }
-# at r = 0 the encoding gives D = 0, so coeff_bound = n * 0^m = 0, while a
-# module short of the whole free one keeps a nonzero coefficient: free2.sys
-# has the standard coefficients (2, 0)
-R_ZERO = pytest.mark.xfail(strict=True, reason="coeff_bound is 0 at r = 0 (CHANGES FOUND)")
 
 
 @pytest.mark.parametrize("name, statement", [
-    pytest.param(name, statement, marks=R_ZERO if statement == "coefficients"
-                 and CORPUS[name][0].order == 0 else ())
-    for name in sorted(CORPUS) for statement in STATEMENTS
+    (name, statement) for name in sorted(CORPUS) for statement in STATEMENTS
 ])
 def test_bound_holds_on_the_corpus(name, statement):
     STATEMENTS[statement](*CORPUS[name])
@@ -141,8 +136,7 @@ def test_bounds_hold_on_drawn_systems(system):
     hypothesis.assume(bounds is not None)
     assert_leader_order_within_char_order(system, bounds)
     assert_floor_within_regularity(system, bounds)
-    if system.order > 0:  # see R_ZERO
-        assert_coefficients_within_bound(system, bounds)
+    assert_coefficients_within_bound(system, bounds)
 
 
 @pytest.mark.parametrize("a, b", [

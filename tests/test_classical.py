@@ -56,6 +56,13 @@ def div_curl():
     )
 
 
+def laplace(m):
+    """The sum of d_i^2 u over i = 1..m."""
+    return f"m = {m}\nn = 1\neq: " + " + ".join(
+        "d[" + ",".join(str(2 * (j == i)) for j in range(m)) + "]x1" for i in range(m)
+    ) + "\n"
+
+
 def cauchy_riemann_c2():
     """u + i v holomorphic in z_k = x_k + i y_k, the variables (x1, y1, x2, y2)."""
     return first_order_system(4, 2, [
@@ -87,6 +94,11 @@ CLASSICAL = {
     # in R^3, for the k = 1..s + 1 whose gradients are s-jets; s^2 + 4s + 3,
     # standard coefficients (0, 2, 1, 0)
     "div-curl": (div_curl(), lambda s: sum(2 * k + 1 for k in range(1, s + 2))),
+    # the harmonic polynomials of degree <= s in R^6: C(s + 6, 6) - C(s + 4, 6),
+    # standard coefficients (0, 2, -1, 0, 0, 0, 0).  The parse packs 3-bit
+    # fields, which hold levels up to 3, so the route's echelon starts over
+    # at double width at level 4
+    "laplace-m6": (laplace(6), lambda s: comb(s + 6, 6) - comb(s + 4, 6)),
     # the holomorphic jets in two complex variables: s^2 + 3s + 2, standard
     # coefficients (0, 0, 2, 0, 0)
     "cauchy-riemann-c2": (cauchy_riemann_c2(), lambda s: 2 * comb(s + 2, 2)),

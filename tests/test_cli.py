@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,12 +8,21 @@ from pathlib import Path
 
 import pytest
 
+import diffdim
 from diffdim import expsets, from_json_dict, lindiff
 from diffdim.cli import main
 from diffdim.numpoly import NumericalPolynomial
+from test_classical import laplace
+from test_lindiff import MARGIN_SIX, MONOMIALS_6, UNIT_IDEAL
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
+# child processes import the diffdim that these tests imported: src/ in a
+# checkout, site-packages where the package is installed
+IMPORT_ROOT = str(Path(diffdim.__file__).resolve().parent.parent)
+CHILD = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from diffdim.cli import main; sys.exit(main(sys.argv[2:]))"
+)
 
 
 def run(capsys, *argv):
@@ -25,7 +35,8 @@ def run(capsys, *argv):
 # under tests/data
 FILES = {
     "HEAT": "0, 2\n", "CORNER": "1, 1\n", "CORNER3": "1, 1, 1\n", "FIVE": "5\n",
-    "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n",
+    "SET3": "0,4,7\n1,5,2\n3,0,4\n2,2,1\n", "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n",
+    "UNIT": UNIT_IDEAL, "MONOMIALS6": MONOMIALS_6, "MARGIN6": MARGIN_SIX,
 }
 
 
@@ -175,12 +186,8 @@ def test_volume_on_unit_vectors_stops_at_the_covered_slice(tmp_path):
     m = 256
     path = tmp_path / "units.txt"
     path.write_text("".join(",".join(str(int(i == j)) for j in range(m)) + "\n" for i in range(m)))
-    child = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "from diffdim.cli import main; sys.exit(main(sys.argv[2:]))"
-    )
     done = subprocess.run(
-        [sys.executable, "-c", child, str(SRC), "volume", "--file", str(path), "--s", "2"],
+        [sys.executable, "-c", CHILD, IMPORT_ROOT, "volume", "--file", str(path), "--s", "2"],
         capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (10, 10)),
     )
@@ -200,23 +207,16 @@ def test_kolchin_check_stops_at_the_cell_cap_within_its_memory(tmp_path):
     resource = pytest.importorskip("resource")
     if not sys.platform.startswith("linux"):
         pytest.skip("RLIMIT_AS is enforced on Linux")
-    m = 11
-    text = f"m = {m}\nn = 1\neq: " + " + ".join(
-        "d[" + ",".join(str(2 * (j == i)) for j in range(m)) + "]x1" for i in range(m)
-    ) + "\n"
+    text = laplace(11)
     below = lindiff._Echelon(lindiff.parse_system(text), lindiff.DEFAULT_MATRIX_CELL_CAP)
     below.build(10)
     cap, rows = sum(map(len, below.pivots.values())), len(below.pivots)
     del below
     path = tmp_path / "laplace11.sys"
     path.write_text(text)
-    child = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "from diffdim.cli import main; sys.exit(main(sys.argv[2:]))"
-    )
     limit = 180 * 2**20
     done = subprocess.run(
-        [sys.executable, "-c", child, str(SRC), "kolchin", "--system", str(path), "--check",
+        [sys.executable, "-c", CHILD, IMPORT_ROOT, "kolchin", "--system", str(path), "--check",
          "--matrix-cell-cap", str(cap)],
         capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
@@ -553,9 +553,16 @@ def test_kolchin_bad_system_file(capsys, tmp_path):
 
 
 def test_interpolate_command(capsys):
-    code, out, _ = run(capsys, "interpolate", "--values", "1,3,5", "--start", "0")
+    argv = ["interpolate", "--values", "1,3,5", "--start", "0"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines() == ["2*t + 1", "standard coefficients: [0, 2, -1]"]
+    # the module runs as a script too
+    done = subprocess.run(
+        [sys.executable, "-m", "diffdim.cli", *argv], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
+    )
+    assert (done.returncode, done.stdout) == (0, out), done.stderr
 
 
 def test_interpolate_json(capsys):
@@ -636,6 +643,13 @@ PINNED = [
     (("volume", "--file", "HEAT", "--s", "3"), 0,
      "volume = 7\nnumerator = 7\n",
      '{"s": 3, "volume": 7, "numerator": 7, "agree": true}\n'),
+    (("omega-set", "--file", "SET3"), 0,
+     "1/2*t^2 + 49/2*t - 86\nstandard coefficients: [0, 1, 23, -110]\n",
+     '{"m": 3, "standard_coeffs": ["0", "1", "23", "-110"], "render": "1/2*t^2 + 49/2*t - 86"}\n'),
+    # 14,839 of the 585,276 points of order <= 150 lie outside the set's ideal
+    (("volume", "--file", "SET3", "--s", "150"), 0,
+     "volume = 14839\nnumerator = 14839\n",
+     '{"s": 150, "volume": 14839, "numerator": 14839, "agree": true}\n'),
     (("volume", "--file", "CORNER3", "--s", "50", "--enum-cap", "50"), 3, "", ""),
     (("volume", "--file", "FIVE", "--s", str(10**20), "--enum-cap", str(10**30)), 0,
      "volume = 5\nnumerator = 5\n",
@@ -660,6 +674,25 @@ PINNED = [
     # the first pivot row, Laplace's equation, holds two entries
     (("kolchin", "--system", "laplace.sys", "--check", "--matrix-cell-cap", "1"), 3, "", ""),
     (("kolchin", "--system", "probe4.sys", "--gb-step-cap", "5"), 3, "", ""),
+    # completion stops at the unit module after 3 S-pair reductions, and
+    # makes no pair of two monomials
+    (("kolchin", "--system", "UNIT", "--check", "--gb-step-cap", "3"), 0,
+     "groebner: 0  [0, 0, 0]\nprolongation: 0  [0, 0, 0]\nAGREE\n",
+     '{"groebner": {"m": 2, "standard_coeffs": ["0", "0", "0"], "render": "0"}, '
+     '"prolongation": {"m": 2, "standard_coeffs": ["0", "0", "0"], "render": "0"}, '
+     '"agree": true}\n'),
+    (("kolchin", "--system", "UNIT", "--check", "--gb-step-cap", "2"), 3, "", ""),
+    (("kolchin", "--system", "MONOMIALS6", "--check", "--gb-step-cap", "1"), 0,
+     "groebner: 15  [0, 0, 15]\nprolongation: 15  [0, 0, 15]\nAGREE\n",
+     '{"groebner": {"m": 2, "standard_coeffs": ["0", "0", "15"], "render": "15"}, '
+     '"prolongation": {"m": 2, "standard_coeffs": ["0", "0", "15"], "render": "15"}, '
+     '"agree": true}\n'),
+    # x1 is first a pivot at level 6: margin 6
+    (("kolchin", "--system", "MARGIN6", "--check"), 0,
+     "groebner: 2  [0, 0, 2]\nprolongation: 2  [0, 0, 2]\nAGREE\n",
+     '{"groebner": {"m": 2, "standard_coeffs": ["0", "0", "2"], "render": "2"}, '
+     '"prolongation": {"m": 2, "standard_coeffs": ["0", "0", "2"], "render": "2"}, '
+     '"agree": true}\n'),
     (("kolchin", "--system", "heat.sys", "--type"), 0, "1\n", '{"differential_type": 1}\n'),
     (("kolchin", "--system", "heat.sys", "--at-least", "0,1,5"), 0,
      "true\n", '{"result": true}\n'),

@@ -22,6 +22,7 @@ from diffdim.lindiff import (  # noqa: E402
     parse_system,
 )
 from parsed import equation  # noqa: E402
+from test_lindiff import JOIN_64  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=30, deadline=None)
 
@@ -167,9 +168,7 @@ def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():
     # of d[63,0]x2 and d[62,1]x2, joins at order 64, so completion starts
     # over at 14 bits and reaches that pair again; its S-row's d[63,1]x1 is
     # then reduced by x1 with ord theta = 64
-    system = parse_system(
-        "m = 2\nn = 2\neq: d[63,0]x2 + d[63,0]x1\neq: d[62,1]x2 + x1\neq: x1\n"
-    )
+    system = parse_system(JOIN_64)
     assert system.equations[0]._keys.width == 7
     gb = module_groebner(system)
     assert {eq._keys.width for eq in gb.equations} == {14}

@@ -235,6 +235,10 @@ CHAIN_PENDING_AC_M2 = (
     "m = 2\nn = 1\n"
     "eq: -9*d[3,0]x1 + d[1,0]x1\neq: -3*d[0,3]x1 - 8*d[2,0]x1\neq: d[1,2]x1 - 7*x1\n"
 )
+# the parse packs 7-bit fields, which hold orders up to 63, and the one
+# S-pair joins at order 64: completion starts over at double width, and so
+# does the route's echelon at level 64
+JOIN_64 = "m = 2\nn = 2\neq: d[63,0]x2 + d[63,0]x1\neq: d[62,1]x2 + x1\neq: x1\n"
 INLINE_SYSTEMS = {
     "unit-ideal": UNIT_IDEAL,
     "unit-x1": UNIT_X1,
@@ -243,6 +247,7 @@ INLINE_SYSTEMS = {
     "chain-pending-ac": CHAIN_PENDING_AC,
     "chain-pending-bc": CHAIN_PENDING_BC,
     "chain-pending-ac-m2": CHAIN_PENDING_AC_M2,
+    "join-64": JOIN_64,
 }
 
 
@@ -655,6 +660,8 @@ def test_a_completed_system_equals_a_fresh_parse():
     assert repr(system) == repr(fresh)
     assert system == fresh
     assert hash(system) == hash(fresh)
+    # an equation equals only an equation, not its own terms
+    assert system.equations[0] != system.equations[0].terms
 
 
 def test_completed_system_still_checks_the_cap():
@@ -796,12 +803,13 @@ CORPUS_EXPECTED = {
     "cauchy_riemann.sys": (0, 2, 0),
     "ode2.sys": (0, 2),
     "free2.sys": (2, 0),
+    "join-64": (0, 62, -1890),
 }
 
 
 @pytest.mark.parametrize("name,expected", sorted(CORPUS_EXPECTED.items()))
 def test_corpus_kolchin_both_routes(name, expected):
-    system = load(name)
+    system = parse_system(INLINE_SYSTEMS[name]) if name in INLINE_SYSTEMS else load(name)
     assert kolchin_polynomial(system).standard_coeffs == expected
     assert kolchin_via_prolongation(system) == NumericalPolynomial.from_coeffs(expected)
 

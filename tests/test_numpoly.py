@@ -45,6 +45,8 @@ def test_equality_ignores_padding():
     assert p == q
     assert hash(p) == hash(q)
     assert p != NumericalPolynomial.from_coeffs((2, 0))
+    # a polynomial equals only a polynomial, not its coefficients
+    assert p != p.standard_coeffs
 
 
 def test_addition_pads_to_common_bound():
@@ -54,6 +56,8 @@ def test_addition_pads_to_common_bound():
     assert total.standard_coeffs == (1, 2, 5)
     for s in range(6):
         assert total.evaluate(s) == p.evaluate(s) + q.evaluate(s)
+    with pytest.raises(TypeError):
+        p + 1
 
 
 def test_compare_eventual_basic():

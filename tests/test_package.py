@@ -4,7 +4,9 @@ from pathlib import Path
 
 import diffdim
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the child imports the diffdim that this test imported: src/ in a
+# checkout, site-packages where the package is installed
+IMPORT_ROOT = str(Path(diffdim.__file__).resolve().parent.parent)
 
 # numpy is installed beside the tests (the benchmark records its version),
 # so only a fresh interpreter shows that the package itself never loads it
@@ -26,6 +28,6 @@ def test_every_exported_name_resolves():
 
 def test_package_loads_no_numpy():
     done = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, str(SRC)], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", NO_NUMPY, IMPORT_ROOT], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
