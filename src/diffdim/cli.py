@@ -233,7 +233,7 @@ def _cmd_kolchin(args):
 
 
 def _cmd_interpolate(args):
-    return _poly_answer(numpoly.interpolate(args.values, args.start, len(args.values) - 1))
+    return _poly_answer(numpoly.interpolate(args.values, args.start))
 
 
 def main(argv=None) -> int:

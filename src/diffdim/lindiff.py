@@ -751,7 +751,7 @@ def kolchin_via_prolongation(
         if order <= top:
             tally[max(order - floor, 0)] += 1
     *values, last = (n * comb(m + floor + j, m) - low for j, low in enumerate(accumulate(tally)))
-    omega = interpolate(values, floor, d)
+    omega = interpolate(values, floor)
     if (want := omega.evaluate(top)) != last:
         raise DiffdimError(f"prolongation self-check failed: value at {top} is {last}, not {want}")
     return omega.padded(m)

@@ -145,22 +145,19 @@ def compare_eventual(p: NumericalPolynomial, q: NumericalPolynomial) -> int:
     return EQUAL
 
 
-def interpolate(values, start: int, m: int) -> NumericalPolynomial:
-    """Recover a polynomial of degree <= m from its values at consecutive points.
+def interpolate(values, start: int) -> NumericalPolynomial:
+    """Recover a polynomial from its values at consecutive points.
 
-    ``values`` are p(start), p(start + 1), ..., p(start + m) with start >= 0.
+    ``values`` are p(start), ..., p(start + m), m + 1 of them, with start >= 0.
     Recovery runs by repeated differencing: the backward difference
     p(t) - p(t - 1) drops every basis index by one, so the k-th difference
     of the values, first read at start + k, has the coefficients (a_m, ...,
     a_k), and a_k is its first value less the terms of a_m, ..., a_(k+1).
     """
-    if start < 0:
-        raise ValueError("start must be non-negative")
-    if m < 0:
-        raise ValueError("degree bound must be non-negative")
     vals = [_as_int(v) for v in values]
-    if len(vals) != m + 1:
-        raise ValueError(f"need exactly {m + 1} values, got {len(vals)}")
+    if start < 0 or not vals:
+        raise ValueError(f"need start >= 0 and a value, got start {start} and {len(vals)} values")
+    m = len(vals) - 1
     firsts = []  # the first value of each difference
     while vals:
         firsts.append(vals[0])

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import diffdim
-from diffdim import expsets, from_json_dict, lindiff
+from diffdim import expsets, lindiff
 from diffdim.cli import main
-from diffdim.numpoly import NumericalPolynomial
 from test_classical import laplace
 from test_lindiff import MARGIN_SIX, MONOMIALS_6, UNIT_IDEAL
 
@@ -34,7 +33,8 @@ def run(capsys, *argv):
 # placeholders an argv may name: files the test writes, and *.sys files
 # under tests/data
 FILES = {
-    "HEAT": "0, 2\n", "CORNER": "1, 1\n", "CORNER3": "1, 1, 1\n", "FIVE": "5\n",
+    "HEAT": "0, 2\n", "CORNER": "1, 1\n", "CORNER3": "1, 1, 1\n", "CORNERS": "1,0\n0,1\n",
+    "FIVE": "5\n",
     "SET3": "0,4,7\n1,5,2\n3,0,4\n2,2,1\n", "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n",
     "UNIT": UNIT_IDEAL, "MONOMIALS6": MONOMIALS_6, "MARGIN6": MARGIN_SIX,
 }
@@ -49,57 +49,19 @@ def resolve(tmp_path, argv):
     ]
 
 
-@pytest.fixture
-def heat_leaders(tmp_path):
-    path = tmp_path / "heat_leaders.txt"
-    path.write_text("0, 2\n")
-    return str(path)
-
-
-def test_omega_set_human(capsys, heat_leaders):
-    code, out, _ = run(capsys, "omega-set", "--file", heat_leaders)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "2*t + 1"
-    assert lines[1] == "standard coefficients: [0, 2, -1]"
-
-
-def test_omega_set_json_roundtrips(capsys, heat_leaders):
-    code, out, _ = run(capsys, "omega-set", "--format", "json", "--file", heat_leaders)
-    assert code == 0
-    doc = json.loads(out)
-    assert from_json_dict(doc) == NumericalPolynomial.from_coeffs((0, 2, -1))
-    assert doc["render"] == "2*t + 1"
-
-
 def test_omega_set_missing_file(capsys):
     code, _, err = run(capsys, "omega-set", "--file", "/nonexistent/path.txt")
     assert code == 1
     assert err
 
 
-def test_volume_command(capsys, heat_leaders):
-    code, out, _ = run(capsys, "volume", "--file", heat_leaders, "--s", "3")
-    assert code == 0
-    assert out.splitlines() == ["volume = 7", "numerator = 7"]
-
-
-def test_volume_json(capsys, heat_leaders):
-    code, out, _ = run(
-        capsys, "volume", "--format", "json", "--file", heat_leaders, "--s", "3"
-    )
-    assert code == 0
-    assert json.loads(out) == {"s": 3, "volume": 7, "numerator": 7, "agree": True}
-
-
-def test_volume_disagreement_exits_1(capsys, heat_leaders, monkeypatch):
+def test_volume_disagreement_exits_1(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(expsets, "_numerator_volume", lambda _exp_set, s: s)
-    code, out, _ = run(capsys, "volume", "--file", heat_leaders, "--s", "3")
+    argv = resolve(tmp_path, ["volume", "--file", "HEAT", "--s", "3"])
+    code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out.splitlines() == ["volume = 7", "numerator = 3", "DISAGREE"]
-    code, out, _ = run(
-        capsys, "volume", "--format", "json", "--file", heat_leaders, "--s", "3"
-    )
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out) == {"s": 3, "volume": 7, "numerator": 3, "agree": False}
 
@@ -112,19 +74,6 @@ def test_volume_on_a_long_staircase(capsys, tmp_path):
     code, out, _ = run(capsys, "volume", "--file", str(path), "--s", "30")
     assert code == 0
     assert out.splitlines() == ["volume = 276", "numerator = 276"]
-
-
-def test_volume_cap_exit_code(capsys, tmp_path):
-    # at m = 3 the walk has the 51 prefixes 0..50 of the first coordinate
-    path = tmp_path / "e.txt"
-    path.write_text("1, 1, 1\n")
-    code, _, err = run(
-        capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "50"
-    )
-    assert code == 3
-    assert "resource limit: volume walk at order 50 visits up to 51 prefixes" in err
-    code, _, _ = run(capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "51")
-    assert code == 0
 
 
 def test_volume_cap_counts_the_generators_each_prefix_passes(capsys, tmp_path):
@@ -229,7 +178,7 @@ def test_kolchin_check_stops_at_the_cell_cap_within_its_memory(tmp_path):
 
 
 def test_enum_cap_env_override(capsys, tmp_path, monkeypatch):
-    # 51 prefixes, as in test_volume_cap_exit_code
+    # 51 prefixes, as in the rows of PINNED on CORNER3
     path = tmp_path / "e.txt"
     path.write_text("1, 1, 1\n")
     monkeypatch.setenv("KOLCHIN_ENUM_CAP", "50")
@@ -241,52 +190,6 @@ def test_enum_cap_env_override(capsys, tmp_path, monkeypatch):
         capsys, "volume", "--file", str(path), "--s", "50", "--enum-cap", "51"
     )
     assert code == 0
-
-
-def test_bounds_human(capsys):
-    code, out, _ = run(capsys, "bounds", "--r", "1", "--m", "2", "--n", "1")
-    assert code == 0
-    assert out.splitlines() == [
-        "char_order = 2",
-        "order_sum = 6",
-        "regularity = 10",
-        "comparison_level = 577",
-        "coeff_bound = 36",
-    ]
-
-
-def test_bounds_json_decimal_strings(capsys):
-    code, out, _ = run(
-        capsys, "bounds", "--format", "json", "--r", "1", "--m", "2", "--n", "2"
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["comparison_level"] == "12801"
-    assert doc["coeff_bound"] == "800"
-    assert doc["r"] == 1
-
-
-def test_bounds_digit_cap(capsys):
-    code, _, err = run(
-        capsys, "bounds", "--r", "4", "--m", "4", "--n", "1", "--bound-digit-cap", "50"
-    )
-    assert code == 3
-
-
-def test_rank_compare(capsys):
-    code, out, _ = run(capsys, "rank-compare", "d[1,0]x1", "d[0,2]x1")
-    assert code == 0
-    assert out.strip() == "Less"
-    code, out, _ = run(capsys, "rank-compare", "d[1,1]x2", "d[1,1]x1")
-    assert out.strip() == "Greater"
-    code, out, _ = run(capsys, "rank-compare", "d[2,0]x1", "d[2,0]x1")
-    assert out.strip() == "Equal"
-
-
-def test_rank_compare_mismatched_ambient(capsys):
-    code, _, err = run(capsys, "rank-compare", "d[1,0]x1", "d[1]x1")
-    assert code == 1
-    assert err
 
 
 @pytest.mark.parametrize(
@@ -308,28 +211,6 @@ def test_rank_compare_bad_monomial_is_usage_error(capsys, argv, name):
     assert f"argument {name}: " in err and "(line" not in err
 
 
-def test_omega_leaders_command(capsys, tmp_path):
-    path = tmp_path / "profile.txt"
-    path.write_text("1: 2,0\n2: 1,0\n2: 0,1\n")
-    code, out, _ = run(capsys, "omega-leaders", "--file", str(path))
-    assert code == 0
-    assert out.splitlines()[1] == "standard coefficients: [0, 2, 0]"
-
-
-def test_kolchin_default(capsys):
-    code, out, _ = run(capsys, "kolchin", "--system", str(DATA / "heat.sys"))
-    assert code == 0
-    assert out.splitlines()[0] == "2*t + 1"
-
-
-def test_kolchin_check_agrees(capsys):
-    code, out, _ = run(
-        capsys, "kolchin", "--system", str(DATA / "cauchy_riemann.sys"), "--check"
-    )
-    assert code == 0
-    assert out.splitlines()[-1] == "AGREE"
-
-
 def test_kolchin_check_runs_completion_once(capsys, monkeypatch):
     completions = []
     complete = lindiff._groebner
@@ -344,23 +225,6 @@ def test_kolchin_check_runs_completion_once(capsys, monkeypatch):
         code, out, _ = run(capsys, "kolchin", "--system", str(DATA / name), "--check")
         assert (code, out.splitlines()[-1]) == (0, "AGREE")
         assert len(completions) == 1, name
-
-
-def test_kolchin_check_json(capsys):
-    code, out, _ = run(
-        capsys,
-        "kolchin",
-        "--system",
-        str(DATA / "wave.sys"),
-        "--check",
-        "--format",
-        "json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["agree"] is True
-    assert doc["groebner"]["standard_coeffs"] == ["0", "2", "-1"]
-    assert from_json_dict(doc["prolongation"]) == from_json_dict(doc["groebner"])
 
 
 def route_echelon(monkeypatch, system):
@@ -517,27 +381,6 @@ def test_caps_only_where_read(capsys, monkeypatch, tmp_path, flag):
         assert run(capsys, *argv)[0] == 0, argv
 
 
-def test_kolchin_type(capsys):
-    code, out, _ = run(capsys, "kolchin", "--system", str(DATA / "heat.sys"), "--type")
-    assert code == 0
-    assert out.strip() == "1"
-
-
-def test_kolchin_predicates(capsys):
-    code, out, _ = run(
-        capsys, "kolchin", "--system", str(DATA / "heat.sys"), "--at-least", "0,1,5"
-    )
-    assert code == 0 and out.strip() == "true"
-    code, out, _ = run(
-        capsys, "kolchin", "--system", str(DATA / "heat.sys"), "--equals", "0,2,0"
-    )
-    assert code == 0 and out.strip() == "false"
-    code, out, _ = run(
-        capsys, "kolchin", "--system", str(DATA / "heat.sys"), "--equals", "0,2,-1"
-    )
-    assert code == 0 and out.strip() == "true"
-
-
 def test_kolchin_flags_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["kolchin", "--system", str(DATA / "heat.sys"), "--check", "--type"])
@@ -552,25 +395,15 @@ def test_kolchin_bad_system_file(capsys, tmp_path):
     assert "duplicate" in err
 
 
-def test_interpolate_command(capsys):
-    argv = ["interpolate", "--values", "1,3,5", "--start", "0"]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out.splitlines() == ["2*t + 1", "standard coefficients: [0, 2, -1]"]
+def test_interpolate_command():
     # the module runs as a script too
     done = subprocess.run(
-        [sys.executable, "-m", "diffdim.cli", *argv], capture_output=True, text=True,
-        timeout=60, env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
+        [sys.executable, "-m", "diffdim.cli", "interpolate", "--values", "1,3,5", "--start", "0"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": IMPORT_ROOT},
     )
-    assert (done.returncode, done.stdout) == (0, out), done.stderr
-
-
-def test_interpolate_json(capsys):
-    code, out, _ = run(
-        capsys, "interpolate", "--format", "json", "--values", "1,4,10", "--start", "0"
-    )
-    assert code == 0
-    assert json.loads(out)["standard_coeffs"] == ["3", "-3", "1"]
+    assert (done.returncode, done.stdout) == (
+        0, "2*t + 1\nstandard coefficients: [0, 2, -1]\n"
+    ), done.stderr
 
 
 def test_usage_error_exit_code():
@@ -634,8 +467,12 @@ def test_interpolate_spaced_values(capsys):
 POLY_2T_1 = '{"m": 2, "standard_coeffs": ["0", "2", "-1"], "render": "2*t + 1"}\n'
 
 # (argv, exit code, human stdout, json stdout): the exact output of every
-# subcommand and kolchin mode, in both formats
+# subcommand and kolchin mode, in both formats, and of every CLI example in
+# README.md (marked README).  A row that exits non-zero prints nothing on
+# stdout and its message on stderr, after the prefix its exit code names
+ERROR_PREFIX = {1: "error: ", 3: "resource limit: "}
 PINNED = [
+    # README
     (("omega-set", "--file", "HEAT"), 0,
      "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
     (("omega-set", "--file", "CORNER", "--m", "2"), 0,
@@ -646,34 +483,66 @@ PINNED = [
     (("omega-set", "--file", "SET3"), 0,
      "1/2*t^2 + 49/2*t - 86\nstandard coefficients: [0, 1, 23, -110]\n",
      '{"m": 3, "standard_coeffs": ["0", "1", "23", "-110"], "render": "1/2*t^2 + 49/2*t - 86"}\n'),
+    # HEAT's generator has two entries, not the three that --m names
+    (("omega-set", "--file", "HEAT", "--m", "3"), 1, "", ""),
+    (("volume", "--file", "HEAT", "--m", "3", "--s", "3"), 1, "", ""),
     # 14,839 of the 585,276 points of order <= 150 lie outside the set's ideal
     (("volume", "--file", "SET3", "--s", "150"), 0,
      "volume = 14839\nnumerator = 14839\n",
      '{"s": 150, "volume": 14839, "numerator": 14839, "agree": true}\n'),
+    # README; outside (1, 0) and (0, 1) lies the origin alone
+    (("volume", "--file", "CORNERS", "--s", "4"), 0,
+     "volume = 1\nnumerator = 1\n", '{"s": 4, "volume": 1, "numerator": 1, "agree": true}\n'),
+    # at m = 3 the walk has the 51 prefixes 0..50 of the first coordinate
     (("volume", "--file", "CORNER3", "--s", "50", "--enum-cap", "50"), 3, "", ""),
+    (("volume", "--file", "CORNER3", "--s", "50", "--enum-cap", "51"), 0,
+     "volume = 3826\nnumerator = 3826\n",
+     '{"s": 50, "volume": 3826, "numerator": 3826, "agree": true}\n'),
     (("volume", "--file", "FIVE", "--s", str(10**20), "--enum-cap", str(10**30)), 0,
      "volume = 5\nnumerator = 5\n",
      '{"s": 100000000000000000000, "volume": 5, "numerator": 5, "agree": true}\n'),
+    # README
     (("bounds", "--r", "1", "--m", "2", "--n", "1"), 0,
      "char_order = 2\norder_sum = 6\nregularity = 10\ncomparison_level = 577\n"
      "coeff_bound = 36\n",
      '{"r": 1, "m": 2, "n": 1, "char_order": "2", "order_sum": "6", '
      '"regularity": "10", "comparison_level": "577", "coeff_bound": "36"}\n'),
+    (("bounds", "--r", "1", "--m", "2", "--n", "2"), 0,
+     "char_order = 4\norder_sum = 20\nregularity = 38\ncomparison_level = 12801\n"
+     "coeff_bound = 800\n",
+     '{"r": 1, "m": 2, "n": 2, "char_order": "4", "order_sum": "20", '
+     '"regularity": "38", "comparison_level": "12801", "coeff_bound": "800"}\n'),
     (("bounds", "--r", "4", "--m", "4", "--n", "1", "--bound-digit-cap", "50"), 3, "", ""),
+    # no derivation
+    (("bounds", "--r", "1", "--m", "0", "--n", "1"), 1, "", ""),
     (("rank-compare", "d[1,0]x1", "d[0,2]x1"), 0, "Less\n", '{"result": "Less"}\n'),
+    # README
+    (("rank-compare", "d[1,0]x1", "d[0,1]x1"), 0, "Greater\n", '{"result": "Greater"}\n'),
+    (("rank-compare", "d[1,1]x2", "d[1,1]x1"), 0, "Greater\n", '{"result": "Greater"}\n'),
+    (("rank-compare", "d[2,0]x1", "d[2,0]x1"), 0, "Equal\n", '{"result": "Equal"}\n'),
     (("rank-compare", "d[1,0]x1", "d[1]x1"), 1, "", ""),
     (("omega-leaders", "--file", "PROFILE"), 0,
      "2*t + 2\nstandard coefficients: [0, 2, 0]\n",
      '{"m": 2, "standard_coeffs": ["0", "2", "0"], "render": "2*t + 2"}\n'),
+    # PROFILE names unknown 2, past the one unknown that --n allows
+    (("omega-leaders", "--file", "PROFILE", "--n", "1"), 1, "", ""),
     (("kolchin", "--system", "heat.sys"), 0,
      "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
     (("kolchin", "--system", "wave.sys", "--check"), 0,
      "groebner: 2*t + 1  [0, 2, -1]\nprolongation: 2*t + 1  [0, 2, -1]\nAGREE\n",
      '{"groebner": ' + POLY_2T_1[:-1] + ', "prolongation": ' + POLY_2T_1[:-1]
      + ', "agree": true}\n'),
+    # README
+    (("kolchin", "--system", "cauchy_riemann.sys", "--check"), 0,
+     "groebner: 2*t + 2  [0, 2, 0]\nprolongation: 2*t + 2  [0, 2, 0]\nAGREE\n",
+     '{"groebner": {"m": 2, "standard_coeffs": ["0", "2", "0"], "render": "2*t + 2"}, '
+     '"prolongation": {"m": 2, "standard_coeffs": ["0", "2", "0"], "render": "2*t + 2"}, '
+     '"agree": true}\n'),
     # the first pivot row, Laplace's equation, holds two entries
     (("kolchin", "--system", "laplace.sys", "--check", "--matrix-cell-cap", "1"), 3, "", ""),
     (("kolchin", "--system", "probe4.sys", "--gb-step-cap", "5"), 3, "", ""),
+    # tests/data holds no such file
+    (("kolchin", "--system", "absent.sys"), 1, "", ""),
     # completion stops at the unit module after 3 S-pair reductions, and
     # makes no pair of two monomials
     (("kolchin", "--system", "UNIT", "--check", "--gb-step-cap", "3"), 0,
@@ -693,16 +562,25 @@ PINNED = [
      '{"groebner": {"m": 2, "standard_coeffs": ["0", "0", "2"], "render": "2"}, '
      '"prolongation": {"m": 2, "standard_coeffs": ["0", "0", "2"], "render": "2"}, '
      '"agree": true}\n'),
+    # README
     (("kolchin", "--system", "heat.sys", "--type"), 0, "1\n", '{"differential_type": 1}\n'),
     (("kolchin", "--system", "heat.sys", "--at-least", "0,1,5"), 0,
      "true\n", '{"result": true}\n'),
+    # README
+    (("kolchin", "--system", "heat.sys", "--at-least", "0,2,-1"), 0,
+     "true\n", '{"result": true}\n'),
     (("kolchin", "--system", "heat.sys", "--equals", "0,2,0"), 0,
      "false\n", '{"result": false}\n'),
+    (("kolchin", "--system", "heat.sys", "--equals", "0,2,-1"), 0,
+     "true\n", '{"result": true}\n'),
     (("interpolate", "--values", "1,3,5", "--start", "0"), 0,
      "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
     (("interpolate", "--values", "1,4,10", "--start", "0"), 0,
      "3/2*t^2 + 3/2*t + 1\nstandard coefficients: [3, -3, 1]\n",
      '{"m": 2, "standard_coeffs": ["3", "-3", "1"], "render": "3/2*t^2 + 3/2*t + 1"}\n'),
+    # README
+    (("interpolate", "--values", "5,7,9", "--start", "2"), 0,
+     "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
 ]
 
 
@@ -711,5 +589,6 @@ PINNED = [
     "argv,code,human,as_json", PINNED, ids=[" ".join(case[0]) for case in PINNED]
 )
 def test_output_is_pinned(capsys, tmp_path, argv, code, human, as_json, fmt):
-    out = human if fmt == "human" else as_json
-    assert run(capsys, *resolve(tmp_path, argv), "--format", fmt)[:2] == (code, out)
+    status, out, err = run(capsys, *resolve(tmp_path, argv), "--format", fmt)
+    assert (status, out) == (code, human if fmt == "human" else as_json)
+    assert err.startswith(ERROR_PREFIX[code]) if code else err == ""

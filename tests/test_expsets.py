@@ -1,4 +1,3 @@
-import itertools
 import random
 from math import comb
 
@@ -19,15 +18,21 @@ from diffdim.expsets import (
 from diffdim.numpoly import NumericalPolynomial
 
 
-def brute_volume(gens, m, s):
-    """Independent count over itertools.product, point by point."""
-    count = 0
-    for pt in itertools.product(range(s + 1), repeat=m):
-        if sum(pt) > s:
-            continue
-        if not any(all(a >= b for a, b in zip(pt, g)) for g in gens):
-            count += 1
-    return count
+def brute_volume(exp_set, s):
+    """Test every point of order <= s against every generator."""
+
+    def points(m, budget):
+        if m == 0:
+            yield ()
+            return
+        for head in range(budget + 1):
+            for rest in points(m - 1, budget - head):
+                yield (head,) + rest
+
+    return sum(
+        not any(all(a >= b for a, b in zip(pt, g)) for g in exp_set.generators)
+        for pt in points(exp_set.m, s)
+    )
 
 
 def random_exp_set(rng, m, max_gens=5, max_order=6):
@@ -52,14 +57,6 @@ def test_an_exponent_set_holds_its_sorted_antichain():
     assert minimal_elements(exp_set) is exp_set
 
 
-def test_minimal_elements_idempotent():
-    rng = random.Random(5)
-    for _ in range(50):
-        exp_set = random_exp_set(rng, rng.randint(1, 3))
-        once = minimal_elements(exp_set)
-        assert minimal_elements(once) == once
-
-
 def test_equality_is_closure_equality():
     a = ExponentSet(2, ((1, 1), (2, 2)))
     b = ExponentSet(2, ((1, 1),))
@@ -71,9 +68,9 @@ def test_equality_is_closure_equality():
 def test_volume_small_example():
     # complement of the staircase built on (0,2) and (3,0)
     exp_set = ExponentSet(2, ((0, 2), (3, 0)))
-    assert volume(exp_set, 0) == brute_volume(exp_set.generators, 2, 0)
+    assert volume(exp_set, 0) == brute_volume(exp_set, 0)
     for s in range(8):
-        expected = brute_volume(exp_set.generators, 2, s)
+        expected = brute_volume(exp_set, s)
         assert volume(exp_set, s) == expected
         assert volume_ie(exp_set, s) == expected
 
@@ -119,7 +116,7 @@ def test_enumeration_cap_counts_the_prefixes_walked(m, s):
     # two generators each prefix passes over
     exp_set = ExponentSet(m, ((1,) * m, (2,) + (0,) * (m - 1)))
     steps = 2 * (prefixes := comb(s + m - 2, m - 2))
-    assert volume(exp_set, s, enumeration_cap=steps) == brute_volume(exp_set.generators, m, s)
+    assert volume(exp_set, s, enumeration_cap=steps) == brute_volume(exp_set, s)
     with pytest.raises(
         ResourceLimit, match=rf"order {s} visits up to {prefixes} prefixes over {m - 2} "
         rf"coordinates, each a pass over 2 generators: {steps} steps \(cap {steps - 1}\)"
@@ -130,7 +127,7 @@ def test_enumeration_cap_counts_the_prefixes_walked(m, s):
 @pytest.mark.parametrize("m, s", [(1, 9), (2, 6)])
 def test_volume_walks_one_prefix_below_m_3(m, s):
     exp_set = ExponentSet(m, ((1,) * m,))
-    assert volume(exp_set, s, enumeration_cap=1) == brute_volume(exp_set.generators, m, s)
+    assert volume(exp_set, s, enumeration_cap=1) == brute_volume(exp_set, s)
 
 
 def test_volume_on_a_3_variable_staircase_at_s_150():
@@ -161,7 +158,7 @@ def test_volume_routes_agree_randomly():
         m = rng.randint(1, 3)
         exp_set = random_exp_set(rng, m)
         s = rng.randint(0, 9)
-        expected = brute_volume(exp_set.generators, m, s)
+        expected = brute_volume(exp_set, s)
         assert volume(exp_set, s) == expected
         assert volume_ie(exp_set, s) == expected
 
@@ -214,7 +211,7 @@ def test_dimension_polynomial_matches_volume_past_bound():
         omega = dimension_polynomial(exp_set)
         bound = stability_bound(exp_set)
         for s in range(bound, bound + 4):
-            assert omega.evaluate(s) == brute_volume(exp_set.generators, m, s)
+            assert omega.evaluate(s) == brute_volume(exp_set, s)
         level = stabilisation_level(exp_set)
         assert level <= bound
         for s in range(level, level + 4):

@@ -26,6 +26,7 @@ from diffdim.expsets import (  # noqa: E402
     volume_ie,
 )
 from diffdim.numpoly import NumericalPolynomial  # noqa: E402
+from test_expsets import brute_volume  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
 
@@ -40,23 +41,6 @@ exp_sets = st.integers(1, 4).flatmap(
 @hypothesis.given(exp_sets, st.integers(0, 8))
 def test_numerator_count_equals_volume(exp_set, s):
     assert _numerator_volume(exp_set, s) == volume(exp_set, s)
-
-
-def brute_volume(exp_set, s):
-    """Test every point of order <= s against every generator."""
-
-    def points(m, budget):
-        if m == 0:
-            yield ()
-            return
-        for head in range(budget + 1):
-            for rest in points(m - 1, budget - head):
-                yield (head,) + rest
-
-    return sum(
-        not any(all(a >= b for a, b in zip(pt, g)) for g in exp_set.generators)
-        for pt in points(exp_set.m, s)
-    )
 
 
 # (m, generators) as given: repeats and dominated ones kept, the zero vector

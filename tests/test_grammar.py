@@ -31,6 +31,9 @@ MALFORMED = [
     (parse_system, "m = 1_0\nn = 1\n"),
     (parse_system, "m = 1\nn = +3\n"),
     (parse_system, "m = 0\nn = 1\n"),
+    (parse_system, "m = 1\nm = 2\nn = 1\n"),
+    (parse_system, "m = 2\neq: 1*x1\n"),  # an equation before the n header
+    (parse_system, "nonsense\n"),
     # single monomials
     (parse_monomial, "x²"),
     (parse_monomial, "x٣"),
@@ -79,15 +82,28 @@ def test_malformed_equation_raises_parse_error_with_column(line):
 
 
 def test_equation_error_columns():
+    # each error at its column, with a fragment of its message
     cases = {
-        "eq: 1*x1 x1": 10,  # second term without a sign
-        "eq: 0*x1": 5,  # zero coefficient, at the number
-        "eq: 3/0*x1": 5,  # zero denominator, at the number
-        "eq: 1*x1 + 3": 13,  # constant term, where '*' was expected
-        "eq: 1*x1 +": 11,  # trailing sign, where the monomial was expected
-        "  eq :  1*d[1]x2": 11,  # unknown out of range, at the monomial
+        "eq: 1*x1 x1": (10, "expected '+' or '-'"),  # second term without a sign
+        "eq: 1*x1 * x1": (10, "got '*'"),
+        "eq: 0*x1": (5, "zero coefficient"),  # at the number
+        "eq: 3/0*x1": (5, "zero denominator"),
+        "eq: 1*x1 + 3": (13, "constant"),  # where '*' was expected
+        "eq: 1*x1 +": (11, "expected a monomial"),  # after a trailing sign
+        "  eq :  1*d[1]x2": (11, "unknown x2"),  # out of range, at the monomial
+        "eq: 1*d[1,0]x1": (7, "exponent list has 2 entries"),
+        "eq: 1*d[1]x1 + 2*d[1]x1": (18, "duplicate monomial"),  # at the second
+        "eq:": (4, "empty equation"),
     }
-    for line, column in cases.items():
+    for line, (column, fragment) in cases.items():
         with pytest.raises(ParseError) as info:
             parse_system(HEAD + line + "\n")
         assert (info.value.line, info.value.column) == (3, column), line
+        assert fragment in str(info.value), line
+
+
+def test_a_missing_header_raises_with_no_line():
+    # the header is missing from the whole text, not from one of its lines
+    with pytest.raises(ParseError, match="missing m or n header") as info:
+        parse_system("m = 1\n")
+    assert info.value.line is None

@@ -51,7 +51,7 @@ def test_power_coeffs_evaluate_like_the_polynomial(p, s):
 def test_interpolation_inverts_evaluation(p, start):
     m = p.degree_bound
     values = [p.evaluate(s) for s in range(start, start + m + 1)]
-    assert interpolate(values, start, m) == p
+    assert interpolate(values, start) == p
 
 
 @SETTINGS

@@ -24,6 +24,7 @@ from diffdim.lindiff import (  # noqa: E402
 )
 from diffdim.diffrank import rank_key  # noqa: E402
 from parsed import equation  # noqa: E402
+from test_lindiff import echelon_to, load  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,39 +96,42 @@ def from_scratch(system, top):
 
 
 @st.composite
-def systems(draw, m=None, n=None):
+def systems(draw, m=None, n=None, order=None):
     """One to three equations of one to four terms of order <= 3, over m <= 3
-    derivations and n <= 2 unknowns, each drawn unless given."""
+    derivations and n <= 2 unknowns, each drawn unless given.  Given an
+    order, the terms have order <= order and one term of the first equation
+    has exactly that order, so the system has it."""
     m = draw(st.integers(1, 3)) if m is None else m
     n = draw(st.integers(1, 2)) if n is None else n
-    # every (vector, unknown) pair of order <= 3: a dictionary keyed by a
+    top = 3 if order is None else order
+    # every (vector, unknown) pair of order <= top: a dictionary keyed by a
     # sampled_from is drawn as a unique list sampled without replacement,
     # so no key is drawn twice and none is rejected.  The invalid examples
     # that --hypothesis-show-statistics still counts are the engine's own
     # overruns: replays, at a fixed number of choices, of a mutated or
     # shortened earlier example that the draw outgrows
-    pairs = st.sampled_from([
-        (xi, u) for k in range(4) for xi in _exponents_of_order(m, k) for u in range(1, n + 1)
-    ])
+    pairs = [
+        (xi, u) for k in range(top + 1) for xi in _exponents_of_order(m, k) for u in range(1, n + 1)
+    ]
     # a denominator q <= 3, then a magnitude in (0, 6] and a sign: the nonzero
     # fractions of st.fractions(-6, 6, max_denominator=3), none rejected
     coefficients = st.integers(1, 3).flatmap(lambda q: st.builds(
         lambda p, sign: Fraction(sign * p, q), st.integers(1, 6 * q), st.sampled_from((1, -1))
     ))
-    equations = st.dictionaries(pairs, coefficients, min_size=1, max_size=4).map(equation)
-    return LinearDiffSystem(m, n, tuple(draw(st.lists(equations, min_size=1, max_size=3))))
-
-
-def echelon_to(system, top):
-    echelon = _Echelon(system, CELL_CAP)
-    echelon.build(top)
-    return echelon
+    terms = st.dictionaries(st.sampled_from(pairs), coefficients, min_size=1, max_size=4)
+    equations = draw(st.lists(terms, min_size=1, max_size=3))
+    if order is not None:
+        # the first equation's first term gives way to one of that order
+        first = equations[0]
+        del first[next(iter(first))]
+        first[draw(st.sampled_from([p for p in pairs if sum(p[0]) == order]))] = draw(coefficients)
+    return LinearDiffSystem(m, n, tuple(map(equation, equations)))
 
 
 @SETTINGS
 @hypothesis.given(systems(), st.integers(0, 6))
 def test_janet_parent_echelon_matches_from_scratch_echelon(system, top):
-    pivots = echelon_to(system, top).orders
+    pivots = echelon_to(system, top, CELL_CAP).orders
     assert all(order <= level <= top for level, order in pivots)
     assert [level for level, _ in pivots] == sorted(level for level, _ in pivots)
     low = from_scratch(system, top)[0]
@@ -142,7 +146,8 @@ def assert_every_level_stores_a_pivot_row(system, top):
     the shift by the last derivation of the highest pivot row is a pivot
     above every earlier one, so the entries held also bound the levels."""
     first = min((eq.order for eq in system.equations), default=top + 1)
-    assert {at for at, _ in echelon_to(system, top).orders} == set(range(first, top + 1))
+    levels = {at for at, _ in echelon_to(system, top, CELL_CAP).orders}
+    assert levels == set(range(first, top + 1))
 
 
 @SETTINGS
@@ -153,7 +158,7 @@ def test_every_level_from_the_first_stores_a_pivot_row(system, top):
 
 @pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.sys")))
 def test_every_level_from_the_first_stores_a_pivot_row_on_the_fixtures(name):
-    assert_every_level_stores_a_pivot_row(parse_system((DATA / name).read_text()), 6)
+    assert_every_level_stores_a_pivot_row(load(name), 6)
 
 
 def test_janet_parent_echelon_past_the_equations_width_matches_from_scratch():
@@ -163,7 +168,7 @@ def test_janet_parent_echelon_past_the_equations_width_matches_from_scratch():
     system = parse_system("m = 1\nn = 2\neq: d[2]x1 - 3*x2\neq: 2*d[1]x2 + d[1]x1 - x1\n")
     top = 520
     assert system.equations[0]._keys.width == 10
-    pivots = echelon_to(system, top).orders
+    pivots = echelon_to(system, top, CELL_CAP).orders
     low = from_scratch(system, top)[0]
     by_order = [0] * (top + 1)
     for level in range(top + 1):
@@ -220,4 +225,4 @@ def test_echelon_margin_is_each_leaders_first_pivot_level(system):
 
 @pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.sys")))
 def test_echelon_margin_is_each_leaders_first_pivot_level_on_the_fixtures(name):
-    assert_margin_is_first_pivot_level(parse_system((DATA / name).read_text()))
+    assert_margin_is_first_pivot_level(load(name))
