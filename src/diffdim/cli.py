@@ -167,9 +167,12 @@ def _poly_doc(p) -> dict:
 
 
 def _poly_answer(p):
-    """The exit code, JSON document and text lines that report ``p``."""
-    doc = _poly_doc(p)
-    return EXIT_OK, doc, [doc["render"], f"standard coefficients: {list(p.standard_coeffs)}"]
+    """The exit code, and the output that reports ``p``."""
+
+    def output():
+        doc = _poly_doc(p)
+        return doc, [doc["render"], f"standard coefficients: {list(p.standard_coeffs)}"]
+    return EXIT_OK, output
 
 
 def _cmd_omega_set(args):
@@ -183,23 +186,27 @@ def _cmd_volume(args):
     w = expsets._numerator_volume(exp_set, args.s)
     agree = v == w
     doc = {"s": args.s, "volume": v, "numerator": w, "agree": agree}
-    lines = [f"volume = {v}", f"numerator = {w}"] + ([] if agree else ["DISAGREE"])
-    return (EXIT_OK if agree else EXIT_DOMAIN), doc, lines
+    return (EXIT_OK if agree else EXIT_DOMAIN), lambda: (
+        doc, [f"volume = {v}", f"numerator = {w}"] + ([] if agree else ["DISAGREE"])
+    )
 
 
 def _cmd_bounds(args):
     report = bounds_mod.bound_report(
         args.r, args.m, args.n, digit_cap=args.bound_digit_cap
     )
-    fields = [(k, str(getattr(report, k))) for k in
-              ("char_order", "order_sum", "regularity", "comparison_level", "coeff_bound")]
-    doc = {"r": args.r, "m": args.m, "n": args.n, **dict(fields)}
-    return EXIT_OK, doc, [f"{k} = {v}" for k, v in fields]
+
+    def output():
+        fields = [(k, str(getattr(report, k))) for k in
+                  ("char_order", "order_sum", "regularity", "comparison_level", "coeff_bound")]
+        doc = {"r": args.r, "m": args.m, "n": args.n, **dict(fields)}
+        return doc, [f"{k} = {v}" for k, v in fields]
+    return EXIT_OK, output
 
 
 def _cmd_rank_compare(args):
     verdict = {-1: "Less", 0: "Equal", 1: "Greater"}[diffrank.compare_rank(args.left, args.right)]
-    return EXIT_OK, {"result": verdict}, [verdict]
+    return EXIT_OK, lambda: ({"result": verdict}, [verdict])
 
 
 def _cmd_omega_leaders(args):
@@ -213,22 +220,25 @@ def _cmd_kolchin(args):
         via_gb = lindiff.kolchin_polynomial(system, args.gb_step_cap)
         via_ranks = lindiff.kolchin_via_prolongation(system, args.matrix_cell_cap, args.gb_step_cap)
         agree = via_gb == via_ranks
-        doc = {"groebner": _poly_doc(via_gb), "prolongation": _poly_doc(via_ranks),
-               "agree": agree}
-        lines = [f"{route}: {numpoly.render(p)}  {list(p.standard_coeffs)}"
-                 for route, p in (("groebner", via_gb), ("prolongation", via_ranks))]
-        lines.append("AGREE" if agree else "DISAGREE")
-        return (EXIT_OK if agree else EXIT_DOMAIN), doc, lines
+        routes = (("groebner", via_gb), ("prolongation", via_ranks))
+
+        def output():
+            doc = {route: _poly_doc(p) for route, p in routes}
+            lines = [f"{route}: {numpoly.render(p)}  {list(p.standard_coeffs)}"
+                     for route, p in routes]
+            return {**doc, "agree": agree}, lines + ["AGREE" if agree else "DISAGREE"]
+        return (EXIT_OK if agree else EXIT_DOMAIN), output
     coeffs = args.at_least if args.at_least is not None else args.equals
     if coeffs is not None:
         test = lindiff.omega_equals if args.at_least is None else lindiff.omega_at_least
         answer = test(
             system, numpoly.NumericalPolynomial.from_coeffs(coeffs), gb_step_cap=args.gb_step_cap
         )
-        return EXIT_OK, {"result": answer}, ["true" if answer else "false"]
+        return EXIT_OK, lambda: ({"result": answer}, ["true" if answer else "false"])
     p = lindiff.kolchin_polynomial(system, gb_step_cap=args.gb_step_cap)
     if args.diff_type:
-        return EXIT_OK, {"differential_type": p.differential_type()}, [str(p.differential_type())]
+        d = p.differential_type()
+        return EXIT_OK, lambda: ({"differential_type": d}, [str(d)])
     return _poly_answer(p)
 
 
@@ -241,8 +251,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _config(parser, args)
-        code, doc, lines = args.handler(args)
-        print(json.dumps(doc) if args.fmt == "json" else "\n".join(lines))
+        # the handler reads under the interpreter's integer-string limit; its
+        # output, the JSON document and text lines, is formatted without it
+        code, output = args.handler(args)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.11
+        set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+        set_limit(0)
+        try:
+            doc, lines = output()
+            print(json.dumps(doc) if args.fmt == "json" else "\n".join(lines))
+        finally:
+            set_limit(limit)
         return code
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -290,7 +290,10 @@ def _naturals(text: str, lineno: int, width: int | None = None) -> tuple[int, ..
     that is given."""
     if not _NATURALS.fullmatch(text):
         raise ParseError(f"expected comma-separated naturals, got {text.strip()!r}", line=lineno)
-    row = tuple(map(int, text.split(",")))
+    try:
+        row = tuple(map(int, text.split(",")))
+    except ValueError as exc:  # past the interpreter's integer-string limit
+        raise ParseError(str(exc), line=lineno) from None
     if width is not None and len(row) != width:
         raise ParseError(f"expected {width} entries, got {len(row)}", line=lineno)
     return row

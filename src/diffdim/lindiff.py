@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, inf
 from operator import le
 
 from .diffrank import (
@@ -103,20 +103,6 @@ def _repack(row: dict[int, int], source: _Keys, target: _Keys) -> dict[int, int]
     return {target.pack(*source.unpack(key)): c for key, c in row.items()}
 
 
-def _primitive(terms: dict[TermKey, tuple[int, int]], keys: _Keys):
-    """(row, (p, q)) for terms {(exponents, unknown): (num, den)}: the
-    primitive integer row packed at ``keys``, and p / q, the factor that
-    turns it back into the terms."""
-    q = lcm(*(den for _, den in terms.values()))
-    if q == 1:
-        row = {keys.pack(xi, i): num for (xi, i), (num, _) in terms.items()}
-    else:
-        row = {keys.pack(xi, i): num * (q // den) for (xi, i), (num, den) in terms.items()}
-    if (p := gcd(*row.values())) > 1:
-        row = {key: c // p for key, c in row.items()}
-    return row, (p, q)
-
-
 class LinearEquation:
     """One homogeneous linear equation, held as a primitive integer row.
 
@@ -124,10 +110,10 @@ class LinearEquation:
     integer coefficient, with no common factor, so the leader is
     ``max(row)``; an empty row raises ValueError.  ``scale`` = (p, q) turns
     the row back into the equation's coefficients, row * p / q.  Equations
-    are made only by ``parse_system`` and by completion, each from a row it
-    built, so the row is taken as given.  ``terms``, the public form, is the
-    pairs (coefficient, monomial) sorted by descending rank; it is built on
-    first use.  The row is shared, never mutated.
+    are made only by ``parse_system``, which packs each term as it reads
+    it, and by completion, so the row is taken as given.  ``terms``, the
+    public form, is the pairs (coefficient, monomial) sorted by descending
+    rank; it is built on first use.  The row is shared, never mutated.
     """
 
     __slots__ = ("_row", "_scale", "_keys", "_lead", "_terms")
@@ -208,6 +194,15 @@ _TERM = re.compile(
 )
 
 
+@functools.lru_cache(maxsize=4096)
+def _term_key(exps: str | None, idx: str, keys: _Keys) -> tuple[int, int, int, int]:
+    """(entries, unknown, order, packed key at ``keys``) of a ``_MONOMIAL``
+    match's groups 'exps' and 'idx'.  At most 4,096 entries, each keeping
+    its text: the memory held is at most 4,096 times the longest monomial."""
+    xi, unknown = _monomial_key(exps, idx, keys.m)
+    return len(xi), unknown, sum(xi), keys.pack(xi, unknown)
+
+
 def parse_system(text: str) -> LinearDiffSystem:
     """Parse the plain text system format.
 
@@ -215,51 +210,70 @@ def parse_system(text: str) -> LinearDiffSystem:
     equation.  Each equation line reads 'eq: <term> (+|- <term>)*' where a
     term is an optional rational coefficient 'p' or 'p/q' joined with '*'
     to a monomial 'd[u1,...,um]x<i>' or its order-zero shorthand 'x<i>'.
-    Blank lines and '#' comments are ignored.
+    Blank lines and '#' comments are ignored.  Each term is packed as it
+    is read, at ``_Keys.fitting(m, n)``.  A term of an order that layout
+    does not hold starts the parse over at ``_Keys.fitting(m, max(n,
+    order))``, or at double width if that is wider, so the text is read
+    again at most about log2(bit length of its largest order) times.  Every
+    row ends at ``_Keys.fitting(m, max(n, system order))``, where
+    completion and the echelon take it as it is.
     """
-    shape: dict[str, int] = {}
-    parsed = []
-    for lineno, line in _lines(text):
-        if header := _HEADER.fullmatch(line):
-            name = header[1]
-            if name in shape:
-                raise ParseError(f"duplicate {name} header", line=lineno)
-            (shape[name],) = _naturals(header[2], lineno, 1)
-            if shape[name] < 1:
-                raise ParseError(f"{name} must be at least 1", line=lineno)
-        elif eq := _EQUATION.match(line):
-            if len(shape) < 2:
-                raise ParseError("m and n must be declared before equations", line=lineno)
-            parsed.append(_parse_equation(line, eq.end(), lineno, shape["m"], shape["n"]))
+    order = 0
+    while True:
+        shape: dict[str, int] = {}
+        equations = []
+        for lineno, line in _lines(text):
+            if header := _HEADER.fullmatch(line):
+                name = header[1]
+                if name in shape:
+                    raise ParseError(f"duplicate {name} header", line=lineno)
+                (shape[name],) = _naturals(header[2], lineno, 1)
+                if shape[name] < 1:
+                    raise ParseError(f"{name} must be at least 1", line=lineno)
+            elif eq := _EQUATION.match(line):
+                if len(shape) < 2:
+                    raise ParseError("m and n must be declared before equations", line=lineno)
+                keys = _Keys.fitting(shape["m"], max(shape["n"], order))
+                equation = _parse_equation(line, eq.end(), lineno, keys, shape["n"])
+                if isinstance(equation, int):
+                    break  # the order of a term this layout does not hold
+                equations.append(equation)
+            else:
+                raise ParseError(f"unrecognised line {line.strip()!r}", line=lineno)
         else:
-            raise ParseError(f"unrecognised line {line.strip()!r}", line=lineno)
-    if len(shape) < 2:
-        raise ParseError("missing m or n header")
-    m, n = shape["m"], shape["n"]
-    # the completion's layout, so that it takes the rows as they are
-    keys = _Keys.fitting(m, max([n] + [sum(xi) for terms in parsed for xi, _ in terms]))
-    return LinearDiffSystem(
-        m, n, tuple(LinearEquation(*_primitive(terms, keys), keys) for terms in parsed)
-    )
+            if len(shape) < 2:
+                raise ParseError("missing m or n header")
+            m, n = shape["m"], shape["n"]
+            if order:  # started over: move the rows to the layout their orders need
+                wide, keys = keys, _Keys.fitting(m, max(n, *(e.order for e in equations)))
+                equations = [LinearEquation(_repack(e._row, wide, keys), e._scale, keys)
+                             for e in equations]
+            return LinearDiffSystem(m, n, tuple(equations))
+        order = max(equation, keys.limit**2)  # at least double the width
 
 
 def _parse_equation(
-    line: str, pos: int, lineno: int, m: int, n: int
-) -> dict[TermKey, tuple[int, int]]:
-    """The terms of an 'eq:' line read from ``pos`` on, as {(exponents,
-    unknown): (numerator, denominator)}; error columns are 1-based within
-    ``line``."""
-    terms: dict[TermKey, tuple[int, int]] = {}
+    line: str, pos: int, lineno: int, keys: _Keys, n: int
+) -> LinearEquation | int:
+    """The equation of an 'eq:' line read from ``pos`` on, or the order of its
+    first term that ``keys`` does not hold.  The row is kept scaled by the
+    lcm q of the denominators so far, with its content p; error columns are
+    1-based within ``line``."""
+    row: dict[int, int] = {}
+    p, q = 0, 1
     if not line[pos:].strip():
         raise ParseError("empty equation", line=lineno, column=len(line) + 1)
     while pos < len(line):
         term = _TERM.match(line, pos)
         sign, num, den, star, mono, exps, idx = term.groups()
-        if not sign and terms:
+        if not sign and row:
             at = term.start("sign")
             raise ParseError(f"expected '+' or '-', got {line[at]!r}", line=lineno, column=at + 1)
         if num:
-            num, den = int(num), int(den or 1)
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError as exc:  # past the interpreter's integer-string limit
+                raise ParseError(str(exc), line=lineno, column=term.start("num") + 1) from None
             if den == 0:
                 raise ParseError("zero denominator", line=lineno, column=term.start("num") + 1)
             if num == 0:
@@ -274,18 +288,29 @@ def _parse_equation(
             num = den = 1
         if not mono:
             raise ParseError("expected a monomial", line=lineno, column=term.end() + 1)
-        xi, idx = _monomial_key(exps, idx, m)
+        try:
+            entries, unknown, order, key = _term_key(exps, idx, keys)
+        except ValueError as exc:  # past the interpreter's integer-string limit
+            raise ParseError(str(exc), line=lineno, column=term.start("mono") + 1) from None
         error = (
-            f"exponent list has {len(xi)} entries, expected {m}" if len(xi) != m
-            else f"unknown x{idx} outside 1..{n}" if not 1 <= idx <= n
-            else "duplicate monomial in equation" if (xi, idx) in terms
+            f"exponent list has {entries} entries, expected {keys.m}" if entries != keys.m
+            else f"unknown x{unknown} outside 1..{n}" if not 1 <= unknown <= n
+            # a key past the layout may stand for another monomial
+            else "duplicate monomial in equation" if order < keys.limit and key in row
             else None
         )
         if error:
             raise ParseError(error, line=lineno, column=term.start("mono") + 1)
-        terms[xi, idx] = (-num if sign == "-" else num), den
+        if order >= keys.limit:
+            return order
+        if q % den:
+            grow = den // gcd(q, den)
+            q, p, row = q * grow, p * grow, {k: c * grow for k, c in row.items()}
+        c = num * (q // den)
+        row[key] = -c if sign == "-" else c
+        p = gcd(p, c)
         pos = term.end()
-    return terms
+    return LinearEquation({k: c // p for k, c in row.items()} if p > 1 else row, (p, q), keys)
 
 
 # ---------------------------------------------------------------------------

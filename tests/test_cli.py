@@ -263,6 +263,53 @@ def test_kolchin_check_cell_cap(capsys, monkeypatch):
     assert out.splitlines()[-1] == "AGREE"
 
 
+@pytest.fixture
+def digit_limit():
+    """The interpreter's integer-string limit at its default of 4,300 digits
+    for one test, then as it was; None where there is no limit (before
+    Python 3.11)."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_bounds_print_every_number_their_digit_cap_lets_through(capsys, digit_limit, fmt):
+    # the comparison level has 5,424 digits, past the limit but inside the
+    # default cap of 10^5; the limit is lifted while the output is
+    # formatted, then restored
+    code, out, err = run(capsys, "bounds", "--r", "2000", "--m", "3", "--n", "1", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        level = json.loads(out)["comparison_level"]
+    else:
+        (level,) = [line[len("comparison_level = "):] for line in out.splitlines()
+                    if line.startswith("comparison_level = ")]
+    assert len(level) == 5424 and level.isdigit()
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit
+
+
+def test_kolchin_reads_a_long_number_under_the_limit_and_names_its_place(
+    capsys, tmp_path, digit_limit
+):
+    # the limit is lifted for the output only: the system file is still read
+    # under it, so a coefficient one digit past it is a parse error at its
+    # line and column
+    if digit_limit is None:
+        pytest.skip("no integer-string limit")
+    path = tmp_path / "long.sys"
+    path.write_text(f"m = 1\nn = 1\neq: {'1' * (digit_limit + 1)}*x1\n")
+    code, out, err = run(capsys, "kolchin", "--system", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.rstrip().endswith("(line 3, column 5)")
+
+
 BIG_EXPONENT = "m = 2\nn = 1\neq: d[1000000000,0]x1 + d[0,3]x1\n"
 
 

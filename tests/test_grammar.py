@@ -4,6 +4,8 @@ Numbers are ASCII digits only: superscripts, other scripts' digits, an
 underscore separator or a '+' sign are rejected wherever a natural is read.
 """
 
+import sys
+
 import pytest
 
 from diffdim.diffrank import parse_leader_profile, parse_monomial
@@ -12,6 +14,17 @@ from diffdim.expsets import parse_exponent_set
 from diffdim.lindiff import parse_system
 
 HEAD = "m = 1\nn = 1\n"
+
+# a number one digit past the interpreter's integer-string limit, where it
+# has one (Python 3.11 on), on which int() raises a bare ValueError
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (_LIMIT + 1)
+
+
+def long_number(name, *values):
+    skip = pytest.mark.skipif(not _LIMIT, reason="no integer-string limit")
+    return pytest.param(*values, id=f"long {name}", marks=skip)
+
 
 MALFORMED = [
     # exponent-set rows
@@ -43,6 +56,13 @@ MALFORMED = [
     (parse_monomial, "d[+3]x1"),
     (parse_monomial, "d[1"),
     (parse_monomial, "*x1"),
+    # numbers past the integer-string limit, in every reader
+    long_number("exponent-set entry", parse_exponent_set, f"1, {LONG}\n"),
+    long_number("profile index", parse_leader_profile, f"{LONG}: 1, 0\n"),
+    long_number("profile entry", parse_leader_profile, f"1: {LONG}, 0\n"),
+    long_number("header", parse_system, f"m = {LONG}\nn = 1\n"),
+    long_number("monomial index", parse_monomial, f"x{LONG}"),
+    long_number("monomial exponent", parse_monomial, f"d[{LONG}]x1"),
 ]
 
 MALFORMED_EQUATIONS = [
@@ -63,6 +83,10 @@ MALFORMED_EQUATIONS = [
     "eq: 1*x1 +",
     "eq: 1*x1 + 3",
     "eq: 1*x1 x1",
+    long_number("coefficient", f"eq: {LONG}*x1"),
+    long_number("denominator", f"eq: 1/{LONG}*x1"),
+    long_number("exponent", f"eq: 1*d[{LONG}]x1"),
+    long_number("unknown index", f"eq: 1*x{LONG}"),
 ]
 
 
@@ -93,6 +117,11 @@ def test_equation_error_columns():
         "  eq :  1*d[1]x2": (11, "unknown x2"),  # out of range, at the monomial
         "eq: 1*d[1,0]x1": (7, "exponent list has 2 entries"),
         "eq: 1*d[1]x1 + 2*d[1]x1": (18, "duplicate monomial"),  # at the second
+        # the same monomial spelled twice, or past m = 1's first layout (fields
+        # below 512), so that the parse starts over: found by its packed key
+        "eq: 1*d[600]x1 + 2*d[600]x1": (20, "duplicate monomial"),
+        "eq: 1*d[0]x1 + 2*x1": (18, "duplicate monomial"),
+        "eq: 1*d[01]x1 + 2*d[1]x1": (19, "duplicate monomial"),
         "eq:": (4, "empty equation"),
     }
     for line, (column, fragment) in cases.items():

@@ -70,11 +70,65 @@ def test_parse_accepts_shorthand_and_fractions():
     assert eq.terms[1][0] == Fraction(1)
 
 
+def test_parse_keeps_the_row_primitive_over_the_lcm_of_its_denominators():
+    # q = lcm(1, 3, 5) = 15 rescales the terms read before each new
+    # denominator, and the content 2 of (60, 10, -18) goes once, at the end
+    (eq,) = parse_system("m = 1\nn = 1\neq: 4*d[2]x1 + 2/3*d[1]x1 - 6/5*x1\n").equations
+    assert sorted(eq._row.values()) == [-9, 5, 30] and eq._scale == (2, 15)
+    assert [c for c, _ in eq.terms] == [Fraction(4), Fraction(2, 3), Fraction(-6, 5)]
+
+
 def test_parse_bare_and_signed_monomials():
     system = parse_system("m = 1\nn = 2\neq: -d[1]x2 + 3*x1\n")
     eq = system.equations[0]
     assert eq.terms[0][0] == Fraction(-1)
     assert eq.terms[0][1] == DifferentialMonomial((1,), 2)
+
+
+def test_a_later_equation_that_outgrows_the_layout_starts_the_parse_over():
+    # orders 1 and 70 over m = 2: the first equation fits the 7-bit layout
+    # of fitting(2, n), the second does not, so every row lands at width 8
+    first = parse_system("m = 2\nn = 1\neq: d[0,1]x1\neq: d[70,0]x1 + x1\n").equations
+    swapped = parse_system("m = 2\nn = 1\neq: d[70,0]x1 + x1\neq: d[0,1]x1\n").equations
+    keys = _Keys.fitting(2, 70)
+    assert keys.width == 8 and all(eq._keys is keys for eq in first + swapped)
+    rows = [(eq._row, eq._scale) for eq in first]
+    assert rows == [(eq._row, eq._scale) for eq in reversed(swapped)]
+
+
+def test_a_parse_starts_over_at_double_width(monkeypatch):
+    # orders 2^10 .. 2^109 over m = 1, one bit longer each: starting over at
+    # each term's own width would read the line 100 times, at double width
+    # it reads it 5 times (widths 10, 20, 40, 80, 160), then the row moves
+    # to the 111 bits its order needs
+    reads = []
+    parse_equation = lindiff._parse_equation
+
+    def counted(line, pos, lineno, keys, n):
+        reads.append(keys.width)
+        return parse_equation(line, pos, lineno, keys, n)
+
+    monkeypatch.setattr(lindiff, "_parse_equation", counted)
+    text = "m = 1\nn = 1\neq: " + " + ".join(f"d[{2**b}]x1" for b in range(10, 110)) + "\n"
+    (eq,) = parse_system(text).equations
+    assert reads == [10, 20, 40, 80, 160]
+    assert eq._keys is _Keys.fitting(1, 2**109) and eq._keys.width == 111
+    assert [mono.exponents for _, mono in eq.terms] == [(2**b,) for b in range(109, 9, -1)]
+
+
+def test_the_monomial_lookup_is_bounded_and_keyed_by_layout():
+    lookup = lindiff._term_key
+    narrow, wide = _Keys.fitting(2, 1), _Keys.fitting(2, 70)
+    assert narrow is not wide
+    lookup.cache_clear()
+    # one text under two layouts: two entries, each packed at its own layout
+    assert lookup("1,2", "1", narrow) == (2, 1, 3, narrow.pack((1, 2), 1))
+    assert lookup("1,2", "1", wide) == (2, 1, 3, wide.pack((1, 2), 1))
+    assert lookup.cache_info().currsize == 2
+    bound = lookup.cache_info().maxsize
+    for i in range(bound + 10):
+        lookup(f"{i},0", "1", narrow)
+    assert lookup.cache_info().currsize == bound
 
 
 def test_equation_sorted_by_descending_rank():
