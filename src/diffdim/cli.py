@@ -53,10 +53,13 @@ _INTEGERS = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
 
 
 def _natural(text: str, least: int = 0) -> int:
-    if "," in text or not expsets._NATURALS.fullmatch(text) or int(text) < least:
-        kind = "a positive integer" if least else "a natural number"
-        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
-    return int(text)
+    kind = "a positive integer" if least else "a natural number"
+    try:
+        if "," not in text and expsets._NATURALS.fullmatch(text) and int(text) >= least:
+            return int(text)
+    except ValueError as exc:  # past the interpreter's integer-string limit
+        raise argparse.ArgumentTypeError(f"expected {kind}; {exc}") from None
+    raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
 
 
 def _monomial(text: str) -> diffrank.DifferentialMonomial:
@@ -67,9 +70,12 @@ def _monomial(text: str) -> diffrank.DifferentialMonomial:
 
 
 def _coeff_list(text: str) -> tuple[int, ...]:
-    if not _INTEGERS.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}")
-    return tuple(map(int, text.split(",")))
+    try:
+        if _INTEGERS.fullmatch(text):
+            return tuple(map(int, text.split(",")))
+    except ValueError as exc:  # past the interpreter's integer-string limit
+        raise argparse.ArgumentTypeError(f"expected comma separated integers; {exc}") from None
+    raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

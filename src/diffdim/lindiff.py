@@ -17,7 +17,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import comb, gcd, inf
-from operator import le
 
 from .diffrank import (
     _MONOMIAL,
@@ -48,14 +47,17 @@ class _Keys:
     keys gkey + (key - lead).  Otherwise some field of key is below lead's;
     the lowest such field borrows and sets its guard bit.  So lead divides
     key exactly when (key - lead) & ``guards`` == 0, where ``guards`` holds
-    every guard bit and the whole unknown field.  These are the packed
-    exponent vectors of Monagan and Pearce ("Sparse polynomial division using
-    a heap", J. Symbolic Comput. 46, 2011).  There is one layout object per
-    (m, width), so parse, completion and the echelon share it whenever their
-    bounds fit the same width, and a row moves between them as it is.
+    the exponent fields' guard bits and the whole unknown field.  The order
+    field borrows only after them, so the test holds for any order below
+    2^width, as a ``join``'s is.  These are the packed exponent vectors of
+    Monagan and Pearce ("Sparse polynomial division using a heap", J.
+    Symbolic Comput. 46, 2011).  There is one layout object per (m, width),
+    so parse, completion and the echelon share it whenever their bounds fit
+    the same width, and a row moves between them as it is.
     """
 
-    __slots__ = ("m", "width", "limit", "mask", "unknown_shift", "order_shift", "guards", "steps")
+    __slots__ = ("m", "width", "limit", "mask", "unknown_shift", "order_shift", "guards", "steps",
+                 "exponent_guards", "ones", "order_field")
 
     def __init__(self, m: int, width: int):
         self.m, self.width = m, width
@@ -63,9 +65,11 @@ class _Keys:
         self.mask = (1 << width) - 1
         self.unknown_shift = width * m
         self.order_shift = width * (m + 1)
-        self.guards = sum(self.limit << (width * k) for k in range(m + 2))
-        self.guards |= self.mask << self.unknown_shift
+        self.exponent_guards = sum(self.limit << (width * k) for k in range(m))
+        self.guards = self.exponent_guards | self.mask << self.unknown_shift
         self.steps = tuple((1 << self.order_shift) + (1 << (width * (m - 1 - j))) for j in range(m))
+        self.ones = sum(1 << (width * k) for k in range(2, m + 2))  # a 1 in fields 2 .. m + 1
+        self.order_field = self.mask << self.order_shift
 
     @classmethod
     @functools.cache
@@ -78,6 +82,16 @@ class _Keys:
         """The shared layout whose fields hold 0..bound, and at least as wide
         as m + 2 fields in one CPython digit, so small systems share it."""
         return cls.of(m, max(bound.bit_length() + 1, sys.int_info.bits_per_digit // (m + 2)))
+
+    def join(self, a: int, b: int) -> int:
+        """The key of lcm(a, b), keys of one unknown.  Each exponent field of
+        d = (a | exponent guards) - b is a_j + limit - b_j; d keeps its low
+        bits, a_j - b_j, where its guard bit is set.  b + d is the join, and d
+        times ``ones`` sums them into the order field (no partial sum passes
+        ord a).  The join's order, at most 2 * (limit - 1), may pass limit."""
+        d = (a | self.exponent_guards) - b
+        d &= (ge := d & self.exponent_guards) - (ge >> (self.width - 1))
+        return b + d + (d * self.ones & self.order_field)
 
     def pack(self, xi: ExponentVector, unknown: int) -> int:
         w = self.width
@@ -345,9 +359,9 @@ def _normal_form(row, index, keys, tail):
     ``_eliminate`` steps and return it, its content removed once, at the
     end.  Terms are visited in descending rank from a heap, which takes the
     keys each step adds; ``index`` maps an unknown to its basis entries
-    [row, leader], and the first one whose leader divides a term reduces
-    it.  Without ``tail`` the row is only top-reduced: it stops at its first
-    term that no leader divides, so that term is its leader.
+    (row, leader, position), and the first one whose leader divides a term
+    reduces it.  Without ``tail`` the row is only top-reduced: it stops at
+    its first term that no leader divides, so that term is its leader.
     """
     heap = [-key for key in row]
     heapify(heap)
@@ -356,7 +370,7 @@ def _normal_form(row, index, keys, tail):
         key = -heappop(heap)
         if key not in row:
             continue
-        for g, glead in index.get((key >> unknown_shift) & mask, ()):
+        for g, glead, _ in index.get((key >> unknown_shift) & mask, ()):
             if not (key - glead) & guards:
                 break
         else:
@@ -376,21 +390,21 @@ def _groebner(
     ranking, on primitive integer rows over packed keys ``keys`` (``_Keys``),
     by default sized by the larger of the system's order and n.
 
-    Each element is one (row, packed leader) pair, shared by the basis and
-    the per-unknown index.  Input equations and S-rows are only top-reduced
-    before they join the basis: only an element's leader drives the pairs,
-    and the final pass tail-reduces every survivor.  S-pairs exist only
-    between elements whose leaders involve the same unknown.  They wait in
-    a heap keyed by (join order, unknown, join exponents, a, b), the join's
-    ``rank_key`` and then the pair, so the pair of least join under the
-    ranking is taken first: Buchberger's normal strategy.  The one pair
-    criterion is Buchberger's chain criterion (Becker and Weispfenning
-    1993): a pair is skipped when another element c of the same unknown has
-    a leader dividing the join and neither (a, c) nor (b, c) is still
-    pending.  The S-row is theta_a * f with its leader cancelled by g in one
-    ``_eliminate`` step.  Completion raises ResourceLimit once it would
-    reduce more than ``gb_step_cap`` S-pairs; a pair whose leaders are
-    coprime is reduced, and counted, like any other.
+    Each element is one (row, packed leader, position) entry, shared by the
+    basis and the per-unknown index.  Input equations and S-rows are only
+    top-reduced before they join the basis: only an element's leader drives
+    the pairs, and the final pass tail-reduces every survivor.  S-pairs
+    exist only between elements whose leaders involve the same unknown.
+    They wait in a heap keyed by (``_Keys.join`` of the leaders, a, b), and
+    packed order is rank order, so the pair of least join under the ranking
+    is taken first: Buchberger's normal strategy.  The one pair criterion is
+    Buchberger's chain criterion (Becker and Weispfenning 1993): a pair is
+    skipped when another element c of the same unknown has a leader
+    dividing the join, not (join - lead c) & guards, and neither (a, c) nor
+    (b, c) is still pending.  The S-row is theta_a * f, theta_a = join -
+    lead f, with its leader cancelled by g in one ``_eliminate`` step.  The
+    S-pair reduction past ``gb_step_cap`` raises ResourceLimit instead; a
+    pair whose leaders are coprime is reduced, and counted, like any other.
 
     No pair of two monomials is made: their S-row theta_a * x_a -
     theta_b * x_b is identically zero, so it needs no reduction and pushes
@@ -409,56 +423,54 @@ def _groebner(
     no final pass.
 
     No term of a reduction outranks the S-row's leader, so keys stay
-    within the join orders.  At a join order that does not fit a field,
+    within the join orders.  A packed join sorts and divides exactly past
+    ``limit`` (``_Keys``), so a pair the chain criterion skips needs no
+    restart.  At a pair to reduce whose join order does not fit a field,
     completion starts over at double width, which fits the join of two
     fitting leaders; the width doubles on each restart.  Packed order is
     rank order at every width, so the new attempt makes the same pairs and
     rows in the same order and ends in the same basis.  The cap counts the
     reductions of one attempt: the attempt that finishes or raises reduces
     the pairs of a run that never restarted, and an abandoned one costs at
-    most a cap's worth.  One pass in ascending leader order then
-    minimalises and tail-reduces: a leader divides only derivatives it does
-    not outrank, so only the survivors before an element can drop it or
-    reduce its terms.
+    most a cap's worth.  One pass in ascending leader order then minimalises
+    and tail-reduces: a leader divides only derivatives it does not outrank,
+    so only the survivors before an element can drop it or reduce its terms.
     """
     check_cap("gb_step_cap", gb_step_cap)
     keys = keys or _Keys.fitting(system.m, max(system.order, system.n))
-    basis: list[tuple] = []  # (row, leader), shared with index
+    basis: list[tuple] = []  # (row, leader, position), shared with index
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
-    exponents: dict[int, list] = {}  # unknown -> (position, leader exponents)
     units: set[int] = set()  # unknowns u whose x_u is a leader
-    pairs: list[tuple] = []  # heap of (join order, unknown, join, a, b)
+    pairs: list[tuple] = []  # heap of (packed join, a, b)
     pending: set[tuple[int, int]] = set()
+    join, guards, mask, unknown_shift = keys.join, keys.guards, keys.mask, keys.unknown_shift
 
     def push(row):
         lead = max(row)
-        xi, unknown = keys.unpack(lead)
-        k = len(basis)
-        if not any(xi):
+        unknown, k = (lead >> unknown_shift) & mask, len(basis)
+        if not lead >> keys.order_shift:  # order 0: x_u
             units.add(unknown)
-        members = exponents.setdefault(unknown, [])
-        for j, jxi in members if len(units) < system.n else ():
-            if len(row) == 1 == len(basis[j][0]):
+        members = index.setdefault(unknown, [])
+        for jrow, jlead, j in members if len(units) < system.n else ():
+            if len(row) == 1 == len(jrow):
                 continue
-            join = tuple(map(max, jxi, xi))
-            heappush(pairs, (sum(join), unknown, join, j, k))
+            heappush(pairs, (join(jlead, lead), j, k))
             pending.add((j, k))
-        basis.append((row, lead))
-        index.setdefault(unknown, []).append(basis[k])
-        members.append((k, xi))
+        basis.append(entry := (row, lead, k))
+        members.append(entry)
 
     for eq in system.equations:
         if nf := _normal_form(_repack(eq._row, eq._keys, keys), index, keys, False):
             push(nf)
-    steps = 0
+    steps, overflow = 0, keys.limit << keys.order_shift
     while pairs and len(units) < system.n:
-        order, unknown, join, a, b = heappop(pairs)
+        jkey, a, b = heappop(pairs)
         pending.remove((a, b))
         if any(
-            c != a and c != b and all(map(le, cxi, join))
+            not (jkey - clead) & guards and c != a and c != b
             and (min(a, c), max(a, c)) not in pending
             and (min(b, c), max(b, c)) not in pending
-            for c, cxi in exponents[unknown]
+            for _, clead, c in index[(jkey >> unknown_shift) & mask]
         ):
             continue
         if steps == gb_step_cap:
@@ -467,28 +479,26 @@ def _groebner(
                 f"with {len(basis)} basis elements (cap {gb_step_cap})"
             )
         steps += 1
-        if order >= keys.limit:
+        if jkey >= overflow:
             return _groebner(system, gb_step_cap, _Keys.of(keys.m, 2 * keys.width))
-        (f, flead), (g, glead) = basis[a], basis[b]
-        jkey = keys.pack(join, unknown)
+        (f, flead, _), (g, glead, _) = basis[a], basis[b]
         s_row = {k + jkey - flead: v for k, v in f.items()}
         _eliminate(s_row, jkey, g, glead, [])
         if nf := _normal_form(s_row, index, keys, False):
             push(nf)
 
     if len(units) == system.n:
-        unit = (0,) * system.m
         return LinearDiffSystem(system.m, system.n, tuple(
-            LinearEquation({keys.pack(unit, u): 1}, (1, 1), keys) for u in range(system.n, 0, -1)
+            LinearEquation({u << unknown_shift: 1}, (1, 1), keys) for u in range(system.n, 0, -1)
         ))
     survivors: dict[int, list] = {}  # unknown -> kept entries, ascending leaders
     reduced = []
-    for row, lead in sorted(basis, key=lambda e: e[1]):
+    for row, lead, k in sorted(basis, key=lambda e: e[1]):
         before = survivors.setdefault(keys.unknown(lead), [])
-        if any(not (lead - other[1]) & keys.guards for other in before):
+        if any(not (lead - other[1]) & guards for other in before):
             continue
         nf = _normal_form(dict(row), survivors, keys, True)
-        before.append((row, lead))
+        before.append((row, lead, k))
         reduced.append(LinearEquation(nf, (1, nf[lead]), keys))
     return LinearDiffSystem(system.m, system.n, tuple(reversed(reduced)))
 
@@ -762,8 +772,7 @@ def kolchin_via_prolongation(
     m, n, top = system.m, system.n, floor + d + 1
     echelon = _Echelon(system, matrix_cell_cap)
     margin = _echelon_margin(echelon, gb, top)
-    unit = (0,) * m
-    if all(echelon.keys.pack(unit, u) in echelon.pivots for u in range(1, n + 1)):
+    if all(u << echelon.keys.unknown_shift in echelon.pivots for u in range(1, n + 1)):
         return NumericalPolynomial.zero(m)
     echelon.build(top + margin)
     tally = [0] * (d + 2)  # pivots of order floor + j, those below floor at j = 0

@@ -25,7 +25,10 @@ CHILD = (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -513,11 +516,21 @@ def test_interpolate_spaced_values(capsys):
 
 POLY_2T_1 = '{"m": 2, "standard_coeffs": ["0", "2", "-1"], "render": "2*t + 1"}\n'
 
+# one digit past the interpreter's integer-string limit; the rows that give
+# it are skipped where there is no limit (before Python 3.11, or lifted)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * ((DIGIT_LIMIT or 4300) + 1)
+
 # (argv, exit code, human stdout, json stdout): the exact output of every
 # subcommand and kolchin mode, in both formats, and of every CLI example in
-# README.md (marked README).  A row that exits non-zero prints nothing on
-# stdout and its message on stderr, after the prefix its exit code names
-ERROR_PREFIX = {1: "error: ", 3: "resource limit: "}
+# README.md (marked README).  Leading NAME=value items of argv set that
+# environment variable.  A row that exits non-zero prints nothing on stdout
+# and its message on stderr, after the prefix its exit code names; a usage
+# error's last line names the flag or variable at fault, and not its value
+ERROR_PREFIX = {1: "error: ", 2: "usage: diffdim ", 3: "resource limit: "}
+USAGE_ERROR = re.compile(
+    r"diffdim( [a-z-]+)?: error: (argument --[a-z-]+|environment variable \w+): .*"
+)
 PINNED = [
     # README
     (("omega-set", "--file", "HEAT"), 0,
@@ -560,6 +573,7 @@ PINNED = [
      '{"r": 1, "m": 2, "n": 2, "char_order": "4", "order_sum": "20", '
      '"regularity": "38", "comparison_level": "12801", "coeff_bound": "800"}\n'),
     (("bounds", "--r", "4", "--m", "4", "--n", "1", "--bound-digit-cap", "50"), 3, "", ""),
+    (("bounds", "--r", LONG, "--m", "1", "--n", "1"), 2, "", ""),
     # no derivation
     (("bounds", "--r", "1", "--m", "0", "--n", "1"), 1, "", ""),
     (("rank-compare", "d[1,0]x1", "d[0,2]x1"), 0, "Less\n", '{"result": "Less"}\n'),
@@ -628,14 +642,24 @@ PINNED = [
     # README
     (("interpolate", "--values", "5,7,9", "--start", "2"), 0,
      "2*t + 1\nstandard coefficients: [0, 2, -1]\n", POLY_2T_1),
+    (("interpolate", "--values", f"{LONG},1", "--start", "0"), 2, "", ""),
+    ((f"KOLCHIN_GB_STEP_CAP={LONG}", "kolchin", "--system", "laplace.sys"), 2, "", ""),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
 @pytest.mark.parametrize(
-    "argv,code,human,as_json", PINNED, ids=[" ".join(case[0]) for case in PINNED]
+    "argv,code,human,as_json", PINNED,
+    ids=[" ".join(case[0]).replace(LONG, "<limit + 1 digits>") for case in PINNED],
 )
-def test_output_is_pinned(capsys, tmp_path, argv, code, human, as_json, fmt):
+def test_output_is_pinned(capsys, monkeypatch, tmp_path, argv, code, human, as_json, fmt):
+    if LONG in " ".join(argv) and not DIGIT_LIMIT:
+        pytest.skip("no integer-string limit")
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     status, out, err = run(capsys, *resolve(tmp_path, argv), "--format", fmt)
     assert (status, out) == (code, human if fmt == "human" else as_json)
     assert err.startswith(ERROR_PREFIX[code]) if code else err == ""
+    if code == 2:
+        assert USAGE_ERROR.fullmatch(err.splitlines()[-1]) and LONG not in err

@@ -1,6 +1,7 @@
-"""Property tests: packed rank keys order, divide, differentiate and re-pack
-exactly as the (exponents, unknown) pairs they stand for."""
+"""Property tests: packed rank keys order, divide, differentiate, join and
+re-pack exactly as the (exponents, unknown) pairs they stand for."""
 
+import operator
 import sys
 
 import pytest
@@ -57,6 +58,35 @@ def test_guard_bits_decide_division(data):
     if divides:
         theta = tuple(b - a for a, b in zip(lead[0], key[0]))
         assert difference == keys.pack(theta, 0)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_join_is_the_least_common_multiple_and_divides_exactly(data):
+    # at every width from the least that fitting gives upward; a join's
+    # order reaches 2 * (limit - 1), past the layout, and its key still
+    # sorts by rank and decides division by the same guard bits
+    m = data.draw(st.integers(1, 6))
+    least = _Keys.fitting(m, 1).width
+    keys = _Keys.of(m, data.draw(st.integers(least, least + 3)))
+    (xa, unknown), (xb, _), (xc, _) = (data.draw(derivatives(keys)) for _ in range(3))
+    join = keys.join(keys.pack(xa, unknown), keys.pack(xb, unknown))
+    exponents = tuple(map(max, xa, xb))
+    assert join == keys.pack(exponents, unknown)
+    divides = all(map(operator.le, xc, exponents))
+    assert (not (join - keys.pack(xc, unknown)) & keys.guards) == divides
+    other = data.draw(derivatives(keys))
+    assert (join < keys.pack(*other)) == (rank_key((exponents, unknown)) < rank_key(other))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_join_of_two_full_orders_is_twice_the_limit(m):
+    keys = _Keys.fitting(m, 1)
+    top = keys.limit - 1
+    a, b = (top,) + (0,) * (m - 1), (0,) * (m - 1) + (top,)
+    join = keys.join(keys.pack(a, 1), keys.pack(b, 1))
+    assert join >> keys.order_shift == 2 * top
+    assert join == keys.pack(tuple(map(max, a, b)), 1)
 
 
 @SETTINGS

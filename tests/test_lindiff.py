@@ -8,7 +8,7 @@ import pytest
 
 from diffdim import lindiff
 from diffdim.cli import main
-from diffdim.diffrank import DifferentialMonomial
+from diffdim.diffrank import DifferentialMonomial, kolchin_from_leaders
 from diffdim.errors import AmbientMismatch, DiffdimError, ResourceLimit
 from diffdim.expsets import ExponentSet, stabilisation_level
 from diffdim.lindiff import (
@@ -218,6 +218,9 @@ PINNED_BASES = {
     "chain-pending-ac": (3, ["1*(0,)x1"]),
     "chain-pending-bc": (1, ["1*(0, 3)x1", "1*(2, 0)x1", "1*(1, 1)x1 -1*(0, 2)x1"]),
     "chain-pending-ac-m2": (7, ["1*(0, 0)x1"]),
+    "join-64": (0, ["1*(63, 0)x2", "1*(62, 1)x2", "1*(0, 0)x1"]),
+    "chain-skip-past-the-layout": (0, ["1*(40, 0)x1 1*(39, 0)x1", "1*(0, 40)x1 1*(0, 39)x1",
+                                       "1*(1, 1)x1"]),
 }
 # the unit ideal, reached only two levels past the equations' order
 UNIT_IDEAL = (
@@ -260,6 +263,13 @@ CHAIN_PENDING_AC_M2 = (
 # S-pair joins at order 64: completion starts over at double width, and so
 # does the route's echelon at level 64
 JOIN_64 = "m = 2\nn = 2\neq: d[63,0]x2 + d[63,0]x1\neq: d[62,1]x2 + x1\neq: x1\n"
+# the pair of the binomials joins at d[40,40]x1, order 80, past the 7-bit
+# fields; d[1,1]x1 divides that join and its pairs with both binomials
+# reduce to zero first, so the chain criterion skips the pair with no
+# start over
+CHAIN_SKIP_PAST_THE_LAYOUT = (
+    "m = 2\nn = 1\neq: d[40,0]x1 + d[39,0]x1\neq: d[0,40]x1 + d[0,39]x1\neq: d[1,1]x1\n"
+)
 INLINE_SYSTEMS = {
     "unit-ideal": UNIT_IDEAL,
     "unit-x1": UNIT_X1,
@@ -269,6 +279,7 @@ INLINE_SYSTEMS = {
     "chain-pending-bc": CHAIN_PENDING_BC,
     "chain-pending-ac-m2": CHAIN_PENDING_AC_M2,
     "join-64": JOIN_64,
+    "chain-skip-past-the-layout": CHAIN_SKIP_PAST_THE_LAYOUT,
 }
 
 
@@ -279,11 +290,17 @@ def basis_lines(gb):
     ]
 
 
+def route_window(gb):
+    # floor + d + 1: the values the prolongation route reads and its guard
+    profile = leader_profile(gb)
+    floor = max(stabilisation_level(es) for es in profile.variable_sets)
+    return floor + kolchin_from_leaders(profile).differential_type() + 1
+
+
 def certified_margin(system, matrix_cell_cap=CELL_CAP):
     # the margin the prolongation route reads off its echelon
     gb = module_groebner(system)
-    window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
-    return _echelon_margin(_Echelon(system, matrix_cell_cap), gb, window)
+    return _echelon_margin(_Echelon(system, matrix_cell_cap), gb, route_window(gb))
 
 
 def assert_pinned(system, gb, name):
@@ -335,6 +352,18 @@ def test_completion_takes_the_pair_of_least_join_rank_first():
         _groebner(system, gb_step_cap=3)
 
 
+def test_chain_criterion_skips_a_join_past_the_layout_without_starting_over():
+    # two reductions, both at the parse's 7-bit layout.  A chain test that
+    # read the join's order field as a guard would not skip the pair: it
+    # would stop at this cap, and under a larger one start over at 14 bits
+    system = parse_system(CHAIN_SKIP_PAST_THE_LAYOUT)
+    gb = _groebner(system, gb_step_cap=2)
+    assert_pinned(system, gb, "chain-skip-past-the-layout")
+    assert {eq._keys.width for eq in gb.equations} == {7}
+    with pytest.raises(ResourceLimit, match=r"after 1 S-pair reductions"):
+        _groebner(system, gb_step_cap=1)
+
+
 # x2 is a leader once the second equation is top-reduced, and x1 after the
 # one S-pair
 TWO_UNITS = "m = 1\nn = 2\neq: d[1]x2 + x2 - x1\neq: d[1]x2 + 2*x2 - x1\n"
@@ -348,7 +377,7 @@ def test_completion_makes_no_pair_it_will_never_pop(monkeypatch):
 
     def spy(heap, item):
         if isinstance(item, tuple):  # an S-pair, not a normal form's key
-            made.append(item[3:])
+            made.append(item[1:])
         push(heap, item)
 
     monkeypatch.setattr(lindiff, "heappush", spy)
@@ -405,8 +434,7 @@ def test_certified_margin_counts_as_margin_plus_three(system):
     # the margin max(L(x) - ord x) is meant to be exact: three more levels
     # of prolongation must not find a single further pivot of order <= s
     margin = certified_margin(system)
-    gb = module_groebner(system)
-    top = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
+    top = route_window(module_groebner(system))
     pivots = echelon_to(system, top + margin + 3).orders
 
     def low(level, s):  # pivots of order <= s after level
