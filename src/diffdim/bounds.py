@@ -13,25 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import ResourceLimit, check_cap
+from .errors import _LOG10_2_DEN, _LOG10_2_NUM, ResourceLimit, brief, check_cap
 
 DEFAULT_DIGIT_CAP = 10**5
 DEFAULT_STEP_BUDGET = 10**6
 
-# floor(x * log10(2)) slightly overestimated; good enough for a size guard
-_LOG10_2_NUM = 30103
-_LOG10_2_DEN = 100000
-
 
 def _decimal_digits_of_pow2(exponent: int) -> int:
     return exponent * _LOG10_2_NUM // _LOG10_2_DEN + 1
-
-
-def _brief(value: int) -> str:
-    """A printable form that stays short even for enormous integers."""
-    if value < 10**30:
-        return str(value)
-    return f"a {value.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 1}-digit number"
 
 
 def _guard_digits(value: int, digit_cap: int, what: str):
@@ -53,13 +42,14 @@ def ackermann(i: int, x: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
         raise ValueError("Ackermann arguments must be non-negative")
     check_cap("digit_cap", digit_cap)
     budget = DEFAULT_STEP_BUDGET
+    call = f"ackermann({i}, {brief(x)})"
     stack = [i]
     value = x
     steps = 0
     while stack:
         steps += 1
         if steps > budget:
-            raise ResourceLimit(f"ackermann({i}, {x}) exceeded {budget} evaluation steps")
+            raise ResourceLimit(f"{call} exceeded {budget} evaluation steps")
         row = stack.pop()
         if row == 0:
             value += 1
@@ -71,7 +61,7 @@ def ackermann(i: int, x: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
             exponent = value + 3
             if _decimal_digits_of_pow2(exponent) > digit_cap:
                 raise ResourceLimit(
-                    f"ackermann row 3 would produce 2^{_brief(exponent)} - 3, "
+                    f"ackermann row 3 would produce 2^{brief(exponent)} - 3, "
                     f"more than {digit_cap} decimal digits"
                 )
             value = 2**exponent - 3
@@ -82,7 +72,7 @@ def ackermann(i: int, x: int, digit_cap: int = DEFAULT_DIGIT_CAP) -> int:
             stack.append(row - 1)
             stack.append(row)
             value -= 1
-        _guard_digits(value, digit_cap, f"ackermann({i}, {x}) intermediate")
+        _guard_digits(value, digit_cap, f"{call} intermediate")
     return value
 
 
@@ -105,7 +95,7 @@ def char_order_bound(r: int, m: int, n: int, digit_cap: int = DEFAULT_DIGIT_CAP)
     for _ in range(n):
         if value > budget:
             raise ResourceLimit(
-                f"characteristic order bound needs {_brief(value)} Ackermann "
+                f"characteristic order bound needs {brief(value)} Ackermann "
                 f"iterations (budget {budget})"
             )
         t = 0

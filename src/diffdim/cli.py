@@ -8,7 +8,9 @@ variable when the flag is absent, on the subcommands that read it:
 (KOLCHIN_GB_STEP_CAP) and --matrix-cell-cap (KOLCHIN_MATRIX_CELL_CAP,
 echelon entries held, read under --check) on kolchin.  A subcommand
 rejects a cap flag it does not read and ignores that cap's variable; a cap
-that is not a positive integer is a usage error.
+that is not a positive integer is a usage error.  Every number read, on
+the command line or in a file, has at most errors.MAX_DIGITS digits, and
+output prints every number in full.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import diffrank, expsets, lindiff, numpoly
-from .errors import DiffdimError, ParseError, ResourceLimit
+from .errors import DiffdimError, ParseError, ResourceLimit, check_digits
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -52,13 +54,19 @@ _CAPS = {
 _INTEGERS = re.compile(r"\s*-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*")
 
 
+def _short(text: str, kind: str) -> str:
+    """``text``, or a usage error stating the size of a number in it past MAX_DIGITS."""
+    try:
+        check_digits(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {exc.message}") from None
+    return text
+
+
 def _natural(text: str, least: int = 0) -> int:
     kind = "a positive integer" if least else "a natural number"
-    try:
-        if "," not in text and expsets._NATURALS.fullmatch(text) and int(text) >= least:
-            return int(text)
-    except ValueError as exc:  # past the interpreter's integer-string limit
-        raise argparse.ArgumentTypeError(f"expected {kind}; {exc}") from None
+    if "," not in text and expsets._NATURALS.fullmatch(_short(text, kind)) and int(text) >= least:
+        return int(text)
     raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
 
 
@@ -70,12 +78,10 @@ def _monomial(text: str) -> diffrank.DifferentialMonomial:
 
 
 def _coeff_list(text: str) -> tuple[int, ...]:
-    try:
-        if _INTEGERS.fullmatch(text):
-            return tuple(map(int, text.split(",")))
-    except ValueError as exc:  # past the interpreter's integer-string limit
-        raise argparse.ArgumentTypeError(f"expected comma separated integers; {exc}") from None
-    raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}")
+    kind = "comma separated integers"
+    if _INTEGERS.fullmatch(_short(text, kind)):
+        return tuple(map(int, text.split(",")))
+    raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,19 +172,10 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _poly_doc(p) -> dict:
-    doc = numpoly.to_json_dict(p)
-    doc["render"] = numpoly.render(p)
-    return doc
-
-
 def _poly_answer(p):
-    """The exit code, and the output that reports ``p``."""
-
-    def output():
-        doc = _poly_doc(p)
-        return doc, [doc["render"], f"standard coefficients: {list(p.standard_coeffs)}"]
-    return EXIT_OK, output
+    """The exit code, JSON document and text lines that report ``p``."""
+    doc = {**numpoly.to_json_dict(p), "render": numpoly.render(p)}
+    return EXIT_OK, doc, [doc["render"], f"standard coefficients: {list(p.standard_coeffs)}"]
 
 
 def _cmd_omega_set(args):
@@ -192,27 +189,21 @@ def _cmd_volume(args):
     w = expsets._numerator_volume(exp_set, args.s)
     agree = v == w
     doc = {"s": args.s, "volume": v, "numerator": w, "agree": agree}
-    return (EXIT_OK if agree else EXIT_DOMAIN), lambda: (
-        doc, [f"volume = {v}", f"numerator = {w}"] + ([] if agree else ["DISAGREE"])
-    )
+    lines = [f"volume = {v}", f"numerator = {w}"] + ([] if agree else ["DISAGREE"])
+    return (EXIT_OK if agree else EXIT_DOMAIN), doc, lines
 
 
 def _cmd_bounds(args):
-    report = bounds_mod.bound_report(
-        args.r, args.m, args.n, digit_cap=args.bound_digit_cap
-    )
-
-    def output():
-        fields = [(k, str(getattr(report, k))) for k in
-                  ("char_order", "order_sum", "regularity", "comparison_level", "coeff_bound")]
-        doc = {"r": args.r, "m": args.m, "n": args.n, **dict(fields)}
-        return doc, [f"{k} = {v}" for k, v in fields]
-    return EXIT_OK, output
+    report = bounds_mod.bound_report(args.r, args.m, args.n, digit_cap=args.bound_digit_cap)
+    fields = [(k, str(getattr(report, k))) for k in
+              ("char_order", "order_sum", "regularity", "comparison_level", "coeff_bound")]
+    doc = {"r": args.r, "m": args.m, "n": args.n, **dict(fields)}
+    return EXIT_OK, doc, [f"{k} = {v}" for k, v in fields]
 
 
 def _cmd_rank_compare(args):
     verdict = {-1: "Less", 0: "Equal", 1: "Greater"}[diffrank.compare_rank(args.left, args.right)]
-    return EXIT_OK, lambda: ({"result": verdict}, [verdict])
+    return EXIT_OK, {"result": verdict}, [verdict]
 
 
 def _cmd_omega_leaders(args):
@@ -227,24 +218,20 @@ def _cmd_kolchin(args):
         via_ranks = lindiff.kolchin_via_prolongation(system, args.matrix_cell_cap, args.gb_step_cap)
         agree = via_gb == via_ranks
         routes = (("groebner", via_gb), ("prolongation", via_ranks))
-
-        def output():
-            doc = {route: _poly_doc(p) for route, p in routes}
-            lines = [f"{route}: {numpoly.render(p)}  {list(p.standard_coeffs)}"
-                     for route, p in routes]
-            return {**doc, "agree": agree}, lines + ["AGREE" if agree else "DISAGREE"]
-        return (EXIT_OK if agree else EXIT_DOMAIN), output
+        doc = {route: _poly_answer(p)[1] for route, p in routes}
+        lines = [f"{route}: {numpoly.render(p)}  {list(p.standard_coeffs)}" for route, p in routes]
+        return ((EXIT_OK if agree else EXIT_DOMAIN), {**doc, "agree": agree},
+                lines + ["AGREE" if agree else "DISAGREE"])
     coeffs = args.at_least if args.at_least is not None else args.equals
     if coeffs is not None:
         test = lindiff.omega_equals if args.at_least is None else lindiff.omega_at_least
-        answer = test(
-            system, numpoly.NumericalPolynomial.from_coeffs(coeffs), gb_step_cap=args.gb_step_cap
-        )
-        return EXIT_OK, lambda: ({"result": answer}, ["true" if answer else "false"])
+        answer = test(system, numpoly.NumericalPolynomial.from_coeffs(coeffs),
+                      gb_step_cap=args.gb_step_cap)
+        return EXIT_OK, {"result": answer}, ["true" if answer else "false"]
     p = lindiff.kolchin_polynomial(system, gb_step_cap=args.gb_step_cap)
     if args.diff_type:
         d = p.differential_type()
-        return EXIT_OK, lambda: ({"differential_type": d}, [str(d)])
+        return EXIT_OK, {"differential_type": d}, [str(d)]
     return _poly_answer(p)
 
 
@@ -254,20 +241,16 @@ def _cmd_interpolate(args):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # input numbers are bounded by MAX_DIGITS; to print every output number in full,
+    # the interpreter's integer-string limit (none before 3.11) is lifted, then restored
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
+        args = parser.parse_args(argv)
         _config(parser, args)
-        # the handler reads under the interpreter's integer-string limit; its
-        # output, the JSON document and text lines, is formatted without it
-        code, output = args.handler(args)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.11
-        set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-        set_limit(0)
-        try:
-            doc, lines = output()
-            print(json.dumps(doc) if args.fmt == "json" else "\n".join(lines))
-        finally:
-            set_limit(limit)
+        code, doc, lines = args.handler(args)
+        print(json.dumps(doc) if args.fmt == "json" else "\n".join(lines))
         return code
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
@@ -275,6 +258,8 @@ def main(argv=None) -> int:
     except (DiffdimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

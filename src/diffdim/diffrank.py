@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import AmbientMismatch, ParseError
+from .errors import AmbientMismatch, ParseError, check_digits
 from .expsets import ExponentSet, ExponentVector, _NATURALS, _check_vector, _lines, _naturals
 from .expsets import dimension_polynomial
 from .numpoly import NumericalPolynomial
@@ -120,6 +120,7 @@ def parse_monomial(text: str) -> DifferentialMonomial:
     The shorthand carries no ambient width, so it parses over one
     derivation; compare only against like monomials.
     """
+    check_digits(text, line=1)
     match = _MONOMIAL.fullmatch(text.strip())
     if not match:
         raise ParseError(f"expected 'd[u1,...,um]x<i>' or 'x<i>', got {text!r}", line=1)

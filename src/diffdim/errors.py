@@ -1,6 +1,17 @@
-"""Exception types shared across the library, and the check a size cap passes."""
+"""Exception types shared across the library, the checks a size cap and an
+input number pass, and the short form of a number too large to print."""
 
 from __future__ import annotations
+
+import re
+
+# CPython's default integer-string limit, fixed here so that the same input
+# numbers are read whatever the interpreter's own limit is set to
+MAX_DIGITS = 4300
+
+# floor(x * log10(2)) slightly overestimated; good enough for a size guard
+_LOG10_2_NUM = 30103
+_LOG10_2_DEN = 100000
 
 
 class DiffdimError(Exception):
@@ -48,3 +59,19 @@ def check_cap(name: str, value) -> None:
     """Raise ValueError unless a size cap is a positive int."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_digits(text: str, line: int | None = None) -> None:
+    """Raise ParseError at the first number in ``text`` of more than
+    MAX_DIGITS digits, naming its column when ``line`` is given."""
+    for run in re.finditer(r"[0-9]+", text):
+        if len(run[0]) > MAX_DIGITS:
+            raise ParseError(f"a number of {len(run[0])} digits, more than {MAX_DIGITS}",
+                             line=line, column=run.start() + 1)
+
+
+def brief(value: int) -> str:
+    """A printable form that stays short even for enormous integers."""
+    if value < 10**30:
+        return str(value)
+    return f"a {value.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 1}-digit number"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import ge
 
-from .errors import ParseError, ResourceLimit, check_cap
+from .errors import MAX_DIGITS, ParseError, ResourceLimit, brief, check_cap, check_digits
 from .numpoly import NumericalPolynomial
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -108,8 +108,9 @@ def volume(exp_set: ExponentSet, s: int, enumeration_cap: int = DEFAULT_ENUMERAT
     prefixes = comb(s + k, k)
     if (steps := prefixes * max(1, len(gens))) > enumeration_cap:
         raise ResourceLimit(
-            f"volume walk at order {s} visits up to {prefixes} prefixes over {k} coordinates, "
-            f"each a pass over {len(gens)} generators: {steps} steps (cap {enumeration_cap})"
+            f"volume walk at order {brief(s)} visits up to {brief(prefixes)} prefixes over {k} "
+            f"coordinates, each a pass over {len(gens)} generators: {brief(steps)} steps "
+            f"(cap {brief(enumeration_cap)})"
         )
     return _outside(m, gens, s)
 
@@ -278,10 +279,13 @@ _NATURALS = re.compile(r"\s*[0-9]+\s*(?:,\s*[0-9]+\s*)*")
 
 def _lines(text: str):
     """Yield (1-based line number, line) with '#' comments cut, trailing
-    whitespace stripped and blank lines skipped."""
+    whitespace stripped and blank lines skipped.  Every format reads through
+    here: a number of more than MAX_DIGITS digits is a ParseError at its place."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if line:
+            if len(line) > MAX_DIGITS:
+                check_digits(line, lineno)
             yield lineno, line
 
 
@@ -290,10 +294,7 @@ def _naturals(text: str, lineno: int, width: int | None = None) -> tuple[int, ..
     that is given."""
     if not _NATURALS.fullmatch(text):
         raise ParseError(f"expected comma-separated naturals, got {text.strip()!r}", line=lineno)
-    try:
-        row = tuple(map(int, text.split(",")))
-    except ValueError as exc:  # past the interpreter's integer-string limit
-        raise ParseError(str(exc), line=lineno) from None
+    row = tuple(map(int, text.split(",")))
     if width is not None and len(row) != width:
         raise ParseError(f"expected {width} entries, got {len(row)}", line=lineno)
     return row

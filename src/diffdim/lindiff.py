@@ -284,10 +284,7 @@ def _parse_equation(
             at = term.start("sign")
             raise ParseError(f"expected '+' or '-', got {line[at]!r}", line=lineno, column=at + 1)
         if num:
-            try:
-                num, den = int(num), int(den or 1)
-            except ValueError as exc:  # past the interpreter's integer-string limit
-                raise ParseError(str(exc), line=lineno, column=term.start("num") + 1) from None
+            num, den = int(num), int(den or 1)
             if den == 0:
                 raise ParseError("zero denominator", line=lineno, column=term.start("num") + 1)
             if num == 0:
@@ -302,10 +299,7 @@ def _parse_equation(
             num = den = 1
         if not mono:
             raise ParseError("expected a monomial", line=lineno, column=term.end() + 1)
-        try:
-            entries, unknown, order, key = _term_key(exps, idx, keys)
-        except ValueError as exc:  # past the interpreter's integer-string limit
-            raise ParseError(str(exc), line=lineno, column=term.start("mono") + 1) from None
+        entries, unknown, order, key = _term_key(exps, idx, keys)
         error = (
             f"exponent list has {entries} entries, expected {keys.m}" if entries != keys.m
             else f"unknown x{unknown} outside 1..{n}" if not 1 <= unknown <= n

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import InputNotNumericalPolynomial
+from .errors import MAX_DIGITS, InputNotNumericalPolynomial
 
 LESS = -1
 EQUAL = 0
@@ -178,8 +178,9 @@ def to_json_dict(p: NumericalPolynomial) -> dict:
     }
 
 
-# the decimal strings to_json_dict writes: ASCII digits, optional minus
-_DECIMAL = re.compile(r"-?[0-9]+")
+# the decimal strings to_json_dict writes: ASCII digits, optional minus; read
+# back, like every input number, up to MAX_DIGITS digits
+_DECIMAL = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
 
 
 def from_json_dict(doc: dict) -> NumericalPolynomial:

@@ -37,6 +37,11 @@ def test_ackermann_closed_rows():
     assert ackermann(1, 41) == 43
     assert ackermann(2, 41) == 85
     assert ackermann(3, 5) == 2**8 - 3
+    # an argument longer than the interpreter's default integer-string limit
+    # is named in a message by its size, and only when a cap is hit
+    assert ackermann(1, 10**5000) == 10**5000 + 2
+    with pytest.raises(ResourceLimit, match=r"^ackermann\(1, a 5001-digit number\) intermediate"):
+        ackermann(1, 10**5000, digit_cap=4999)
 
 
 def test_ackermann_row_four():

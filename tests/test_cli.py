@@ -11,10 +11,13 @@ import pytest
 import diffdim
 from diffdim import expsets, lindiff
 from diffdim.cli import main
+from diffdim.errors import MAX_DIGITS
 from test_classical import laplace
 from test_lindiff import MARGIN_SIX, MONOMIALS_6, UNIT_IDEAL
 
 DATA = Path(__file__).parent / "data"
+# one digit past MAX_DIGITS, the longest number diffdim reads
+LONG = "1" * (MAX_DIGITS + 1)
 # child processes import the diffdim that these tests imported: src/ in a
 # checkout, site-packages where the package is installed
 IMPORT_ROOT = str(Path(diffdim.__file__).resolve().parent.parent)
@@ -37,7 +40,7 @@ def run(capsys, *argv):
 # under tests/data
 FILES = {
     "HEAT": "0, 2\n", "CORNER": "1, 1\n", "CORNER3": "1, 1, 1\n", "CORNERS": "1,0\n0,1\n",
-    "FIVE": "5\n",
+    "FIVE": "5\n", "ONES256": ",".join("1" * 256) + "\n",
     "SET3": "0,4,7\n1,5,2\n3,0,4\n2,2,1\n", "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n",
     "UNIT": UNIT_IDEAL, "MONOMIALS6": MONOMIALS_6, "MARGIN6": MARGIN_SIX,
 }
@@ -266,51 +269,79 @@ def test_kolchin_check_cell_cap(capsys, monkeypatch):
     assert out.splitlines()[-1] == "AGREE"
 
 
+def int_limit():
+    """The interpreter's integer-string limit; None where there is none
+    (before Python 3.11)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
 @pytest.fixture
-def digit_limit():
-    """The interpreter's integer-string limit at its default of 4,300 digits
-    for one test, then as it was; None where there is no limit (before
-    Python 3.11)."""
-    if not hasattr(sys, "get_int_max_str_digits"):
+def digit_limit(request):
+    """The interpreter's integer-string limit at the test's parameter, by
+    default 4,300 digits, for one test, then as it was; None where there is
+    no limit."""
+    if int_limit() is None:
         yield None
         return
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    sys.set_int_max_str_digits(getattr(request, "param", 4300))
     try:
-        yield 4300
+        yield sys.get_int_max_str_digits()
     finally:
         sys.set_int_max_str_digits(saved)
 
 
+BOUND_FIELDS = ("char_order", "order_sum", "regularity", "comparison_level", "coeff_bound")
+
+
 @pytest.mark.parametrize("fmt", ["human", "json"])
-def test_bounds_print_every_number_their_digit_cap_lets_through(capsys, digit_limit, fmt):
-    # the comparison level has 5,424 digits, past the limit but inside the
-    # default cap of 10^5; the limit is lifted while the output is
-    # formatted, then restored
-    code, out, err = run(capsys, "bounds", "--r", "2000", "--m", "3", "--n", "1", "--format", fmt)
-    assert (code, err) == (0, "")
-    if fmt == "json":
-        level = json.loads(out)["comparison_level"]
-    else:
-        (level,) = [line[len("comparison_level = "):] for line in out.splitlines()
-                    if line.startswith("comparison_level = ")]
-    assert len(level) == 5424 and level.isdigit()
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit
-
-
-def test_kolchin_reads_a_long_number_under_the_limit_and_names_its_place(
-    capsys, tmp_path, digit_limit
+@pytest.mark.parametrize("r, digits", [
+    # the comparison level is past the interpreter's default limit
+    ("2000", [603, 1808, 1808, 5424, 5422]),
+    # and here the characteristic order, which the Ackermann steps build
+    ("15000", [4516, 13548, 13548, 40645, 40643]),
+], ids=["r-2000", "r-15000"])
+def test_bounds_print_every_number_their_digit_cap_lets_through(
+    capsys, digit_limit, r, digits, fmt
 ):
-    # the limit is lifted for the output only: the system file is still read
-    # under it, so a coefficient one digit past it is a parse error at its
-    # line and column
-    if digit_limit is None:
-        pytest.skip("no integer-string limit")
+    # every number is inside the default cap of 10^5 digits; main lifts the
+    # interpreter's limit, then restores it
+    code, out, err = run(capsys, "bounds", "--r", r, "--m", "3", "--n", "1", "--format", fmt)
+    assert (code, err) == (0, "")
+    doc = json.loads(out) if fmt == "json" else dict(line.split(" = ") for line in out.splitlines())
+    assert [len(doc[k]) for k in BOUND_FIELDS] == digits
+    assert all(doc[k].isdigit() for k in BOUND_FIELDS)
+    assert int_limit() == digit_limit
+
+
+def test_kolchin_names_the_place_of_a_number_past_max_digits(capsys, tmp_path):
+    # the grammar's bound, and not the interpreter's limit, refuses it
     path = tmp_path / "long.sys"
-    path.write_text(f"m = 1\nn = 1\neq: {'1' * (digit_limit + 1)}*x1\n")
+    path.write_text(f"m = 1\nn = 1\neq: {LONG}*x1\n")
     code, out, err = run(capsys, "kolchin", "--system", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.rstrip().endswith("(line 3, column 5)")
+    assert err == "error: a number of 4301 digits, more than 4300 (line 3, column 5)\n"
+
+
+# a coefficient of 1,000 digits, and a polynomial whose output prints it
+THOUSAND = "9" * 1000
+READS_THE_SAME = [
+    (("kolchin", "--system", "BIG_HEAT", "--check"),
+     "groebner: 2*t + 1  [0, 2, -1]\nprolongation: 2*t + 1  [0, 2, -1]\nAGREE\n"),
+    (("interpolate", "--values", f"{THOUSAND},{THOUSAND}", "--start", "0"),
+     f"{THOUSAND}\nstandard coefficients: [0, {THOUSAND}]\n"),
+]
+
+
+@pytest.mark.parametrize("digit_limit", [640, 4300, 0], indirect=True)
+@pytest.mark.parametrize("argv, expected", READS_THE_SAME, ids=["kolchin", "interpolate"])
+def test_numbers_are_read_the_same_at_any_interpreter_limit(
+    capsys, tmp_path, digit_limit, argv, expected
+):
+    (tmp_path / "BIG_HEAT").write_text(f"m = 2\nn = 1\neq: {THOUSAND}*d[1,0]x1 - d[0,2]x1\n")
+    argv = [str(tmp_path / a) if a == "BIG_HEAT" else a for a in argv]
+    assert run(capsys, *argv) == (0, expected, "")
+    assert int_limit() == digit_limit
 
 
 BIG_EXPONENT = "m = 2\nn = 1\neq: d[1000000000,0]x1 + d[0,3]x1\n"
@@ -516,11 +547,6 @@ def test_interpolate_spaced_values(capsys):
 
 POLY_2T_1 = '{"m": 2, "standard_coeffs": ["0", "2", "-1"], "render": "2*t + 1"}\n'
 
-# one digit past the interpreter's integer-string limit; the rows that give
-# it are skipped where there is no limit (before Python 3.11, or lifted)
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-LONG = "1" * ((DIGIT_LIMIT or 4300) + 1)
-
 # (argv, exit code, human stdout, json stdout): the exact output of every
 # subcommand and kolchin mode, in both formats, and of every CLI example in
 # README.md (marked README).  Leading NAME=value items of argv set that
@@ -561,6 +587,8 @@ PINNED = [
     (("volume", "--file", "FIVE", "--s", str(10**20), "--enum-cap", str(10**30)), 0,
      "volume = 5\nnumerator = 5\n",
      '{"s": 100000000000000000000, "volume": 5, "numerator": 5, "agree": true}\n'),
+    # the walk's binom(10^20 + 254, 254) prefixes, 4,578 digits, are stated by size
+    (("volume", "--file", "ONES256", "--s", str(10**20)), 3, "", ""),
     # README
     (("bounds", "--r", "1", "--m", "2", "--n", "1"), 0,
      "char_order = 2\norder_sum = 6\nregularity = 10\ncomparison_level = 577\n"
@@ -653,8 +681,6 @@ PINNED = [
     ids=[" ".join(case[0]).replace(LONG, "<limit + 1 digits>") for case in PINNED],
 )
 def test_output_is_pinned(capsys, monkeypatch, tmp_path, argv, code, human, as_json, fmt):
-    if LONG in " ".join(argv) and not DIGIT_LIMIT:
-        pytest.skip("no integer-string limit")
     while "=" in argv[0]:
         monkeypatch.setenv(*argv[0].split("=", 1))
         argv = argv[1:]

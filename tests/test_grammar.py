@@ -1,29 +1,28 @@
 """Malformed input raises ParseError with its position in every text format.
 
 Numbers are ASCII digits only: superscripts, other scripts' digits, an
-underscore separator or a '+' sign are rejected wherever a natural is read.
+underscore separator or a '+' sign are rejected wherever a natural is read,
+and so is a number of more than MAX_DIGITS digits.
 """
 
-import sys
+from fractions import Fraction
 
 import pytest
 
 from diffdim.diffrank import parse_leader_profile, parse_monomial
-from diffdim.errors import ParseError
+from diffdim.errors import MAX_DIGITS, ParseError
 from diffdim.expsets import parse_exponent_set
 from diffdim.lindiff import parse_system
 
 HEAD = "m = 1\nn = 1\n"
 
-# a number one digit past the interpreter's integer-string limit, where it
-# has one (Python 3.11 on), on which int() raises a bare ValueError
-_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-LONG = "1" * (_LIMIT + 1)
+# a number one digit past MAX_DIGITS, the longest any format reads
+LONG = "1" * (MAX_DIGITS + 1)
+TOO_LONG = f"a number of {MAX_DIGITS + 1} digits, more than {MAX_DIGITS}"
 
 
 def long_number(name, *values):
-    skip = pytest.mark.skipif(not _LIMIT, reason="no integer-string limit")
-    return pytest.param(*values, id=f"long {name}", marks=skip)
+    return pytest.param(*values, id=f"long {name}")
 
 
 MALFORMED = [
@@ -56,7 +55,7 @@ MALFORMED = [
     (parse_monomial, "d[+3]x1"),
     (parse_monomial, "d[1"),
     (parse_monomial, "*x1"),
-    # numbers past the integer-string limit, in every reader
+    # numbers past MAX_DIGITS, in every reader
     long_number("exponent-set entry", parse_exponent_set, f"1, {LONG}\n"),
     long_number("profile index", parse_leader_profile, f"{LONG}: 1, 0\n"),
     long_number("profile entry", parse_leader_profile, f"1: {LONG}, 0\n"),
@@ -123,12 +122,27 @@ def test_equation_error_columns():
         "eq: 1*d[0]x1 + 2*x1": (18, "duplicate monomial"),
         "eq: 1*d[01]x1 + 2*d[1]x1": (19, "duplicate monomial"),
         "eq:": (4, "empty equation"),
+        # the first number past MAX_DIGITS, wherever it stands in the line
+        f"eq: {LONG}*x1": (5, TOO_LONG),
+        f"eq: 1/{LONG}*x1": (7, TOO_LONG),
+        f"eq: 1*d[{LONG}]x1 + {LONG}*x1": (9, TOO_LONG),
     }
     for line, (column, fragment) in cases.items():
         with pytest.raises(ParseError) as info:
             parse_system(HEAD + line + "\n")
         assert (info.value.line, info.value.column) == (3, column), line
         assert fragment in str(info.value), line
+
+
+def test_numbers_of_max_digits_are_read():
+    # the longest number, and a line longer than MAX_DIGITS that holds only
+    # short ones or a long one in a comment
+    longest = "9" * MAX_DIGITS
+    system = parse_system(f"{HEAD}eq: {longest}*x1 -  {' ' * MAX_DIGITS}  1/{longest}*d[1]x1\n")
+    (equation,) = system.equations
+    assert [c for c, _ in equation.terms] == [Fraction(-1, int(longest)), int(longest)]
+    assert parse_exponent_set(f"{longest}, 1 # {LONG}\n").generators == ((int(longest), 1),)
+    assert parse_monomial(f"d[{longest}]x1").exponents == (int(longest),)
 
 
 def test_a_missing_header_raises_with_no_line():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diffdim.cli import main
-from diffdim.errors import InputNotNumericalPolynomial
+from diffdim.errors import MAX_DIGITS, InputNotNumericalPolynomial
 from diffdim.numpoly import (
     EQUAL,
     GREATER,
@@ -156,6 +156,10 @@ def test_json_roundtrip():
     assert from_json_dict(doc) == p
     # the CLI's documents add their rendering, which reads back as well
     assert from_json_dict({**doc, "render": render(p)}) == p
+    # a coefficient of MAX_DIGITS digits, the longest any input number may be
+    longest = -int("9" * MAX_DIGITS)
+    doc = to_json_dict(NumericalPolynomial.from_coeffs((longest,)))
+    assert from_json_dict(doc).standard_coeffs == (longest,)
 
 
 def test_json_rejects_garbage():
@@ -178,9 +182,10 @@ def test_json_rejects_garbage():
         {"m": 0, "standard_coeffs": [" 1"]},
         {"m": 1, "standard_coeffs": ["1"]},
         {"m": -1, "standard_coeffs": []},
+        {"m": 0, "standard_coeffs": ["-" + "1" * (MAX_DIGITS + 1)]},
     ],
     ids=["float", "int", "string", "bool", "underscore", "arabic_digit", "plus",
-         "space", "wrong_count", "negative_m"],
+         "space", "wrong_count", "negative_m", "past_max_digits"],
 )
 def test_json_rejects_malformed(doc):
     with pytest.raises(InputNotNumericalPolynomial):
