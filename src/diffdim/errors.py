@@ -1,5 +1,5 @@
 """Exception types shared across the library, the checks a size cap and an
-input number pass, and the short form of a number too large to print."""
+input number pass, the one digit test and the short form of a number."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import re
 # numbers are read whatever the interpreter's own limit is set to
 MAX_DIGITS = 4300
 
-# floor(x * log10(2)) slightly overestimated; good enough for a size guard
-_LOG10_2_NUM = 30103
-_LOG10_2_DEN = 100000
+_LOG2_10 = 33219280948  # 10^10 * log2(10) lies between this and the next integer
 
 
 class DiffdimError(Exception):
@@ -70,8 +68,21 @@ def check_digits(text: str, line: int | None = None) -> None:
                              line=line, column=run.start() + 1)
 
 
+def over(value: int, digits: int) -> bool:
+    """Whether the natural number ``value`` is at least 10**digits, exactly:
+    bit lengths decide, and the power is built only within a bit of it."""
+    bits = value.bit_length()
+    if bits * 10**10 <= digits * _LOG2_10:
+        return False
+    return (bits - 1) * 10**10 >= digits * (_LOG2_10 + 1) or value >= 10**digits
+
+
 def brief(value: int) -> str:
-    """A printable form that stays short even for enormous integers."""
-    if value < 10**30:
+    """A printable form that stays short even for enormous natural numbers:
+    one of more than 30 digits is stated by its exact count of digits."""
+    if not over(value, 30):
         return str(value)
-    return f"a {value.bit_length() * _LOG10_2_NUM // _LOG10_2_DEN + 1}-digit number"
+    digits = value.bit_length() * 10**10 // (_LOG2_10 + 1)  # at most the count
+    while over(value, digits):
+        digits += 1
+    return f"a {digits}-digit number"

@@ -1,3 +1,7 @@
+import re
+import subprocess
+import sys
+
 import pytest
 
 from diffdim import bounds
@@ -8,6 +12,7 @@ from diffdim.bounds import (
     regularity_bound,
 )
 from diffdim.errors import ResourceLimit
+from test_cli import IMPORT_ROOT
 
 
 def ackermann_reference(i, x, _memo={}):
@@ -40,7 +45,7 @@ def test_ackermann_closed_rows():
     # an argument longer than the interpreter's default integer-string limit
     # is named in a message by its size, and only when a cap is hit
     assert ackermann(1, 10**5000) == 10**5000 + 2
-    with pytest.raises(ResourceLimit, match=r"^ackermann\(1, a 5001-digit number\) intermediate"):
+    with pytest.raises(ResourceLimit, match=r"^ackermann\(1, a 5001-digit number\) exceeds 4999 "):
         ackermann(1, 10**5000, digit_cap=4999)
 
 
@@ -65,15 +70,16 @@ def test_ackermann_digit_cap():
 
 
 @pytest.mark.parametrize(
-    "r, n, message",
+    "r, n, cap, message",
     [
-        (1, 3, "order sum bound exceeds 1 decimal digits"),
-        (1, 2, r"comparison level needs D\^2 with D of 5 bits, past 1 decimal digits"),
+        (1, 3, 1, "order sum bound exceeds 1 decimal digits"),
+        # D = 72 fits, and D^2 >= 2^12 does not
+        (1, 3, 2, r"comparison level needs D\^2 with D of 7 bits, past 2 decimal digits"),
     ],
 )
-def test_bound_report_digit_cap_names_the_bound(r, n, message):
+def test_bound_report_digit_cap_names_the_bound(r, n, cap, message):
     with pytest.raises(ResourceLimit, match=message):
-        bound_report(r, 2, n, digit_cap=1)
+        bound_report(r, 2, n, digit_cap=cap)
 
 
 def test_char_order_bound_small_table():
@@ -207,3 +213,96 @@ def test_step_budget_keyword_is_rejected(name):
     # the budget is no longer a per-call option; an old call fails loudly
     with pytest.raises(TypeError, match="step_budget"):
         BOUND_CALLS[name](step_budget=10)
+
+
+def report(r, m, n):
+    def call(cap):
+        return bound_report(r, m, n, digit_cap=cap)
+    return call
+
+
+BOUND_FIELDS = ("char_order", "order_sum", "regularity", "comparison_level", "coeff_bound")
+# each row: a call of the cap, a cap, what the call gives at that cap (a value
+# of exactly that many digits, a report whose widest bound has them, or the
+# message of a later check), and the message it raises at one digit less
+BOUNDARY = {
+    "ackermann-row-0": (lambda cap: ackermann(0, 99, cap), 3, 100,
+                        r"ackermann\(0, 99\) exceeds 2 decimal digits"),
+    "ackermann-row-1": (lambda cap: ackermann(1, 9998, cap), 5, 10000,
+                        r"ackermann\(1, 9998\) exceeds 4 decimal digits"),
+    "ackermann-row-2": (lambda cap: ackermann(2, 49998, cap), 5, 99999,
+                        r"ackermann\(2, 49998\) exceeds 4 decimal digits"),
+    # the row-3 pre-test: 2^(x+3) - 3 >= 2^(x+2), here 128 >= 10^2
+    "ackermann-row-3": (lambda cap: ackermann(3, 5, cap), 3, 253,
+                        r"ackermann row 3 would produce 2\^8 - 3, more than 2 decimal digits"),
+    # 2^13301 - 3 has exactly 4,004 digits, within a bit of 10^4004
+    "ackermann-row-3-4004": (lambda cap: ackermann(3, 13298, cap), 4004, 2**13301 - 3,
+                             r"ackermann row 3 would produce 2\^13301 - 3, "
+                             r"more than 4003 decimal digits"),
+    "ackermann-row-4": (lambda cap: ackermann(4, 1, cap), 5, 65533,
+                        r"ackermann row 3 would produce 2\^16 - 3, more than 4 decimal digits"),
+    "ackermann-row-4-19729": (lambda cap: ackermann(4, 2, cap), 19729, 2**65536 - 3,
+                              r"ackermann row 3 would produce 2\^65536 - 3, "
+                              r"more than 19728 decimal digits"),
+    # the return check, after the pre-test let 2^255 (77 digits) pass
+    "char_order_bound": (lambda cap: char_order_bound(3, 4, 1, cap), 78, 2**256 - 3,
+                         r"ackermann\(3, 253\) exceeds 77 decimal digits"),
+    "regularity_bound": (lambda cap: regularity_bound(1, 2, 3, cap), 3, 142,
+                         r"regularity bound exceeds 2 decimal digits"),
+    # C = D = 10, comparison level 41
+    "report-char_order": (report(10, 1, 1), 2, bound_report(10, 1, 1),
+                          r"ackermann\(0, 9\) exceeds 1 decimal digits"),
+    # D = 20: at cap 2 the D^2 pre-test refuses, at cap 1 D itself
+    "report-order_sum": (report(1, 2, 2), 2, r"comparison level needs D\^2 with D of 5 bits, ",
+                         r"order sum bound exceeds 1 decimal digits"),
+    # the D^2 pre-test: D = 72 and D^2 >= 2^12 = 4096; at cap 4 it passes
+    "report-D^m": (report(1, 2, 3), 4, r"comparison level exceeds 4 decimal digits",
+                   r"comparison level needs D\^2 with D of 7 bits, past 3 decimal digits"),
+    "report-comparison_level": (report(1, 2, 1), 3, bound_report(1, 2, 1),
+                                r"comparison level exceeds 2 decimal digits"),
+    "report-coeff_bound": (report(0, 1, 10**6), 7, bound_report(0, 1, 10**6),
+                           r"coefficient bound exceeds 6 decimal digits"),
+    # the regularity field, m*(D - 1), is at most the D^m pre-test's 2^((bits-1)*m),
+    # so its check never fires first in bound_report: regularity_bound covers it
+}
+
+
+@pytest.mark.parametrize("call, cap, at_cap, below", BOUNDARY.values(), ids=BOUNDARY.keys())
+def test_each_bound_is_returned_at_its_digits_and_refused_one_below(call, cap, at_cap, below):
+    if isinstance(at_cap, str):
+        with pytest.raises(ResourceLimit, match=at_cap):
+            call(cap)
+    else:
+        value = call(cap)
+        assert value == at_cap
+        if isinstance(value, bounds.BoundReport):
+            value = max(getattr(value, field) for field in BOUND_FIELDS)
+        assert 10 ** (cap - 1) <= value < 10**cap
+    with pytest.raises(ResourceLimit) as info:
+        call(cap - 1)
+    assert re.fullmatch(below, info.value.description)
+
+
+def test_comparison_level_at_d_zero_builds_no_factorial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bounds, "factorial", lambda m: calls.append(m) or 1)
+    assert bound_report(0, 10**6, 1).comparison_level == 1
+    assert calls == []
+
+
+def test_char_order_bound_stops_at_a_fixed_point():
+    # a pass that returns its own input (r = 0, or m = 1 where A(0, t) = t + 1)
+    # ends the iteration; a child under a CPU limit makes one that runs all
+    # n passes fail rather than hang
+    resource = pytest.importorskip("resource")
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from diffdim.bounds import char_order_bound; "
+        "print(char_order_bound(0, 1, 10**30), char_order_bound(5, 1, 10**12), "
+        "char_order_bound(0, 4, 10**30))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, IMPORT_ROOT], capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (10, 10)),
+    )
+    assert (done.returncode, done.stdout) == (0, "0 5 0\n"), done.stderr

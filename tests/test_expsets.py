@@ -127,12 +127,12 @@ def test_enumeration_cap_counts_the_prefixes_walked(m, s):
 def test_enumeration_cap_states_a_number_too_long_to_print_by_its_size():
     # binom(10^20 + 254, 254) has 4,578 digits, more than str() writes under
     # the interpreter's default limit of 4,300, so the message gives the
-    # prefixes and the steps by their size (brief's estimate, one digit over)
+    # prefixes and the steps by their size
     with pytest.raises(ResourceLimit) as info:
         volume(ExponentSet(256, ((1,) * 256,)), 10**20)
     assert info.value.description == (
-        "volume walk at order 100000000000000000000 visits up to a 4579-digit number prefixes "
-        "over 254 coordinates, each a pass over 1 generators: a 4579-digit number steps "
+        "volume walk at order 100000000000000000000 visits up to a 4578-digit number prefixes "
+        "over 254 coordinates, each a pass over 1 generators: a 4578-digit number steps "
         "(cap 10000000)"
     )
 
