@@ -416,6 +416,16 @@ def _groebner(
     whole free module is x_1, ..., x_n, so it is returned as it stands, with
     no final pass.
 
+    A system of monomials, every row one term, is its own basis, and its
+    reduced basis is returned before any reduction (Becker and Weispfenning
+    1993, 5.5): the S-row of two monomials is identically zero, and a
+    one-term row top-reduces either to zero or to itself, so the pair loop
+    and the final pass could only minimalise.  The distinct leaders are
+    walked in ascending order, each kept unless a kept one divides it, and
+    each kept leader is the row of the first equation carrying it, scaled
+    (1, row[lead]) as the final pass would: the same leaders, layout and
+    terms.
+
     No term of a reduction outranks the S-row's leader, so keys stay
     within the join orders.  A packed join sorts and divides exactly past
     ``limit`` (``_Keys``), so a pair the chain criterion skips needs no
@@ -432,12 +442,24 @@ def _groebner(
     """
     check_cap("gb_step_cap", gb_step_cap)
     keys = keys or _Keys.fitting(system.m, max(system.order, system.n))
+    join, guards, mask, unknown_shift = keys.join, keys.guards, keys.mask, keys.unknown_shift
+    if all(len(eq._row) == 1 for eq in system.equations):  # a system of monomials
+        first: dict[int, dict] = {}  # leader -> row of the first equation carrying it
+        for eq in system.equations:
+            row = _repack(eq._row, eq._keys, keys)
+            first.setdefault(max(row), row)
+        kept: list[int] = []
+        for lead in sorted(first):
+            if all((lead - other) & guards for other in kept):
+                kept.append(lead)
+        return LinearDiffSystem(system.m, system.n, tuple(
+            LinearEquation(first[lead], (1, first[lead][lead]), keys) for lead in reversed(kept)
+        ))
     basis: list[tuple] = []  # (row, leader, position), shared with index
     index: dict[int, list] = {}  # unknown -> basis entries, insertion order
     units: set[int] = set()  # unknowns u whose x_u is a leader
     pairs: list[tuple] = []  # heap of (packed join, a, b)
     pending: set[tuple[int, int]] = set()
-    join, guards, mask, unknown_shift = keys.join, keys.guards, keys.mask, keys.unknown_shift
 
     def push(row):
         lead = max(row)

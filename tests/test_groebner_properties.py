@@ -1,23 +1,28 @@
 """Property tests: the reduced Groebner basis depends only on the submodule
 the equations generate, not on how the equations are written down, and it
-matches a textbook Buchberger; one elimination step is the fraction-free
-combination it names."""
+matches a textbook Buchberger; a system of monomials is its own basis; one
+elimination step is the fraction-free combination it names."""
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import le
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from diffdim.diffrank import rank_key  # noqa: E402
+from diffdim.diffrank import LeaderProfile, rank_key  # noqa: E402
+from diffdim.expsets import ExponentSet  # noqa: E402
 from diffdim.lindiff import (  # noqa: E402
     LinearDiffSystem,
     _eliminate,
     _groebner,
     _Keys,
+    kolchin_polynomial,
+    kolchin_via_prolongation,
+    leader_profile,
     module_groebner,
     parse_system,
 )
@@ -161,6 +166,45 @@ def test_groebner_matches_plain_buchberger(system):
         for eq in module_groebner(system).equations
     }
     assert basis == oracle_basis(system)
+
+
+@st.composite
+def monomial_systems(draw):
+    """m <= 3, n <= 3 and up to 8 one-term equations of either sign, of
+    order <= 3, and up to two more that repeat a drawn monomial or take one
+    derivative of it."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vectors = [xi for xi in product(range(4), repeat=m) if sum(xi) <= 3]
+    monomials = draw(st.lists(st.tuples(st.sampled_from(vectors), st.integers(1, n)), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if monomials else 0):
+        xi, unknown = draw(st.sampled_from(monomials))
+        j = draw(st.integers(-1, m - 1))  # -1: the monomial again
+        monomials.append((tuple(e + (k == j) for k, e in enumerate(xi)), unknown))
+    monomials = draw(st.permutations(monomials))
+    return LinearDiffSystem(m, n, tuple(equation({key: draw(coefficients)}) for key in monomials))
+
+
+# a monomial system's pivot rows are one entry each, at most one per column
+# of the route's top level; a wrong basis ends at this cap
+CELL_CAP = 10**4
+
+
+@SETTINGS
+@hypothesis.given(monomial_systems())
+def test_a_system_of_monomials_is_its_own_basis(system):
+    monomials = {(mono.exponents, mono.var_index) for eq in system.equations for _, mono in eq.terms}
+    minimal = [
+        (xi, unknown) for xi, unknown in monomials
+        if not any(u == unknown and yi != xi and all(map(le, yi, xi)) for yi, u in monomials)
+    ]
+    gb = module_groebner(system)
+    basis = [[(c, (mono.exponents, mono.var_index)) for c, mono in eq.terms] for eq in gb.equations]
+    assert sorted(basis) == sorted([(1, key)] for key in minimal)
+    assert leader_profile(gb) == LeaderProfile(system.m, tuple(
+        ExponentSet(system.m, tuple(xi for xi, u in monomials if u == unknown))
+        for unknown in range(1, system.n + 1)
+    ))
+    assert kolchin_polynomial(system) == kolchin_via_prolongation(system, matrix_cell_cap=CELL_CAP)
 
 
 def test_join_past_the_field_width_repacks_and_matches_plain_buchberger():

@@ -209,11 +209,13 @@ PINNED_BASES = {
     "laplace.sys": (0, ["1*(2, 0)x1 1*(0, 2)x1"]),
     "n300.sys": (0, ["1*(2,)x1 1*(0,)x300", "1*(1,)x300 1*(0,)x1"]),
     "ode2.sys": (0, ["1*(2,)x1"]),
+    "staircase.sys": (0, ["1*(3, 0)x1", "1*(1, 1)x1", "1*(0, 2)x1", "1*(0, 1)x2"]),
     "wave.sys": (0, ["1*(2, 0)x1 -1*(0, 2)x1"]),
     "unit-ideal": (4, ["1*(0, 0)x1"]),
     "unit-x1": (1, ["1*(2, 0)x2 1*(0, 1)x2", "1*(1, 1)x2 1*(0, 0)x2",
                     "1*(0, 2)x2 -1*(1, 0)x2", "1*(0, 0)x1"]),
     "monomials-6": (0, [f"1*({i}, {5 - i})x1" for i in range(5, -1, -1)]),
+    "monomials-n2": (0, ["1*(3, 0)x1", "1*(1, 2)x1", "1*(0, 1)x2"]),
     "monomials-binomial": (2, ["1*(0, 2)x1", "1*(1, 0)x1"]),
     "chain-pending-ac": (3, ["1*(0,)x1"]),
     "chain-pending-bc": (1, ["1*(0, 3)x1", "1*(2, 0)x1", "1*(1, 1)x1 -1*(0, 2)x1"]),
@@ -234,6 +236,12 @@ UNIT_IDEAL = (
 UNIT_X1 = "m = 2\nn = 2\neq: x1\neq: d[2,0]x2 + d[0,1]x2\neq: d[1,1]x2 + x2\n"
 # six monomials of order 5: none of their 15 S-pairs is made
 MONOMIALS_6 = "m = 2\nn = 1\n" + "".join(f"eq: d[{i},{5 - i}]x1\n" for i in range(6))
+# d[2,2]x1 comes before d[1,2]x1, which divides it and comes again, and the
+# one equation in x2 has a negative coefficient
+MONOMIALS_N2 = (
+    "m = 2\nn = 2\n"
+    "eq: d[2,2]x1\neq: -3*d[0,1]x2\neq: d[1,2]x1\neq: d[3,0]x1\neq: d[1,2]x1\n"
+)
 # the pairs of the binomial with each monomial are still made.  The one
 # with d[0,2]x1 (join d[1,2]x1) reaches d[1,0]x1, whose pair with the
 # binomial reduces to zero, and the chain criterion skips the one with
@@ -274,6 +282,7 @@ INLINE_SYSTEMS = {
     "unit-ideal": UNIT_IDEAL,
     "unit-x1": UNIT_X1,
     "monomials-6": MONOMIALS_6,
+    "monomials-n2": MONOMIALS_N2,
     "monomials-binomial": MONOMIALS_BINOMIAL,
     "chain-pending-ac": CHAIN_PENDING_AC,
     "chain-pending-bc": CHAIN_PENDING_BC,
@@ -327,12 +336,17 @@ def test_completion_stops_once_every_unknown_is_a_leader():
 
 
 def test_completion_makes_no_pair_of_two_monomials():
-    # the chain criterion alone would leave five of the 15 pairs to reduce
+    # a system of monomials makes no pair at all: it is returned before the
+    # pair loop, where the chain criterion alone would leave five of
+    # MONOMIALS_6's 15 pairs to reduce
     system = parse_system(MONOMIALS_6)
     gb = _groebner(system, gb_step_cap=1)
     assert_pinned(system, gb, "monomials-6")
-    # 2 S-pair reductions; taken by join order, then pair index, the pair
-    # with d[2,0]x1 comes first and reduces to zero, a third
+    # with a binomial in the system the pair loop runs, and it makes no pair
+    # of two monomials either: 2 S-pair reductions.  Taken by join order,
+    # then pair index, the pair with d[2,0]x1 comes first and reduces to
+    # zero, a third.  The pair of the monomials d[2,0]x1 and d[1,0]x1 would
+    # be a third too, were it made: the chain criterion does not skip it
     system = parse_system(MONOMIALS_BINOMIAL)
     gb = _groebner(system, gb_step_cap=2)
     assert_pinned(system, gb, "monomials-binomial")
@@ -402,6 +416,23 @@ def test_completion_returns_the_unit_basis_at_the_unit_stop(monkeypatch, text):
     unit = (0,) * system.m
     assert basis_lines(_groebner(system)) == [f"1*{unit}x{u}" for u in range(system.n, 0, -1)]
     assert tails and not any(tails)
+
+
+@pytest.mark.parametrize("name", ["monomials-6", "monomials-n2", "free2.sys"])
+def test_completion_of_monomials_makes_no_reduction(monkeypatch, name):
+    # a system of monomials is its own basis: its minimal monomials are
+    # returned with no normal form, elimination step or S-pair
+    calls = []
+
+    def recorded(function):
+        real = getattr(lindiff, function)
+        return lambda *args: calls.append(function) or real(*args)
+
+    for function in ("_normal_form", "_eliminate", "heappush"):
+        monkeypatch.setattr(lindiff, function, recorded(function))
+    system = parse_system(INLINE_SYSTEMS[name]) if name in INLINE_SYSTEMS else load(name)
+    assert basis_lines(_groebner(system)) == PINNED_BASES[name][1]
+    assert calls == []
 
 
 def _margin_systems():
@@ -852,6 +883,7 @@ CORPUS_EXPECTED = {
     "cauchy_riemann.sys": (0, 2, 0),
     "ode2.sys": (0, 2),
     "free2.sys": (2, 0),
+    "staircase.sys": (0, 1, 4),
     "join-64": (0, 62, -1890),
 }
 
