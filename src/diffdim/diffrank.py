@@ -68,35 +68,37 @@ def compare_rank(a: DifferentialMonomial, b: DifferentialMonomial) -> int:
 
 @dataclass(frozen=True)
 class LeaderProfile:
-    """Per-unknown exponent sets harvested from the leaders of a basis.  The
-    Kolchin polynomial is kept on it once ``kolchin_from_leaders`` sums it."""
+    """Leader exponents of a basis over n unknowns: an (unknown, set) pair, by
+    unknown, for each unknown that leads; the others are free, only counted.
+    The Kolchin polynomial is kept on it once ``kolchin_from_leaders`` sums it."""
 
     m: int
-    variable_sets: tuple[ExponentSet, ...]
+    n: int
+    sets: tuple[tuple[int, ExponentSet], ...]
     _kolchin: NumericalPolynomial | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sets = tuple(self.variable_sets)
-        if not sets:
-            raise ValueError("profile needs at least one unknown")
-        for es in sets:
-            if es.m != self.m:
-                raise AmbientMismatch(
-                    f"component over {es.m} derivations in a profile over {self.m}"
-                )
-        object.__setattr__(self, "variable_sets", sets)
+        ExponentSet(self.m, ())  # m's own checks, which hold with no set listed
+        listed = dict(self.sets)
+        if self.n < 1 or len(listed) < len(self.sets) or not all(0 < u <= self.n for u in listed):
+            raise ValueError(f"need n >= 1 and each listed unknown once, in 1..{self.n}")
+        if any(es.m != self.m for es in listed.values()):
+            raise AmbientMismatch(f"a set in a profile over {self.m} derivations has another m")
+        # an empty set's unknown is free: dropped, so equal profiles compare equal
+        sets = sorted((u, es) for u, es in listed.items() if es.generators)
+        object.__setattr__(self, "sets", tuple(sets))
 
     @property
-    def n(self) -> int:
-        return len(self.variable_sets)
+    def variable_sets(self) -> tuple[ExponentSet, ...]:
+        """Every unknown's set, empty at a free one: n entries, so the library never builds it."""
+        return tuple(dict(self.sets).get(u, ExponentSet(self.m, ())) for u in range(1, self.n + 1))
 
 
 def kolchin_from_leaders(profile: LeaderProfile) -> NumericalPolynomial:
-    """Sum of the component Kolchin polynomials, summed once per profile."""
+    """The k listed sets' polynomials plus (n - k) * binom(t + m, m), summed once per profile."""
     if profile._kolchin is None:
-        total = NumericalPolynomial.zero(profile.m)
-        for es in profile.variable_sets:
-            total = total + dimension_polynomial(es)
+        free = NumericalPolynomial(profile.m, (profile.n - len(profile.sets),) + (0,) * profile.m)
+        total = sum((dimension_polynomial(es) for _, es in profile.sets), free)
         object.__setattr__(profile, "_kolchin", total)
     return profile._kolchin
 
@@ -135,9 +137,9 @@ def parse_leader_profile(
 ) -> LeaderProfile:
     """Read lines 'i: u1,...,um' listing leader exponents per unknown.
 
-    Unknown indices are 1-based.  Unlisted unknowns get the empty set (a free
-    unknown).  ``n`` defaults to the largest index seen; ``m`` to the first
-    row's width.
+    Unknown indices are 1-based.  An unlisted unknown is free: counted by
+    ``n``, never built, so n costs nothing.  ``n`` defaults to the largest
+    index seen; ``m`` to the first row's width.
     """
     rows: dict[int, list[ExponentVector]] = {}
     width = m
@@ -158,7 +160,5 @@ def parse_leader_profile(
         raise ParseError("profile needs at least one unknown")
     if rows and max(rows) > count:
         raise ParseError(f"unknown index {max(rows)} exceeds {count}")
-    sets = tuple(
-        ExponentSet(width, tuple(rows.get(i, ()))) for i in range(1, count + 1)
-    )
-    return LeaderProfile(width, sets)
+    sets = tuple((i, ExponentSet(width, tuple(r))) for i, r in rows.items())
+    return LeaderProfile(width, count, sets)

@@ -534,19 +534,19 @@ def module_groebner(
 
 
 def leader_profile(gb: LinearDiffSystem) -> LeaderProfile:
-    """Leader exponents of a reduced basis, grouped by unknown.  One profile
-    is built per (m, n, leaders), each packed leader keyed with its own
-    layout, in a bounded lookup, and shared by every basis with that key."""
+    """Leader exponents of a reduced basis, a set per unknown that leads.  One
+    profile is built per (m, n, leaders), each packed leader keyed with its
+    own layout, in a bounded lookup, and shared by every basis with that key."""
     return _shared_profile(gb.m, gb.n, tuple((eq._lead, eq._keys) for eq in gb.equations))
 
 
 @functools.lru_cache(maxsize=4096)
 def _shared_profile(m: int, n: int, leaders: tuple[tuple[int, _Keys], ...]) -> LeaderProfile:
-    buckets: list[list[ExponentVector]] = [[] for _ in range(n)]
+    buckets: dict[int, list[ExponentVector]] = {}
     for lead, keys in leaders:
         xi, unknown = keys.unpack(lead)
-        buckets[unknown - 1].append(xi)
-    return LeaderProfile(m, tuple(ExponentSet(m, tuple(b)) for b in buckets))
+        buckets.setdefault(unknown, []).append(xi)
+    return LeaderProfile(m, n, tuple((u, ExponentSet(m, tuple(b))) for u, b in buckets.items()))
 
 
 def kolchin_polynomial(
@@ -746,7 +746,7 @@ def kolchin_via_prolongation(
     """Kolchin polynomial from exact prolongation ranks plus interpolation.
 
     The leader complements of the reduced basis B count polynomially from
-    ``floor``, the largest ``stabilisation_level`` of the leader sets, in
+    ``floor``, the largest ``stabilisation_level`` of the listed sets or 0, in
     degree d, their sum's type (each leads positively), so the d + 1 values
     on [floor, floor + d] give the polynomial, returned padded to m.  For a
     leader x of B, the first pivot row with pivot x is an element p_x of
@@ -783,7 +783,7 @@ def kolchin_via_prolongation(
     check_cap("matrix_cell_cap", matrix_cell_cap)
     gb = module_groebner(system, gb_step_cap)
     profile = leader_profile(gb)
-    floor = max(stabilisation_level(es) for es in profile.variable_sets)
+    floor = max((stabilisation_level(es) for _, es in profile.sets), default=0)
     d = kolchin_from_leaders(profile).differential_type()
     m, n, top = system.m, system.n, floor + d + 1
     echelon = _Echelon(system, matrix_cell_cap)

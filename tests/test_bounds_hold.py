@@ -89,8 +89,8 @@ def assert_floor_within_regularity(system, bounds):
     sets of the reduced basis, a characteristic set's (see the module
     docstring), and each set's count is polynomial from its
     ``stabilisation_level``: floor, their largest, is at most the bound."""
-    sets = leader_profile(module_groebner(system)).variable_sets
-    assert max(stabilisation_level(es) for es in sets) <= bounds.regularity
+    sets = leader_profile(module_groebner(system)).sets
+    assert max((stabilisation_level(es) for _, es in sets), default=0) <= bounds.regularity
 
 
 def assert_coefficients_within_bound(system, bounds):

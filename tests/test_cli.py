@@ -42,7 +42,7 @@ FILES = {
     "HEAT": "0, 2\n", "CORNER": "1, 1\n", "CORNER3": "1, 1, 1\n", "CORNERS": "1,0\n0,1\n",
     "FIVE": "5\n", "ONES256": ",".join("1" * 256) + "\n",
     "SET3": "0,4,7\n1,5,2\n3,0,4\n2,2,1\n", "PROFILE": "1: 2,0\n2: 1,0\n2: 0,1\n",
-    "UNIT": UNIT_IDEAL, "MONOMIALS6": MONOMIALS_6, "MARGIN6": MARGIN_SIX,
+    "ROW": "1: 1\n", "UNIT": UNIT_IDEAL, "MONOMIALS6": MONOMIALS_6, "MARGIN6": MARGIN_SIX,
 }
 
 
@@ -181,6 +181,38 @@ def test_kolchin_check_stops_at_the_cell_cap_within_its_memory(tmp_path):
         rf"resource limit: prolongation echelon at level 11: pivot row {rows + 1} would bring "
         rf"the entries held to \d+ \(cap {cap}\)\n", done.stderr
     ), done.stderr[-2000:]
+
+
+MANY = 10**20
+MANY_POLY, MANY_COEFFS = f"{MANY - 1}*t + {MANY}", f"[{MANY - 1}, 1]"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("kolchin", "--system", "many_unknowns.sys"),
+     [MANY_POLY, f"standard coefficients: {MANY_COEFFS}"]),
+    (("kolchin", "--system", "many_unknowns.sys", "--check"),
+     [f"groebner: {MANY_POLY}  {MANY_COEFFS}", f"prolongation: {MANY_POLY}  {MANY_COEFFS}",
+      "AGREE"]),
+    (("omega-leaders", "--file", "ROW", "--n", str(MANY)),
+     [MANY_POLY, f"standard coefficients: {MANY_COEFFS}"]),
+], ids=["kolchin", "kolchin-check", "omega-leaders"])
+def test_many_unknowns_answer_within_a_gigabyte(tmp_path, argv, lines):
+    # n = 10^20 and leaders in x1 alone: the other unknowns are free, counted
+    # as one coefficient and never built.  A child under a 1 GB address-space
+    # limit and 10 s of CPU answers; one set per unknown would fill that
+    # memory, so such a run is never made in the test process itself
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("RLIMIT_AS is enforced on Linux")
+
+    def limits():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+    done = subprocess.run([sys.executable, "-c", CHILD, IMPORT_ROOT, *resolve(tmp_path, argv)],
+                          capture_output=True, text=True, timeout=60, preexec_fn=limits)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == lines
 
 
 def test_enum_cap_env_override(capsys, tmp_path, monkeypatch):

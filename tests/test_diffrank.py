@@ -106,32 +106,40 @@ def test_parse_monomial_errors():
 
 
 def test_profile_kolchin_single_heat_leader():
-    profile = LeaderProfile(2, (ExponentSet(2, ((0, 2),)),))
+    profile = LeaderProfile(2, 1, ((1, ExponentSet(2, ((0, 2),))),))
     assert kolchin_from_leaders(profile).standard_coeffs == (0, 2, -1)
 
 
 def test_profile_kolchin_two_free_unknowns():
-    profile = LeaderProfile(1, (ExponentSet(1, ()), ExponentSet(1, ())))
+    profile = LeaderProfile(1, 2, ())
     assert kolchin_from_leaders(profile).standard_coeffs == (2, 0)
+    # an empty set is a free unknown: dropped, so the profile is the same
+    assert LeaderProfile(1, 2, ((2, ExponentSet(1, ())),)) == profile
 
 
 def test_profile_kolchin_sums_components():
     # one blocked unknown, one cut by the Cauchy-Riemann style pair
     profile = LeaderProfile(
         2,
+        2,
         (
-            ExponentSet(2, ((2, 0),)),
-            ExponentSet(2, ((1, 0), (0, 1))),
+            (2, ExponentSet(2, ((1, 0), (0, 1)))),
+            (1, ExponentSet(2, ((2, 0),))),
         ),
     )
+    assert [u for u, _ in profile.sets] == [1, 2]
     assert kolchin_from_leaders(profile).standard_coeffs == (0, 2, 0)
 
 
 def test_profile_ambient_checked():
     with pytest.raises(AmbientMismatch):
-        LeaderProfile(2, (ExponentSet(1, ()),))
+        LeaderProfile(2, 1, ((1, ExponentSet(1, ())),))
     with pytest.raises(ValueError):
-        LeaderProfile(2, ())
+        LeaderProfile(2, 0, ())
+    with pytest.raises(ValueError, match="once"):
+        LeaderProfile(1, 2, ((1, ExponentSet(1, ((1,),))), (1, ExponentSet(1, ((2,),)))))
+    with pytest.raises(ValueError, match=r"once, in 1\.\.2"):
+        LeaderProfile(1, 2, ((3, ExponentSet(1, ((1,),))),))
 
 
 def test_parse_leader_profile():
@@ -144,15 +152,15 @@ def test_parse_leader_profile():
     profile = parse_leader_profile(text)
     assert profile.m == 2
     assert profile.n == 2
-    assert profile.variable_sets[0] == ExponentSet(2, ((0, 2),))
-    assert profile.variable_sets[1] == ExponentSet(2, ((1, 0), (0, 1)))
+    assert profile.sets == ((1, ExponentSet(2, ((0, 2),))), (2, ExponentSet(2, ((1, 0), (0, 1)))))
+    assert profile.variable_sets == tuple(es for _, es in profile.sets)
 
 
 def test_parse_leader_profile_free_unknowns():
     profile = parse_leader_profile("1: 2,0\n", n=3)
     assert profile.n == 3
-    assert profile.variable_sets[1] == ExponentSet(2, ())
-    assert profile.variable_sets[2] == ExponentSet(2, ())
+    assert profile.sets == ((1, ExponentSet(2, ((2, 0),))),)
+    assert profile.variable_sets[1:] == (ExponentSet(2, ()),) * 2
 
 
 def test_parse_leader_profile_empty_with_shape():

@@ -147,13 +147,13 @@ profiles = st.integers(1, 4).flatmap(
         ),
         min_size=1,
         max_size=3,
-    ).map(lambda sets: LeaderProfile(m, tuple(sets)))
+    ).map(lambda sets: LeaderProfile(m, len(sets), tuple(enumerate(sets, 1))))
 )
 
 
 @SETTINGS
 @hypothesis.given(profiles)
-@hypothesis.example(LeaderProfile(2, (ExponentSet(2, ((2, 0), (1, 1), (0, 3))), ExponentSet(2, ()))))
+@hypothesis.example(LeaderProfile(2, 2, ((1, ExponentSet(2, ((2, 0), (1, 1), (0, 3)))),)))
 def test_shared_polynomials_equal_fresh_ones(profile):
     kept = kolchin_from_leaders(profile)
     warm = [dimension_polynomial(es) for es in profile.variable_sets]
@@ -172,6 +172,33 @@ def test_kept_polynomial_has_the_largest_type_of_a_set(profile):
     # leading terms cancel: the prolongation route reads d off the sum alone
     types = [dimension_polynomial(es).differential_type() for es in profile.variable_sets]
     assert kolchin_from_leaders(profile).differential_type() == max(types)
+
+
+@st.composite
+def sparse_profiles(draw):
+    """(m, n, pairs): sets, some empty, for a subset of the unknowns 1..n with
+    n <= 6 and m <= 3, listed in any order."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    unknowns = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
+    gens = st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=4)
+    return m, n, tuple((u, ExponentSet(m, tuple(draw(gens)))) for u in unknowns)
+
+
+@SETTINGS
+@hypothesis.given(sparse_profiles())
+def test_a_profile_of_listed_sets_sums_as_one_set_per_unknown(drawn):
+    # the oracle is the rule of one set per unknown, the free ones empty:
+    # each set's polynomial summed, and the floor the largest level of all
+    m, n, pairs = drawn
+    profile = LeaderProfile(m, n, pairs)
+    every = profile.variable_sets
+    assert len(every) == n
+    assert every == tuple(dict(pairs).get(u, ExponentSet(m, ())) for u in range(1, n + 1))
+    assert profile == LeaderProfile(m, n, tuple(enumerate(every, 1)))
+    oracle = sum((dimension_polynomial(es) for es in every), NumericalPolynomial.zero(m))
+    assert kolchin_from_leaders(profile).standard_coeffs == oracle.standard_coeffs
+    floor = max((stabilisation_level(es) for _, es in profile.sets), default=0)
+    assert floor == max(stabilisation_level(es) for es in every)
 
 
 def test_shared_polynomial_is_one_per_ambient_dimension():

@@ -200,8 +200,8 @@ def test_a_system_of_monomials_is_its_own_basis(system):
     gb = module_groebner(system)
     basis = [[(c, (mono.exponents, mono.var_index)) for c, mono in eq.terms] for eq in gb.equations]
     assert sorted(basis) == sorted([(1, key)] for key in minimal)
-    assert leader_profile(gb) == LeaderProfile(system.m, tuple(
-        ExponentSet(system.m, tuple(xi for xi, u in monomials if u == unknown))
+    assert leader_profile(gb) == LeaderProfile(system.m, system.n, tuple(
+        (unknown, ExponentSet(system.m, tuple(xi for xi, u in monomials if u == unknown)))
         for unknown in range(1, system.n + 1)
     ))
     assert kolchin_polynomial(system) == kolchin_via_prolongation(system, matrix_cell_cap=CELL_CAP)

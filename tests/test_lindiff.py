@@ -207,6 +207,7 @@ PINNED_BASES = {
     "free2.sys": (0, []),
     "heat.sys": (0, ["1*(0, 2)x1 -1*(1, 0)x1"]),
     "laplace.sys": (0, ["1*(2, 0)x1 1*(0, 2)x1"]),
+    "many_unknowns.sys": (0, ["1*(1,)x1"]),
     "n300.sys": (0, ["1*(2,)x1 1*(0,)x300", "1*(1,)x300 1*(0,)x1"]),
     "ode2.sys": (0, ["1*(2,)x1"]),
     "staircase.sys": (0, ["1*(3, 0)x1", "1*(1, 1)x1", "1*(0, 2)x1", "1*(0, 1)x2"]),
@@ -302,7 +303,7 @@ def basis_lines(gb):
 def route_window(gb):
     # floor + d + 1: the values the prolongation route reads and its guard
     profile = leader_profile(gb)
-    floor = max(stabilisation_level(es) for es in profile.variable_sets)
+    floor = max((stabilisation_level(es) for _, es in profile.sets), default=0)
     return floor + kolchin_from_leaders(profile).differential_type() + 1
 
 
@@ -966,9 +967,12 @@ def test_kolchin_via_prolongation_rejects_cap_that_is_not_positive_int(cap):
 
 
 def _dense_prolongation(system, level):
-    """Columns and Fraction rows of the prolongation matrix up to ``level``."""
+    """Columns and Fraction rows of the prolongation matrix up to ``level``.
+    The columns are those of the unknowns the equations involve: another
+    unknown's column is zero in every row and adds nothing to a rank."""
     vectors = [xi for xi in product(range(level + 1), repeat=system.m) if sum(xi) <= level]
-    columns = [(xi, i) for xi in vectors for i in range(1, system.n + 1)]
+    unknowns = sorted({mono.var_index for eq in system.equations for _, mono in eq.terms})
+    columns = [(xi, i) for xi in vectors for i in unknowns]
     index = {col: k for k, col in enumerate(columns)}
     matrix = []
     for eq in system.equations:

@@ -208,7 +208,8 @@ def assert_margin_is_first_pivot_level(system):
     the basis elements of order <= floor + m, read off the from-scratch
     echelon, which shares no code with ``_Echelon``."""
     gb = module_groebner(system)
-    window = max(stabilisation_level(es) for es in leader_profile(gb).variable_sets) + system.m
+    sets = leader_profile(gb).sets
+    window = max((stabilisation_level(es) for _, es in sets), default=0) + system.m
     margin = _echelon_margin(_Echelon(system, CELL_CAP), gb, window)
     leaders = [(rank_key((g.leader.exponents, g.leader.var_index)), g.order)
                for g in gb.equations if g.order <= window]
